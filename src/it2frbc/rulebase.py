@@ -11,6 +11,10 @@ all c prototypes sum to 1. Evaluating with two fuzzifiers m1 and m2 and
 taking the pointwise min/max yields the interval [lower_k, upper_k] —
 the footprint of uncertainty of the rule's antecedent.
 
+The distance matrix (n, c) is computed once per call, in row blocks of
+bounded size (O(n * c) output plus O(block) working memory, never the
+(n, c, N) difference tensor), and both fuzzifiers are applied to it.
+
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval-midpoint memberships.
 """
@@ -23,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset, NormalizationParams, _freeze
 from .errors import ConfigError, DataError
-from .subclust import SubclustParams, subtractive_cluster
+from .subclust import SubclustParams, _sq_distance_blocks, subtractive_cluster
 
 FORMAT_VERSION = 1
 
@@ -147,6 +151,43 @@ class RuleBase:
         ]
 
 
+def _distances(X, prototypes) -> np.ndarray:
+    """Euclidean distances of each row of X to each prototype, (n, c)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    P = np.atleast_2d(np.asarray(prototypes, dtype=float))
+    if X.shape[1] != P.shape[1]:
+        raise DataError(f"input has {X.shape[1]} features but prototypes have {P.shape[1]}")
+    d = np.empty((X.shape[0], P.shape[0]))
+    for start, stop, sq in _sq_distance_blocks(X, P):
+        d[start:stop] = sq
+    return np.sqrt(d, out=d)
+
+
+def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
+    """Fuzzy-partition memberships (n, c) from distances d, one per fuzzifier.
+
+    Rows sum to 1. A pattern coinciding with t prototypes gets 1/t on each
+    of those and 0 elsewhere.
+    """
+    hits = d == 0.0
+    zero_rows = hits.any(axis=1)
+    regular = ~zero_rows
+    dr = d[regular]
+    # Scale by the row minimum so powers stay <= 1 (no overflow for
+    # sharp fuzzifiers / tiny distances).
+    ratio = dr / dr.min(axis=1, keepdims=True)
+    shares = hits[zero_rows] / hits[zero_rows].sum(axis=1, keepdims=True)
+
+    out = []
+    for m in fuzzifiers:
+        w = ratio ** (-(2.0 / (m - 1.0)))
+        mu = np.zeros_like(d)
+        mu[regular] = w / w.sum(axis=1, keepdims=True)
+        mu[zero_rows] = shares
+        out.append(mu)
+    return out
+
+
 def membership_matrix(X: np.ndarray, prototypes: np.ndarray, m: float) -> np.ndarray:
     """Fuzzy-partition memberships of each row of X to each prototype, (n, c).
 
@@ -155,29 +196,7 @@ def membership_matrix(X: np.ndarray, prototypes: np.ndarray, m: float) -> np.nda
     """
     if not m > 1.0:
         raise ConfigError("fuzzifier must be greater than 1")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    P = np.atleast_2d(np.asarray(prototypes, dtype=float))
-    if X.shape[1] != P.shape[1]:
-        raise DataError(f"input has {X.shape[1]} features but prototypes have {P.shape[1]}")
-    diff = X[:, None, :] - P[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    out = np.zeros_like(d)
-    exponent = 2.0 / (m - 1.0)
-    zero_rows = (d == 0.0).any(axis=1)
-
-    regular = ~zero_rows
-    if regular.any():
-        dr = d[regular]
-        # Scale by the row minimum so powers stay <= 1 (no overflow for
-        # sharp fuzzifiers / tiny distances).
-        ratio = dr / dr.min(axis=1, keepdims=True)
-        w = ratio ** (-exponent)
-        out[regular] = w / w.sum(axis=1, keepdims=True)
-    for i in np.flatnonzero(zero_rows):
-        hits = d[i] == 0.0
-        out[i, hits] = 1.0 / hits.sum()
-    return out
+    return _partitions(_distances(X, prototypes), (m,))[0]
 
 
 def memberships_single_fuzzifier(x, prototypes, m: float) -> np.ndarray:
@@ -188,9 +207,11 @@ def memberships_single_fuzzifier(x, prototypes, m: float) -> np.ndarray:
 def membership_bounds(
     X: np.ndarray, prototypes: np.ndarray, fz: Fuzzifiers
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lower/upper membership matrices (n, c) from the two fuzzifiers."""
-    mu1 = membership_matrix(X, prototypes, fz.m1)
-    mu2 = membership_matrix(X, prototypes, fz.m2)
+    """Lower/upper membership matrices (n, c) from the two fuzzifiers,
+    both applied to one distance matrix."""
+    if not (fz.m1 > 1.0 and fz.m2 > 1.0):
+        raise ConfigError("fuzzifier must be greater than 1")
+    mu1, mu2 = _partitions(_distances(X, prototypes), (fz.m1, fz.m2))
     return np.minimum(mu1, mu2), np.maximum(mu1, mu2)
 
 

@@ -15,6 +15,12 @@ existing center. Candidates between the accept and reject thresholds are
 kept only if they are far enough from the accepted centers.
 
 Points are expected in normalized feature space (r_a is relative to it).
+
+Pairwise squared distances are computed in row blocks (``_sq_distance_blocks``,
+shared with the rule base's memberships), so the potential field needs
+O(n * block) working memory rather than the full n x n x N difference tensor.
+Accepted and discarded candidates drop out of the search at -inf, so the loop
+ends within n iterations for every accepted parameter set.
 """
 from __future__ import annotations
 
@@ -23,6 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+
+# Target size, in float64 values, of one row block's difference tensor (2 MB).
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,28 @@ def _as_points(points) -> np.ndarray:
     return X
 
 
+def _sq_distance_blocks(X: np.ndarray, Y: np.ndarray):
+    """Yield (start, stop, sq): squared distances of X[start:stop] to every row of Y.
+
+    A block's difference tensor holds at most BLOCK_ELEMENTS values (at least
+    one row). Each entry is the same einsum over the same differences as in
+    the single-shot (n, m, N) form, so results are bitwise independent of the
+    block size and coincident points give exact zeros.
+    """
+    rows = max(1, BLOCK_ELEMENTS // max(1, Y.shape[0] * Y.shape[1]))
+    for start in range(0, X.shape[0], rows):
+        stop = min(start + rows, X.shape[0])
+        diff = X[start:stop, None, :] - Y[None, :, :]
+        yield start, stop, np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def initial_potentials(points, params: SubclustParams) -> PotentialField:
     """P_i = sum_j exp(-alpha * ||x_i - x_j||^2), including the j=i term."""
     X = _as_points(points)
-    diff = X[:, None, :] - X[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    return PotentialField(np.exp(-params.alpha * sq).sum(axis=1))
+    P = np.empty(X.shape[0])
+    for start, stop, sq in _sq_distance_blocks(X, X):
+        P[start:stop] = np.exp(-params.alpha * sq).sum(axis=1)
+    return PotentialField(P)
 
 
 def revise_potentials(
@@ -122,9 +147,11 @@ def subtractive_cluster(points, params: SubclustParams) -> np.ndarray:
       - accepted outright if P_k >= accept_ratio * P_first,
       - rejected (loop ends) if P_k < reject_ratio * P_first,
       - otherwise accepted iff d_min/r_a + P_k/P_first >= 1, where d_min is
-        its distance to the nearest accepted center; failing that its
-        potential is zeroed and the search continues.
-    Ties on the maximum break toward the lowest point index.
+        its distance to the nearest accepted center; failing that it is
+        discarded and the search continues.
+    Accepted and discarded candidates leave the search (potential -inf), so
+    the loop also ends once every point has been considered. Ties on the
+    maximum break toward the lowest point index.
     """
     X = _as_points(points)
     n = X.shape[0]
@@ -135,10 +162,13 @@ def subtractive_cluster(points, params: SubclustParams) -> np.ndarray:
     k = int(P.argmax())
     chosen = [k]
     P = _revised(P, X, k, params.beta)
+    P[k] = -np.inf
 
     while len(chosen) < cap:
         k = int(P.argmax())
         peak = float(P[k])
+        if peak == -np.inf:
+            break
         if peak >= params.accept_ratio * first_potential:
             pass
         elif peak < params.reject_ratio * first_potential:
@@ -146,9 +176,10 @@ def subtractive_cluster(points, params: SubclustParams) -> np.ndarray:
         else:
             d_min = float(np.sqrt(((X[chosen] - X[k]) ** 2).sum(axis=1)).min())
             if d_min / params.r_a + peak / first_potential < 1.0:
-                P[k] = 0.0
+                P[k] = -np.inf
                 continue
         chosen.append(k)
         P = _revised(P, X, k, params.beta)
+        P[k] = -np.inf
 
     return X[chosen].copy()

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import it2frbc
 from it2frbc import load_csv
 from it2frbc.cli import main
 
@@ -49,6 +54,25 @@ class TestCluster:
         assert code == 0
         centers = np.loadtxt(out_file, delimiter=",", skiprows=1)
         assert centers.reshape(-1, 2).shape[0] == 2
+
+    def test_zero_reject_ratio_terminates(self, tmp_path):
+        # Run as a child process so a regression to the endless loop fails
+        # on the timeout instead of hanging the suite.
+        pts = np.random.default_rng(1).uniform(size=(30, 2))
+        src = tmp_path / "points.csv"
+        src.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in pts) + "\n")
+        out_file = tmp_path / "centers.csv"
+        env = dict(os.environ)
+        src_dir = str(pathlib.Path(it2frbc.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "it2frbc.cli", "cluster", "--in", str(src), "--ra", "0.3",
+             "--reject", "0", "--out", str(out_file)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        centers = np.loadtxt(out_file, delimiter=",", skiprows=1).reshape(-1, 2)
+        assert 1 <= centers.shape[0] <= 30
 
     def test_bad_ra(self, tmp_path, capsys):
         src = tmp_path / "p.csv"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from it2frbc import rulebase, subclust
 from it2frbc import (
     ConfigError,
     DataError,
@@ -138,6 +139,80 @@ class TestMembershipInterval:
                 ivs = membership_interval(np.array([x]), protos, Fuzzifiers(m1, m2))
                 widths.append(ivs[0].width)
             assert all(a <= b + 1e-12 for a, b in zip(widths, widths[1:]))
+
+
+def single_shot_memberships(X, protos, m):
+    """Memberships from the full (n, c, N) difference tensor, one fuzzifier
+    at a time: the form the blocked, shared-distance kernel must match."""
+    diff = X[:, None, :] - protos[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    out = np.zeros_like(d)
+    zero_rows = (d == 0.0).any(axis=1)
+    regular = ~zero_rows
+    if regular.any():
+        dr = d[regular]
+        w = (dr / dr.min(axis=1, keepdims=True)) ** (-(2.0 / (m - 1.0)))
+        out[regular] = w / w.sum(axis=1, keepdims=True)
+    for i in np.flatnonzero(zero_rows):
+        hits = d[i] == 0.0
+        out[i, hits] = 1.0 / hits.sum()
+    return out
+
+
+def assert_bounds_match_single_shot(X, protos, fz):
+    lower, upper = rulebase.membership_bounds(X, protos, fz)
+    mu1 = single_shot_memberships(X, protos, fz.m1)
+    mu2 = single_shot_memberships(X, protos, fz.m2)
+    assert np.array_equal(lower, np.minimum(mu1, mu2))
+    assert np.array_equal(upper, np.maximum(mu1, mu2))
+
+
+def block_rows(c, N):
+    return max(1, subclust.BLOCK_ELEMENTS // (c * N))
+
+
+class TestBlockedMemberships:
+    def test_several_blocks_with_partial_last_block(self):
+        rng = np.random.default_rng(30)
+        X = rng.uniform(size=(1000, 9))
+        protos = X[rng.choice(1000, size=128, replace=False)]
+        rows = block_rows(128, 9)
+        assert 1 < rows < 1000 and 1000 % rows != 0
+        assert_bounds_match_single_shot(X, protos, Fuzzifiers(1.5, 2.5))
+
+    def test_one_row_per_block_when_a_row_exceeds_the_budget(self):
+        rng = np.random.default_rng(31)
+        protos = rng.uniform(size=(30000, 9))
+        assert block_rows(30000, 9) == 1
+        X = np.vstack([rng.uniform(size=(4, 9)), protos[17]])
+        assert_bounds_match_single_shot(X, protos, Fuzzifiers(1.2, 4.0))
+
+    @pytest.mark.parametrize("budget", [1, 5, 64])
+    def test_independent_of_block_size(self, monkeypatch, budget):
+        rng = np.random.default_rng(32)
+        X = np.round(rng.uniform(size=(23, 3)), 1)
+        protos = X[[0, 4, 4, 9, 15]]
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
+        assert_bounds_match_single_shot(X, protos, Fuzzifiers(1.5, 2.5))
+        assert_bounds_match_single_shot(X, protos, Fuzzifiers(2.0, 2.0))
+
+    def test_exact_zeros_in_a_later_block(self):
+        rng = np.random.default_rng(33)
+        X = rng.uniform(size=(1000, 9))
+        protos = rng.uniform(size=(128, 9))
+        last = 1000 - 1000 % block_rows(128, 9)
+        assert 0 < last < 990
+        protos[[5, 40, 100]] = X[995]  # t = 3 prototypes coincide with row 995
+        protos[70] = X[last - 1]  # t = 1, last row of a full block
+        lower, upper = rulebase.membership_bounds(X, protos, Fuzzifiers(1.5, 2.5))
+        for mu in (lower, upper):
+            expect = np.zeros(128)
+            expect[[5, 40, 100]] = 1.0 / 3.0
+            assert np.array_equal(mu[995], expect)
+            expect = np.zeros(128)
+            expect[70] = 1.0
+            assert np.array_equal(mu[last - 1], expect)
+            assert np.all(np.delete(mu, [995, last - 1], axis=0) > 0.0)
 
 
 class TestCertaintyDegrees:

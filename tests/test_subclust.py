@@ -1,6 +1,10 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from it2frbc import subclust
 from it2frbc import (
     ConfigError,
     DataError,
@@ -67,6 +71,48 @@ class TestInitialPotentials:
     def test_dimension_check(self):
         with pytest.raises(DataError):
             initial_potentials(np.zeros(3), SubclustParams(1.0))
+
+
+def single_shot_potentials(X, alpha):
+    """The full (n, n, N) difference tensor form the row blocks must match."""
+    diff = X[:, None, :] - X[None, :, :]
+    return np.exp(-alpha * np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
+
+
+def block_rows(m, N):
+    return max(1, subclust.BLOCK_ELEMENTS // (m * N))
+
+
+class TestBlockedPotentials:
+    def test_several_blocks_with_partial_last_block(self):
+        X = np.random.default_rng(10).uniform(size=(300, 9))
+        X[250] = X[3]  # coincident pair across blocks
+        rows = block_rows(300, 9)
+        assert 1 < rows < 300 and 300 % rows != 0
+        params = SubclustParams(0.4)
+        got = initial_potentials(X, params).values
+        assert np.array_equal(got, single_shot_potentials(X, params.alpha))
+
+    # Budgets below m*N = 228 force one row per block; a real row over the
+    # default budget needs n*N > 2**18, too large for the single-shot reference.
+    @pytest.mark.parametrize("budget", [1, 7, 50, 1000])
+    def test_independent_of_block_size(self, monkeypatch, budget):
+        X = np.round(np.random.default_rng(12).uniform(size=(57, 4)), 1)
+        params = SubclustParams(0.3)
+        expected = single_shot_potentials(X, params.alpha)
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
+        assert np.array_equal(initial_potentials(X, params).values, expected)
+
+    def test_peak_memory_is_bounded(self):
+        # The (n, n, N) tensor alone would be 2000*2000*9*8 bytes = 288 MB.
+        X = np.random.default_rng(13).uniform(size=(2000, 9))
+        tracemalloc.start()
+        try:
+            initial_potentials(X, SubclustParams(0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRevisePotentials:
@@ -160,3 +206,42 @@ class TestSubtractiveCluster:
         pts = rng.uniform(size=(10, 2))
         centers = subtractive_cluster(pts, SubclustParams(5.0))
         assert centers.shape[0] >= 1
+
+
+def cluster_within(seconds, points, params):
+    """Run subtractive_cluster in a daemon thread; fail if it has not returned."""
+    result = {}
+    worker = threading.Thread(
+        target=lambda: result.update(centers=subtractive_cluster(points, params)), daemon=True
+    )
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "subtractive clustering did not terminate"
+    return result["centers"]
+
+
+class TestTermination:
+    def test_zero_reject_ratio_terminates(self):
+        # Accepted centers sit at potential <= 0, which a zero reject ratio
+        # does not stop at; argmax must never return one again.
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            pts = rng.uniform(size=(30, 2))
+            centers = cluster_within(30.0, pts, SubclustParams(0.3, reject_ratio=0.0))
+            as_rows = {tuple(c) for c in centers}
+            assert len(as_rows) == centers.shape[0] <= 30
+            assert as_rows <= {tuple(p) for p in pts}
+
+    def test_search_ends_when_every_point_is_used(self):
+        # The duplicate of the first center is revised to exactly 0 and then
+        # discarded (d_min = 0); the loop must end there, below the cap.
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0]])
+        centers = cluster_within(30.0, pts, SubclustParams(0.5, reject_ratio=0.0))
+        assert centers.tolist() == [[0.0, 0.0], [10.0, 10.0]]
+
+    def test_discarded_candidates_leave_the_search(self):
+        rng = np.random.default_rng(21)
+        pts = np.round(rng.uniform(size=(60, 2)), 1)
+        params = SubclustParams(0.25, accept_ratio=1.0, reject_ratio=0.0)
+        centers = cluster_within(30.0, pts, params)
+        assert len({tuple(c) for c in centers}) == centers.shape[0]
