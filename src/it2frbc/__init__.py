@@ -6,9 +6,7 @@ fuzzy reasoning method classifies patterns.
 from .dataset import (
     Dataset,
     NormalizationParams,
-    Pattern,
     SplitSpec,
-    apply_normalizer,
     fit_normalizer,
     gen_circular,
     gen_irregular,
@@ -30,38 +28,26 @@ from .evaluation import (
     train_and_score,
 )
 from .inference import (
-    AssociationInterval,
     ClassificationResult,
     SoundnessInterval,
-    association_degrees,
     classify,
     classify_batch,
-    matching_degree,
-    quasiarithmetic_mean,
-    soundness,
 )
 from .rulebase import (
-    ClusterPrototype,
     Fuzzifiers,
-    MembershipInterval,
-    Rule,
     RuleBase,
     build_rulebase,
     certainty_degrees,
     export_rules_text,
     load_rulebase,
-    membership_interval,
-    memberships_single_fuzzifier,
     save_rulebase,
 )
-from .subclust import PotentialField, SubclustParams, initial_potentials, revise_potentials, subtractive_cluster
+from .subclust import SubclustParams, initial_potentials, subtractive_cluster
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociationInterval",
     "ClassificationResult",
-    "ClusterPrototype",
     "ConfigError",
     "DataError",
     "Dataset",
@@ -69,19 +55,13 @@ __all__ = [
     "ExperimentReport",
     "Fuzzifiers",
     "InternalError",
-    "MembershipInterval",
     "NormalizationParams",
-    "Pattern",
-    "PotentialField",
-    "Rule",
     "RuleBase",
     "RunResult",
     "SoundnessInterval",
     "SplitSpec",
     "SubclustParams",
     "accuracy",
-    "apply_normalizer",
-    "association_degrees",
     "build_rulebase",
     "certainty_degrees",
     "classify",
@@ -96,16 +76,10 @@ __all__ = [
     "load_csv",
     "load_features_csv",
     "load_rulebase",
-    "matching_degree",
-    "membership_interval",
-    "memberships_single_fuzzifier",
     "normalize_dataset",
-    "quasiarithmetic_mean",
-    "revise_potentials",
     "run_experiment",
     "save_csv",
     "save_rulebase",
-    "soundness",
     "split",
     "subtractive_cluster",
     "train_and_score",

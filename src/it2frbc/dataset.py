@@ -7,6 +7,7 @@ Labels are integer class indices ``0..num_classes-1``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,22 +21,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """One observation: a feature vector and an optional class index."""
-
-    features: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        vec = np.asarray(self.features, dtype=float)
-        if vec.ndim != 1:
-            raise DataError("pattern features must be a 1-D vector")
-        if not np.all(np.isfinite(vec)):
-            raise DataError("pattern features must be finite")
-        object.__setattr__(self, "features", _freeze(vec))
 
 
 @dataclass(frozen=True)
@@ -77,9 +62,6 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
-
-    def pattern(self, i: int) -> Pattern:
-        return Pattern(self.features[i], int(self.labels[i]))
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
@@ -246,6 +228,9 @@ def load_features_csv(path) -> np.ndarray:
         vec = [_parse_number(c) for c in row]
         if any(v is None for v in vec):
             raise DataError(f"line {lineno}: non-numeric value")
+        if not all(map(math.isfinite, vec)):
+            # Checked here, before normalization turns inf into nan with a warning.
+            raise DataError(f"line {lineno}: non-finite value (nan or inf)")
         out.append(vec)
     return np.array(out, dtype=float)
 
@@ -264,11 +249,6 @@ def fit_normalizer(ds: Dataset) -> NormalizationParams:
     if len(ds) == 0:
         raise DataError("cannot fit normalizer on an empty dataset")
     return NormalizationParams(ds.features.min(axis=0), ds.features.max(axis=0))
-
-
-def apply_normalizer(params: NormalizationParams, p: Pattern) -> Pattern:
-    """Map one pattern into normalized feature space."""
-    return Pattern(params.apply(p.features), p.label)
 
 
 def normalize_dataset(params: NormalizationParams, ds: Dataset) -> Dataset:

@@ -1,10 +1,12 @@
 """Interval fuzzy reasoning: classify patterns against a rule base.
 
-Pipeline per pattern: matching degree (interval membership to each rule's
-prototype) -> association degree (matching interval times the rule's
-per-class certainty) -> soundness degree per class (quasiarithmetic mean
-over the rules with non-zero association, applied bound-wise) -> decision
-(class with the highest interval midpoint; ties go to the lowest index).
+One row kernel serves single patterns and batches alike. Per row of raw
+features (n, N): normalize -> membership bounds (n, c) to every rule's
+prototype under the two fuzzifiers -> association = bounds x the rule's
+per-class certainty -> soundness per class = power mean, bound by bound,
+over the rules whose upper association is positive (none leaves [0, 0]) ->
+decision = argmax of the interval midpoints (ties go to the lowest index).
+Non-finite input is refused with DataError.
 """
 from __future__ import annotations
 
@@ -12,20 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .rulebase import MembershipInterval, RuleBase, membership_bounds, membership_interval
-
-
-@dataclass(frozen=True)
-class AssociationInterval:
-    """Association degree interval of one rule with one class."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper:
-            raise DataError(f"invalid association interval [{self.lower}, {self.upper}]")
+from .errors import DataError
+from .rulebase import RuleBase, membership_bounds
 
 
 @dataclass(frozen=True)
@@ -57,33 +47,15 @@ class ClassificationResult:
         object.__setattr__(self, "scores", s)
 
 
-def quasiarithmetic_mean(values, p: float) -> float:
-    """Power mean ((1/s) * sum a_l^p)^(1/p) over non-negative values.
-
-    Tends to min as p -> -inf and max as p -> +inf; p = 0 (the geometric
-    limit) is rejected. Computed with max/min scaling so extreme p stays
-    stable. For p < 0 a zero value forces the limit 0.
-    """
-    if p == 0.0:
-        raise ConfigError("aggregation exponent p=0 is not supported")
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise ConfigError("quasiarithmetic mean needs at least one value")
-    if np.any(vals < 0):
-        raise ConfigError("quasiarithmetic mean is defined for non-negative values")
-    if p > 0:
-        peak = float(vals.max())
-        if peak == 0.0:
-            return 0.0
-        return peak * float(((vals / peak) ** p).mean() ** (1.0 / p))
-    low = float(vals.min())
-    if low == 0.0:
-        return 0.0
-    return low * float(((vals / low) ** p).mean() ** (1.0 / p))
-
-
 def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise power mean of the masked entries; rows with no entry -> 0."""
+    """Row-wise power mean ((1/s) * sum a^p)^(1/p) of the s masked entries
+    of non-negative values; rows with no entry -> 0.
+
+    Tends to the row min as p -> -inf and the max as p -> +inf. Each row is
+    scaled by its max (p > 0) or min (p < 0) so extreme p stays stable, and
+    for p < 0 a zero entry forces the limit 0. p = 0 (the geometric limit)
+    is refused where the model is built (RuleBase).
+    """
     n = vals.shape[0]
     out = np.zeros(n)
     count = mask.sum(axis=1)
@@ -108,51 +80,6 @@ def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray
     return out
 
 
-def matching_degree(x, rb: RuleBase) -> list[MembershipInterval]:
-    """Interval membership of a normalized pattern to each rule antecedent.
-
-    Rules have a single antecedent, so the matching degree is exactly the
-    membership interval to the rule's prototype.
-    """
-    return membership_interval(x, rb.prototypes, rb.fuzzifiers)
-
-
-def association_degrees(match: list[MembershipInterval], rb: RuleBase) -> list[list[AssociationInterval]]:
-    """Matrix (c rules x M classes) of matching intervals scaled by certainty."""
-    if len(match) != rb.num_rules:
-        raise DataError("one matching interval per rule required")
-    return [
-        [
-            AssociationInterval(iv.lower * float(r), iv.upper * float(r))
-            for r in rb.certainty[k]
-        ]
-        for k, iv in enumerate(match)
-    ]
-
-
-def soundness(assoc: list[list[AssociationInterval]], p: float) -> list[SoundnessInterval]:
-    """Aggregate association intervals per class with the power mean.
-
-    A rule participates in class j's aggregation when its upper association
-    bound is positive; the mean is applied to lower and upper bounds
-    separately. No participating rule leaves the class at [0, 0].
-    """
-    if not assoc:
-        return []
-    num_classes = len(assoc[0])
-    result = []
-    for j in range(num_classes):
-        lowers = [row[j].lower for row in assoc if row[j].upper > 0.0]
-        uppers = [row[j].upper for row in assoc if row[j].upper > 0.0]
-        if not uppers:
-            result.append(SoundnessInterval(0.0, 0.0))
-            continue
-        result.append(
-            SoundnessInterval(quasiarithmetic_mean(lowers, p), quasiarithmetic_mean(uppers, p))
-        )
-    return result
-
-
 def _soundness_bounds(
     lower: np.ndarray, upper: np.ndarray, certainty: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -171,6 +98,16 @@ def _soundness_bounds(
     return y_lower, y_upper
 
 
+def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
+    """Soundness bound matrices (n, M) of raw-unit patterns X (n, N)."""
+    if X.shape[1] != rb.num_features:
+        raise DataError(f"input has {X.shape[1]} features but model expects {rb.num_features}")
+    if not np.isfinite(X).all():
+        raise DataError("input features must be finite (no nan or inf)")
+    lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
+    return _soundness_bounds(lower, upper, rb.certainty, rb.aggregation_p)
+
+
 def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     """Classify raw-unit patterns (n, N); returns (predictions, scores).
 
@@ -178,36 +115,25 @@ def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     interval midpoints and predictions their row argmax (ties -> lowest
     class index).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != rb.num_features:
-        raise DataError(
-            f"input has {X.shape[1]} features but model expects {rb.num_features}"
-        )
-    Xn = rb.normalization.apply(X)
-    lower, upper = membership_bounds(Xn, rb.prototypes, rb.fuzzifiers)
-    y_lower, y_upper = _soundness_bounds(lower, upper, rb.certainty, rb.aggregation_p)
+    y_lower, y_upper = _soundness_of(np.atleast_2d(np.asarray(X, dtype=float)), rb)
     scores = 0.5 * (y_lower + y_upper)
     return scores.argmax(axis=1), scores
 
 
 def classify(x, rb: RuleBase) -> ClassificationResult:
-    """Classify one raw-unit pattern with full interval detail."""
+    """Classify one raw-unit pattern with full interval detail: row 0 of
+    the batch kernel."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("classify expects a single feature vector")
-    if x.shape[0] != rb.num_features:
-        raise DataError(f"input has {x.shape[0]} features but model expects {rb.num_features}")
-    xn = rb.normalization.apply(x)
-    lower, upper = membership_bounds(xn[None, :], rb.prototypes, rb.fuzzifiers)
-    y_lower, y_upper = _soundness_bounds(lower, upper, rb.certainty, rb.aggregation_p)
+    y_lower, y_upper = _soundness_of(x[None, :], rb)
     scores = 0.5 * (y_lower[0] + y_upper[0])
     intervals = tuple(
         SoundnessInterval(float(lo), float(up)) for lo, up in zip(y_lower[0], y_upper[0])
     )
-    no_rule = bool(np.all(scores == 0.0))
     return ClassificationResult(
         predicted=int(scores.argmax()),
         soundness=intervals,
         scores=scores,
-        no_rule_fired=no_rule,
+        no_rule_fired=bool(np.all(scores == 0.0)),
     )

@@ -51,54 +51,6 @@ class Fuzzifiers:
 
 
 @dataclass(frozen=True)
-class ClusterPrototype:
-    """A cluster center in normalized feature space, tagged with its class."""
-
-    center: np.ndarray
-    source_class: int
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.ndim != 1:
-            raise DataError("prototype center must be a 1-D vector")
-        object.__setattr__(self, "center", _freeze(c))
-
-
-@dataclass(frozen=True)
-class MembershipInterval:
-    """Primary-membership interval [lower, upper] within [0,1]."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper <= 1.0:
-            raise DataError(f"invalid membership interval [{self.lower}, {self.upper}]")
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class Rule:
-    """IF x is near the prototype THEN certainty vector over classes."""
-
-    antecedent: ClusterPrototype
-    certainty: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.certainty, dtype=float)
-        if r.ndim != 1:
-            raise DataError("certainty must be a vector over classes")
-        object.__setattr__(self, "certainty", _freeze(r))
-
-
-@dataclass(frozen=True)
 class RuleBase:
     """The persisted model: c prototypes, their certainty vectors, and the
     parameters needed to classify raw patterns (normalization, fuzzifiers,
@@ -143,13 +95,6 @@ class RuleBase:
     def num_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def rules(self) -> list[Rule]:
-        return [
-            Rule(ClusterPrototype(self.prototypes[k], int(self.source_classes[k])), self.certainty[k])
-            for k in range(self.num_rules)
-        ]
-
 
 def _distances(X, prototypes) -> np.ndarray:
     """Euclidean distances of each row of X to each prototype, (n, c)."""
@@ -157,6 +102,8 @@ def _distances(X, prototypes) -> np.ndarray:
     P = np.atleast_2d(np.asarray(prototypes, dtype=float))
     if X.shape[1] != P.shape[1]:
         raise DataError(f"input has {X.shape[1]} features but prototypes have {P.shape[1]}")
+    if P.shape[0] == 0:
+        raise DataError("need at least one prototype")
     d = np.empty((X.shape[0], P.shape[0]))
     for start, stop, sq in _sq_distance_blocks(X, P):
         d[start:stop] = sq
@@ -188,22 +135,6 @@ def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
     return out
 
 
-def membership_matrix(X: np.ndarray, prototypes: np.ndarray, m: float) -> np.ndarray:
-    """Fuzzy-partition memberships of each row of X to each prototype, (n, c).
-
-    Rows sum to 1. A pattern coinciding with t prototypes gets 1/t on each
-    of those and 0 elsewhere.
-    """
-    if not m > 1.0:
-        raise ConfigError("fuzzifier must be greater than 1")
-    return _partitions(_distances(X, prototypes), (m,))[0]
-
-
-def memberships_single_fuzzifier(x, prototypes, m: float) -> np.ndarray:
-    """Memberships of a single pattern vector, shape (c,)."""
-    return membership_matrix(np.asarray(x, dtype=float)[None, :], prototypes, m)[0]
-
-
 def membership_bounds(
     X: np.ndarray, prototypes: np.ndarray, fz: Fuzzifiers
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -213,12 +144,6 @@ def membership_bounds(
         raise ConfigError("fuzzifier must be greater than 1")
     mu1, mu2 = _partitions(_distances(X, prototypes), (fz.m1, fz.m2))
     return np.minimum(mu1, mu2), np.maximum(mu1, mu2)
-
-
-def membership_interval(x, prototypes, fz: Fuzzifiers) -> list[MembershipInterval]:
-    """Footprint-of-uncertainty interval of one pattern per prototype."""
-    lower, upper = membership_bounds(np.asarray(x, dtype=float)[None, :], prototypes, fz)
-    return [MembershipInterval(float(lo), float(up)) for lo, up in zip(lower[0], upper[0])]
 
 
 def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:

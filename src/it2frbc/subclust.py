@@ -70,27 +70,14 @@ class SubclustParams:
         return 4.0 / (self.rb_ratio * self.r_a) ** 2
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    """Potential value per data point."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def _as_points(points) -> np.ndarray:
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
         raise DataError("points must be a 2-D array (n, num_features)")
     if X.shape[0] < 1:
         raise DataError("need at least one point")
+    if not np.isfinite(X).all():
+        raise DataError("points must be finite (no nan or inf)")
     return X
 
 
@@ -109,32 +96,21 @@ def _sq_distance_blocks(X: np.ndarray, Y: np.ndarray):
         yield start, stop, np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def initial_potentials(points, params: SubclustParams) -> PotentialField:
-    """P_i = sum_j exp(-alpha * ||x_i - x_j||^2), including the j=i term."""
+def initial_potentials(points, params: SubclustParams) -> np.ndarray:
+    """P_i = sum_j exp(-alpha * ||x_i - x_j||^2), including the j=i term, (n,)."""
     X = _as_points(points)
     P = np.empty(X.shape[0])
     for start, stop, sq in _sq_distance_blocks(X, X):
         P[start:stop] = np.exp(-params.alpha * sq).sum(axis=1)
-    return PotentialField(P)
+    return P
 
 
-def revise_potentials(
-    field: PotentialField, points, center_index: int, params: SubclustParams
-) -> PotentialField:
-    """Subtract the accepted center's influence from every potential.
+def _revised(P: np.ndarray, X: np.ndarray, k: int, beta: float) -> np.ndarray:
+    """Subtract accepted center k's influence from every potential.
 
     Uses the center's current potential as the subtracted peak, so the
     center's own potential becomes exactly 0. Values may go negative.
     """
-    X = _as_points(points)
-    if len(field) != X.shape[0]:
-        raise DataError("potential field length must match point count")
-    if not 0 <= center_index < X.shape[0]:
-        raise DataError("center_index out of range")
-    return PotentialField(_revised(field.values, X, center_index, params.beta))
-
-
-def _revised(P: np.ndarray, X: np.ndarray, k: int, beta: float) -> np.ndarray:
     d2 = ((X - X[k]) ** 2).sum(axis=1)
     return P - P[k] * np.exp(-beta * d2)
 
@@ -157,7 +133,7 @@ def subtractive_cluster(points, params: SubclustParams) -> np.ndarray:
     n = X.shape[0]
     cap = n if params.max_centers is None else min(params.max_centers, n)
 
-    P = initial_potentials(X, params).values.copy()
+    P = initial_potentials(X, params)
     first_potential = float(P.max())
     k = int(P.argmax())
     chosen = [k]

@@ -22,15 +22,14 @@ from it2frbc import (
     classify,
     gen_circular,
     initial_potentials,
-    membership_interval,
-    memberships_single_fuzzifier,
-    quasiarithmetic_mean,
-    revise_potentials,
     run_experiment,
     split,
 )
+from it2frbc.rulebase import membership_bounds
+from it2frbc.subclust import _revised
 
 from frm_reference import predict as ref_predict
+from test_inference import power_means
 
 MASTER_SEED = 1234
 _cache: dict = {}
@@ -231,7 +230,7 @@ def test_criterion_8_invariant_suite():
         c, N = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         protos, x = rng.uniform(size=(c, N)), rng.uniform(size=N)
         m = float(rng.uniform(1.05, 5.0))
-        mu = memberships_single_fuzzifier(x, protos, m)
+        mu = membership_bounds(x[None, :], protos, Fuzzifiers(m, m))[0][0]
         assert abs(mu.sum() - 1.0) <= 1e-12
         cases += 1
 
@@ -250,8 +249,8 @@ def test_criterion_8_invariant_suite():
             class_names=tuple(str(j) for j in range(M)),
         )
         res = classify(rng.uniform(size=N), rb)
-        for iv in membership_interval(rng.uniform(size=N), protos, fz):
-            assert iv.lower <= iv.upper
+        lower, upper = membership_bounds(rng.uniform(size=(1, N)), protos, fz)
+        assert np.all(lower <= upper)
         for iv in res.soundness:
             assert iv.lower <= iv.upper
         cases += 1
@@ -275,11 +274,12 @@ def test_criterion_8_invariant_suite():
         p1 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 6.0))
         p2 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 6.0))
         lo, hi = min(p1, p2), max(p1, p2)
-        f_lo, f_hi = quasiarithmetic_mean(vals, lo), quasiarithmetic_mean(vals, hi)
-        assert vals.min() - 1e-9 <= f_lo <= vals.max() + 1e-9
-        assert f_lo <= f_hi + 1e-9
+        for f_lo, f_hi in zip(power_means(vals, lo), power_means(vals, hi)):
+            assert vals.min() - 1e-9 <= f_lo <= vals.max() + 1e-9
+            assert f_lo <= f_hi + 1e-9
         a = float(rng.uniform(0.001, 1.0))
-        assert quasiarithmetic_mean([a] * 4, p1) == pytest.approx(a, rel=1e-9)
+        for got in power_means([a] * 4, p1):
+            assert got == pytest.approx(a, rel=1e-9)
         cases += 1
 
     # Potential revision never increases any potential.
@@ -287,8 +287,8 @@ def test_criterion_8_invariant_suite():
         pts = rng.uniform(size=(int(rng.integers(2, 25)), 2))
         params = SubclustParams(float(rng.uniform(0.1, 1.5)))
         f0 = initial_potentials(pts, params)
-        f1 = revise_potentials(f0, pts, int(f0.values.argmax()), params)
-        assert np.all(f1.values <= f0.values + 1e-12)
+        f1 = _revised(f0, pts, int(f0.argmax()), params.beta)
+        assert np.all(f1 <= f0 + 1e-12)
         cases += 1
 
     # Degenerate type-1: m1 == m2 gives zero interval width end to end.

@@ -82,6 +82,18 @@ class TestCluster:
         assert code == 1
         assert "r_a" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_cell_refused(self, tmp_path, capsys, bad):
+        # A nan cell used to give nan centers and exit 0.
+        src = tmp_path / "p.csv"
+        src.write_text(f"0,0\n0.1,0.2\n{bad},4\n5,6\n")
+        out_file = tmp_path / "c.csv"
+        code, _, err = run(capsys, "cluster", "--in", str(src), "--ra", "0.5",
+                           "--out", str(out_file))
+        assert code == 2
+        assert "finite" in err
+        assert not out_file.exists()
+
 
 @pytest.fixture()
 def circ_file(tmp_path, capsys):
@@ -133,6 +145,21 @@ class TestTrainPredict:
                            "--out", str(tmp_path / "o.csv"))
         assert code == 0
         assert "accuracy" not in out
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_predict_non_finite_cell_refused(self, tmp_path, capsys, circ_file, bad):
+        # Such a row used to be written as class 0 with scores [0, 0], exit 0.
+        model = tmp_path / "model.json"
+        assert main(["train", "--in", str(circ_file), "--no-sc", "--model", str(model)]) == 0
+        capsys.readouterr()
+        plain = tmp_path / "plain.csv"
+        plain.write_text(f"10.0,10.0\n{bad},10.0\n")
+        out_file = tmp_path / "o.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                           "--out", str(out_file))
+        assert code == 2
+        assert "finite" in err
+        assert not out_file.exists()
 
     def test_invalid_fuzzifier(self, tmp_path, capsys, circ_file):
         code, _, err = run(capsys, "train", "--in", str(circ_file), "--no-sc",
@@ -209,6 +236,12 @@ class TestEval:
     def test_requires_source(self, capsys):
         code, _, err = run(capsys, "eval", "--runs", "1", "--no-sc")
         assert code == 1
+
+    def test_p_zero_refused(self, capsys):
+        code, _, err = run(capsys, "eval", "--gen", "circular", "--runs", "1", "--no-sc",
+                           "--p", "0")
+        assert code == 1
+        assert "p=0" in err
 
     def test_ra_and_no_sc_conflict(self, capsys):
         code, _, err = run(capsys, "eval", "--gen", "circular", "--ra", "0.2", "--no-sc")

@@ -6,9 +6,7 @@ from it2frbc import (
     DataError,
     Dataset,
     NormalizationParams,
-    Pattern,
     SplitSpec,
-    apply_normalizer,
     fit_normalizer,
     gen_circular,
     gen_irregular,
@@ -99,15 +97,15 @@ class TestNormalization:
 
     def test_midpoint(self):
         params = NormalizationParams(np.array([0.0]), np.array([20.0]))
-        assert apply_normalizer(params, Pattern(np.array([10.0]))).features[0] == 0.5
+        assert params.apply(np.array([10.0]))[0] == 0.5
 
     def test_constant_feature_maps_to_half(self):
         params = NormalizationParams(np.array([5.0]), np.array([5.0]))
-        assert apply_normalizer(params, Pattern(np.array([5.0]))).features[0] == 0.5
+        assert params.apply(np.array([5.0]))[0] == 0.5
 
     def test_out_of_range_unclamped(self):
         params = NormalizationParams(np.array([0.0]), np.array([20.0]))
-        assert apply_normalizer(params, Pattern(np.array([25.0]))).features[0] == 1.25
+        assert params.apply(np.array([25.0]))[0] == 1.25
 
     def test_dimension_mismatch(self):
         params = NormalizationParams(np.array([0.0]), np.array([1.0]))
@@ -240,7 +238,7 @@ class TestCsvRoundTrip:
 class TestInvariantsOfTypes:
     def test_pattern_rejects_nan(self):
         with pytest.raises(DataError):
-            Pattern(np.array([1.0, np.nan]))
+            Dataset(np.array([[0.0, 1.0], [1.0, np.nan]]), np.array([0, 0]), ("a",))
 
     def test_dataset_rejects_bad_label(self):
         with pytest.raises(DataError):

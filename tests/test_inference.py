@@ -5,16 +5,13 @@ from it2frbc import (
     ConfigError,
     DataError,
     Fuzzifiers,
-    MembershipInterval,
     NormalizationParams,
     RuleBase,
-    association_degrees,
     classify,
     classify_batch,
-    matching_degree,
-    quasiarithmetic_mean,
-    soundness,
 )
+from it2frbc.inference import _power_mean_rows, _soundness_bounds
+from it2frbc.rulebase import membership_bounds
 
 from frm_reference import predict as ref_predict
 
@@ -47,140 +44,162 @@ TWO_RULE_RB = make_rulebase(
 PROBE = np.array([0.25, 0.0])
 
 
+def matching(x, rb):
+    """Membership bounds (c,) of one normalized pattern to each rule."""
+    x = np.asarray(x, dtype=float)
+    lower, upper = membership_bounds(x[None, :], rb.prototypes, rb.fuzzifiers)
+    return lower[0], upper[0]
+
+
+def association(lower, upper, certainty, k, p=2.0):
+    """Association bounds (M,) of rule k alone: the power mean of a single
+    firing value is that value, so the kernel returns the product itself."""
+    y_lower, y_upper = _soundness_bounds(
+        np.array([[lower[k]]]), np.array([[upper[k]]]), certainty[[k]], p
+    )
+    return y_lower[0], y_upper[0]
+
+
 class TestMatchingDegree:
     def test_at_prototype(self):
-        ivs = matching_degree(np.array([0.0, 0.0]), TWO_RULE_RB)
-        assert (ivs[0].lower, ivs[0].upper) == (1.0, 1.0)
-        assert (ivs[1].lower, ivs[1].upper) == (0.0, 0.0)
+        lower, upper = matching([0.0, 0.0], TWO_RULE_RB)
+        assert (lower[0], upper[0]) == (1.0, 1.0)
+        assert (lower[1], upper[1]) == (0.0, 0.0)
 
     def test_equidistant(self):
         rb = make_rulebase([[0.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]])
-        ivs = matching_degree(np.array([0.5]), rb)
-        for iv in ivs:
-            assert iv.lower == pytest.approx(0.5)
-            assert iv.upper == pytest.approx(0.5)
+        for bound in matching([0.5], rb):
+            assert bound == pytest.approx([0.5, 0.5])
 
     def test_worked_example(self):
-        ivs = matching_degree(PROBE, TWO_RULE_RB)
-        assert ivs[0].lower == pytest.approx(MU_M25[0], abs=1e-15)
-        assert ivs[0].upper == pytest.approx(MU_M15[0], abs=1e-15)
+        lower, upper = matching(PROBE, TWO_RULE_RB)
+        assert lower[0] == pytest.approx(MU_M25[0], abs=1e-15)
+        assert upper[0] == pytest.approx(MU_M15[0], abs=1e-15)
 
 
 class TestAssociationDegrees:
     def test_zero_certainty(self):
         rb = make_rulebase([[0.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]])
-        assoc = association_degrees(matching_degree(np.array([0.3]), rb), rb)
-        assert assoc[0][1].lower == assoc[0][1].upper == 0.0
+        lower, upper = association(*matching([0.3], rb), rb.certainty, 0)
+        assert lower[1] == upper[1] == 0.0
 
     def test_product(self):
         rb = make_rulebase([[0.0]], [[0.6]])
-        assoc = association_degrees([MembershipInterval(0.5, 1.0)], rb)
-        assert assoc[0][0].lower == pytest.approx(0.30)
-        assert assoc[0][0].upper == pytest.approx(0.60)
+        lower, upper = association([0.5], [1.0], rb.certainty, 0)
+        assert lower[0] == pytest.approx(0.30)
+        assert upper[0] == pytest.approx(0.60)
 
     def test_worked_two_by_two(self):
-        match = matching_degree(PROBE, TWO_RULE_RB)
-        assoc = association_degrees(match, TWO_RULE_RB)
+        m_lower, m_upper = matching(PROBE, TWO_RULE_RB)
         r = TWO_RULE_RB.certainty
         for k in range(2):
+            lower, upper = association(m_lower, m_upper, r, k)
             for j in range(2):
-                assert assoc[k][j].lower == pytest.approx(match[k].lower * r[k, j], abs=1e-15)
-                assert assoc[k][j].upper == pytest.approx(match[k].upper * r[k, j], abs=1e-15)
+                assert lower[j] == pytest.approx(m_lower[k] * r[k, j], abs=1e-15)
+                assert upper[j] == pytest.approx(m_upper[k] * r[k, j], abs=1e-15)
 
-    def test_length_checked(self):
-        with pytest.raises(DataError):
-            association_degrees([MembershipInterval(0.1, 0.2)], TWO_RULE_RB)
+
+def power_means(vals, p):
+    """The kernel's power mean of vals, computed twice: as a one-row input,
+    and as the middle row of three whose other entries are masked out (a
+    masked 0 and 7 on either side, an empty row and an unrelated row)."""
+    vals = np.asarray(vals, dtype=float)
+    s = vals.size
+    one_row = _power_mean_rows(vals[None, :], np.ones((1, s), dtype=bool), p)[0]
+    batch = np.full((3, s + 2), 7.0)
+    batch[1, 0] = 0.0
+    batch[1, 1:-1] = vals
+    mask = np.zeros(batch.shape, dtype=bool)
+    mask[1, 1:-1] = True
+    mask[2] = True
+    batch_rows = _power_mean_rows(batch, mask, p)
+    assert batch_rows[0] == 0.0
+    return one_row, batch_rows[1]
 
 
 class TestQuasiarithmeticMean:
     def test_idempotent(self):
         for p in (-3.0, -1.0, 0.5, 1.0, 2.0, 7.0):
-            assert quasiarithmetic_mean([0.37, 0.37, 0.37], p) == pytest.approx(0.37)
+            for got in power_means([0.37, 0.37, 0.37], p):
+                assert got == pytest.approx(0.37)
 
     def test_arithmetic(self):
-        assert quasiarithmetic_mean([0.2, 0.8], 1.0) == pytest.approx(0.5)
+        for got in power_means([0.2, 0.8], 1.0):
+            assert got == pytest.approx(0.5)
 
     def test_quadratic(self):
-        assert quasiarithmetic_mean([0.2, 0.8], 2.0) == pytest.approx(
-            0.58309518948453005, abs=1e-15
-        )
+        for got in power_means([0.2, 0.8], 2.0):
+            assert got == pytest.approx(0.58309518948453005, abs=1e-15)
 
     def test_limits(self):
         # The (1/s)^(1/p) factor biases the mean away from the extreme by
         # about max*ln(s)/|p|, so the 1e-3 window at p=+-50 needs
         # small-magnitude values.
         vals = [0.01, 0.02]
-        assert quasiarithmetic_mean(vals, -50.0) == pytest.approx(0.01, abs=1e-3)
-        assert quasiarithmetic_mean(vals, 50.0) == pytest.approx(0.02, abs=1e-3)
+        for got in power_means(vals, -50.0):
+            assert got == pytest.approx(0.01, abs=1e-3)
+        for got in power_means(vals, 50.0):
+            assert got == pytest.approx(0.02, abs=1e-3)
 
     def test_converges_to_extremes(self):
         vals = [0.21, 0.5, 0.93]
-        lo = [quasiarithmetic_mean(vals, p) for p in (-10.0, -50.0, -400.0)]
-        hi = [quasiarithmetic_mean(vals, p) for p in (10.0, 50.0, 400.0)]
-        assert all(a >= b for a, b in zip(lo, lo[1:]))
-        assert all(a <= b for a, b in zip(hi, hi[1:]))
-        assert lo[-1] == pytest.approx(0.21, rel=5e-3)
-        assert hi[-1] == pytest.approx(0.93, rel=5e-3)
+        for form in range(2):
+            lo = [power_means(vals, p)[form] for p in (-10.0, -50.0, -400.0)]
+            hi = [power_means(vals, p)[form] for p in (10.0, 50.0, 400.0)]
+            assert all(a >= b for a, b in zip(lo, lo[1:]))
+            assert all(a <= b for a, b in zip(hi, hi[1:]))
+            assert lo[-1] == pytest.approx(0.21, rel=5e-3)
+            assert hi[-1] == pytest.approx(0.93, rel=5e-3)
 
     def test_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
             vals = rng.uniform(0.01, 1.0, size=rng.integers(1, 6))
             p = float(rng.uniform(-4, 4)) or 1.0
-            got = quasiarithmetic_mean(vals, p)
-            assert vals.min() - 1e-12 <= got <= vals.max() + 1e-12
+            for got in power_means(vals, p):
+                assert vals.min() - 1e-12 <= got <= vals.max() + 1e-12
 
     def test_monotone_in_p(self):
         vals = [0.2, 0.5, 0.9]
-        results = [quasiarithmetic_mean(vals, p) for p in (-5, -1, 0.5, 1, 2, 5)]
-        assert all(a <= b + 1e-12 for a, b in zip(results, results[1:]))
+        for form in range(2):
+            results = [power_means(vals, p)[form] for p in (-5, -1, 0.5, 1, 2, 5)]
+            assert all(a <= b + 1e-12 for a, b in zip(results, results[1:]))
 
     def test_zero_value_negative_p(self):
-        assert quasiarithmetic_mean([0.0, 0.5], -2.0) == 0.0
+        assert power_means([0.0, 0.5], -2.0) == (0.0, 0.0)
 
     def test_rejects_p_zero(self):
         with pytest.raises(ConfigError):
-            quasiarithmetic_mean([0.5], 0.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            quasiarithmetic_mean([], 2.0)
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ConfigError):
-            quasiarithmetic_mean([-0.1, 0.5], 2.0)
-
-
-def interval(lo, up):
-    from it2frbc import AssociationInterval
-
-    return AssociationInterval(lo, up)
+            make_rulebase([[0.0]], [[1.0]], p=0.0)
 
 
 class TestSoundness:
     def test_all_zero_class(self):
-        assoc = [[interval(0.0, 0.0), interval(0.1, 0.2)]]
-        got = soundness(assoc, 2.0)
-        assert (got[0].lower, got[0].upper) == (0.0, 0.0)
-        assert got[1].upper > 0
+        lower, upper = _soundness_bounds(
+            np.array([[0.1]]), np.array([[0.2]]), np.array([[0.0, 1.0]]), 2.0
+        )
+        assert (lower[0, 0], upper[0, 0]) == (0.0, 0.0)
+        assert upper[0, 1] > 0
 
     def test_single_rule_idempotent(self):
-        got = soundness([[interval(0.3, 0.6)]], 2.0)
-        assert got[0].lower == pytest.approx(0.3)
-        assert got[0].upper == pytest.approx(0.6)
+        lower, upper = _soundness_bounds(np.array([[0.3]]), np.array([[0.6]]), np.ones((1, 1)), 2.0)
+        assert lower[0, 0] == pytest.approx(0.3)
+        assert upper[0, 0] == pytest.approx(0.6)
 
     def test_two_rules_arithmetic(self):
-        assoc = [[interval(0.2, 0.4)], [interval(0.8, 1.0)]]
-        got = soundness(assoc, 1.0)
-        assert got[0].lower == pytest.approx(0.5)
-        assert got[0].upper == pytest.approx(0.7)
+        lower, upper = _soundness_bounds(
+            np.array([[0.2, 0.8]]), np.array([[0.4, 1.0]]), np.ones((2, 1)), 1.0
+        )
+        assert lower[0, 0] == pytest.approx(0.5)
+        assert upper[0, 0] == pytest.approx(0.7)
 
     def test_qualifies_on_upper_bound(self):
         # lower bound 0 must not drop the rule when its upper bound fires
-        assoc = [[interval(0.0, 0.4)], [interval(0.2, 0.5)]]
-        got = soundness(assoc, 2.0)
-        assert got[0].lower == pytest.approx(np.sqrt((0.0 + 0.04) / 2))
-        assert got[0].upper == pytest.approx(np.sqrt((0.16 + 0.25) / 2))
+        lower, upper = _soundness_bounds(
+            np.array([[0.0, 0.2]]), np.array([[0.4, 0.5]]), np.ones((2, 1)), 2.0
+        )
+        assert lower[0, 0] == pytest.approx(np.sqrt((0.0 + 0.04) / 2))
+        assert upper[0, 0] == pytest.approx(np.sqrt((0.16 + 0.25) / 2))
 
 
 class TestClassify:
@@ -223,6 +242,15 @@ class TestClassify:
         with pytest.raises(DataError, match=r"3.*2|2.*3"):
             classify(np.array([0.1, 0.2, 0.3]), rb)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused(self, bad):
+        # Refused rather than classified as class 0 with scores [0, 0].
+        rb = make_rulebase([[0.4, 0.4], [0.6, 0.6]], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DataError, match="finite"):
+            classify(np.array([bad, 10.0]), rb)
+        with pytest.raises(DataError, match="finite"):
+            classify_batch(np.array([[0.1, 0.2], [bad, 10.0]]), rb)
+
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
@@ -244,16 +272,15 @@ class TestClassify:
         rb = make_rulebase(rng.uniform(size=(4, 2)), rng.dirichlet(np.ones(2), size=4))
         for _ in range(20):
             x = rng.uniform(size=2)
-            match = matching_degree(rb.normalization.apply(x), rb)
-            assoc = association_degrees(match, rb)
-            sound = soundness(assoc, rb.aggregation_p)
-            for iv in match:
-                assert iv.lower <= iv.upper
-            for row in assoc:
-                for iv in row:
-                    assert iv.lower <= iv.upper
-            for iv in sound:
-                assert iv.lower <= iv.upper
+            m_lower, m_upper = matching(rb.normalization.apply(x), rb)
+            assert np.all(m_lower <= m_upper)
+            for k in range(rb.num_rules):
+                lower, upper = association(m_lower, m_upper, rb.certainty, k, rb.aggregation_p)
+                assert np.all(lower <= upper)
+            lower, upper = _soundness_bounds(
+                m_lower[None, :], m_upper[None, :], rb.certainty, rb.aggregation_p
+            )
+            assert np.all(lower <= upper)
 
     def test_degenerate_type1(self):
         rng = np.random.default_rng(12)

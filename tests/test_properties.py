@@ -15,12 +15,12 @@ from it2frbc import (
     classify_batch,
     gen_circular,
     initial_potentials,
-    membership_interval,
-    memberships_single_fuzzifier,
-    quasiarithmetic_mean,
-    revise_potentials,
     split,
 )
+from it2frbc.rulebase import membership_bounds
+from it2frbc.subclust import _revised
+
+from test_inference import power_means
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, width=64)
 fuzzifier = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
@@ -44,7 +44,7 @@ def points_and_probe(draw, max_protos=6, max_dim=3):
 @settings(max_examples=150, deadline=None)
 def test_memberships_sum_to_one(pp, m):
     protos, x = pp
-    mu = memberships_single_fuzzifier(x, protos, m)
+    mu = membership_bounds(x[None, :], protos, Fuzzifiers(m, m))[0][0]
     assert mu.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(mu >= 0.0)
 
@@ -53,17 +53,16 @@ def test_memberships_sum_to_one(pp, m):
 @settings(max_examples=150, deadline=None)
 def test_interval_ordering(pp, ma, mb):
     protos, x = pp
-    fz = Fuzzifiers(min(ma, mb), max(ma, mb))
-    for iv in membership_interval(x, protos, fz):
-        assert 0.0 <= iv.lower <= iv.upper <= 1.0
+    lower, upper = membership_bounds(x[None, :], protos, Fuzzifiers(min(ma, mb), max(ma, mb)))
+    assert np.all((0.0 <= lower) & (lower <= upper) & (upper <= 1.0))
 
 
 @given(points_and_probe(), fuzzifier)
 @settings(max_examples=100, deadline=None)
 def test_equal_fuzzifiers_zero_width(pp, m):
     protos, x = pp
-    for iv in membership_interval(x, protos, Fuzzifiers(m, m)):
-        assert iv.width == 0.0
+    lower, upper = membership_bounds(x[None, :], protos, Fuzzifiers(m, m))
+    assert np.all(upper - lower == 0.0)
 
 
 @st.composite
@@ -96,28 +95,29 @@ positive_values = st.lists(
 @given(positive_values, exponent)
 @settings(max_examples=200, deadline=None)
 def test_power_mean_bounds(vals, p):
-    got = quasiarithmetic_mean(vals, p)
-    assert min(vals) - 1e-9 <= got <= max(vals) + 1e-9
+    for got in power_means(vals, p):
+        assert min(vals) - 1e-9 <= got <= max(vals) + 1e-9
 
 
 @given(st.floats(min_value=1e-6, max_value=1.0), st.integers(1, 8), exponent)
 @settings(max_examples=100, deadline=None)
 def test_power_mean_idempotent(a, n, p):
-    assert quasiarithmetic_mean([a] * n, p) == pytest.approx(a, rel=1e-9)
+    for got in power_means([a] * n, p):
+        assert got == pytest.approx(a, rel=1e-9)
 
 
 @given(positive_values, exponent, exponent)
 @settings(max_examples=150, deadline=None)
 def test_power_mean_monotone_in_p(vals, p1, p2):
-    lo, hi = min(p1, p2), max(p1, p2)
-    assert quasiarithmetic_mean(vals, lo) <= quasiarithmetic_mean(vals, hi) + 1e-9
+    for f_lo, f_hi in zip(power_means(vals, min(p1, p2)), power_means(vals, max(p1, p2))):
+        assert f_lo <= f_hi + 1e-9
 
 
 @given(positive_values, exponent, st.floats(min_value=0.01, max_value=100.0))
 @settings(max_examples=100, deadline=None)
 def test_power_mean_homogeneous(vals, p, lam):
-    direct = quasiarithmetic_mean([lam * v for v in vals], p)
-    assert direct == pytest.approx(lam * quasiarithmetic_mean(vals, p), rel=1e-9)
+    for direct, base in zip(power_means([lam * v for v in vals], p), power_means(vals, p)):
+        assert direct == pytest.approx(lam * base, rel=1e-9)
 
 
 @given(points_and_probe(max_protos=12), st.floats(min_value=0.1, max_value=2.0))
@@ -126,10 +126,10 @@ def test_revision_never_increases(pp, r_a):
     pts, _ = pp
     params = SubclustParams(r_a)
     field = initial_potentials(pts, params)
-    k = int(field.values.argmax())
-    revised = revise_potentials(field, pts, k, params)
-    assert np.all(revised.values <= field.values + 1e-12)
-    assert revised.values[k] == 0.0
+    k = int(field.argmax())
+    revised = _revised(field, pts, k, params.beta)
+    assert np.all(revised <= field + 1e-12)
+    assert revised[k] == 0.0
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(min_value=0.1, max_value=0.9))

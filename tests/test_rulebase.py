@@ -19,8 +19,6 @@ from it2frbc import (
     fit_normalizer,
     gen_circular,
     load_rulebase,
-    membership_interval,
-    memberships_single_fuzzifier,
     normalize_dataset,
     save_rulebase,
     split,
@@ -34,6 +32,19 @@ MU_M25 = (0.71589634658334991, 0.28410365341665009)
 
 TWO_PROTOS = np.array([[0.0, 0.0], [3.0, 0.0]])
 PROBE = np.array([1.0, 0.0])  # distances (1, 2)
+
+
+def bounds(x, protos, fz):
+    """Membership bounds (c,) of one pattern under the fuzzifier pair fz."""
+    lower, upper = rulebase.membership_bounds(np.asarray(x, dtype=float)[None, :], protos, fz)
+    return lower[0], upper[0]
+
+
+def memberships(x, protos, m):
+    """Single-fuzzifier memberships (c,) of one pattern: both bounds at m1 == m2."""
+    lower, upper = bounds(x, protos, Fuzzifiers(m, m))
+    assert np.array_equal(lower, upper)
+    return lower
 
 
 def identity_norm(n):
@@ -57,29 +68,29 @@ class TestFuzzifiers:
 class TestMemberships:
     def test_equidistant(self):
         protos = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        mu = memberships_single_fuzzifier(np.zeros(2), protos, 2.0)
+        mu = memberships(np.zeros(2), protos, 2.0)
         assert mu == pytest.approx([0.25] * 4)
 
     def test_m2_exponent(self):
-        mu = memberships_single_fuzzifier(PROBE, TWO_PROTOS, 2.0)
+        mu = memberships(PROBE, TWO_PROTOS, 2.0)
         assert mu == pytest.approx([0.8, 0.2], abs=1e-15)
 
     def test_m15_exponent(self):
-        mu = memberships_single_fuzzifier(PROBE, TWO_PROTOS, 1.5)
+        mu = memberships(PROBE, TWO_PROTOS, 1.5)
         assert mu == pytest.approx(MU_M15, abs=1e-15)
 
     def test_m25_exponent(self):
-        mu = memberships_single_fuzzifier(PROBE, TWO_PROTOS, 2.5)
+        mu = memberships(PROBE, TWO_PROTOS, 2.5)
         assert mu == pytest.approx(MU_M25, abs=1e-15)
 
     def test_singularity_at_prototype(self):
         protos = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        mu = memberships_single_fuzzifier(np.array([1.0, 1.0]), protos, 1.5)
+        mu = memberships(np.array([1.0, 1.0]), protos, 1.5)
         assert mu.tolist() == [1.0, 0.0, 0.0]
 
     def test_singularity_split_between_coincident(self):
         protos = np.array([[1.0], [1.0], [5.0]])
-        mu = memberships_single_fuzzifier(np.array([1.0]), protos, 2.0)
+        mu = memberships(np.array([1.0]), protos, 2.0)
         assert mu.tolist() == [0.5, 0.5, 0.0]
 
     def test_sum_to_one(self):
@@ -87,46 +98,51 @@ class TestMemberships:
         protos = rng.uniform(size=(5, 3))
         x = rng.uniform(size=3)
         for m in (1.2, 1.5, 2.0, 2.5, 4.0):
-            assert memberships_single_fuzzifier(x, protos, m).sum() == pytest.approx(1.0, abs=1e-12)
+            assert memberships(x, protos, m).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_tiny_distances_stable(self):
         protos = np.array([[0.0], [1.0]])
-        mu = memberships_single_fuzzifier(np.array([1e-12]), protos, 1.1)
+        mu = memberships(np.array([1e-12]), protos, 1.1)
         assert np.isfinite(mu).all()
         assert mu[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_bad_fuzzifier(self):
         with pytest.raises(ConfigError):
-            memberships_single_fuzzifier(PROBE, TWO_PROTOS, 1.0)
+            memberships(PROBE, TWO_PROTOS, 1.0)
+
+    def test_empty_prototypes_refused(self):
+        fz = Fuzzifiers()
+        with pytest.raises(DataError, match="prototype"):
+            rulebase.membership_bounds(np.zeros((3, 2)), np.zeros((0, 2)), fz)
+        ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), ("a", "b"))
+        with pytest.raises(DataError, match="prototype"):
+            certainty_degrees(ds, np.zeros((0, 2)), fz)
 
 
 class TestMembershipInterval:
     def test_worked_example(self):
-        ivs = membership_interval(PROBE, TWO_PROTOS, Fuzzifiers(1.5, 2.5))
-        assert ivs[0].lower == pytest.approx(MU_M25[0], abs=1e-15)
-        assert ivs[0].upper == pytest.approx(MU_M15[0], abs=1e-15)
-        assert ivs[1].lower == pytest.approx(MU_M15[1], abs=1e-15)
-        assert ivs[1].upper == pytest.approx(MU_M25[1], abs=1e-15)
+        lower, upper = bounds(PROBE, TWO_PROTOS, Fuzzifiers(1.5, 2.5))
+        assert lower[0] == pytest.approx(MU_M25[0], abs=1e-15)
+        assert upper[0] == pytest.approx(MU_M15[0], abs=1e-15)
+        assert lower[1] == pytest.approx(MU_M15[1], abs=1e-15)
+        assert upper[1] == pytest.approx(MU_M25[1], abs=1e-15)
 
     def test_degenerate_equal_fuzzifiers(self):
-        ivs = membership_interval(PROBE, TWO_PROTOS, Fuzzifiers(2.0, 2.0))
-        for iv in ivs:
-            assert iv.width == 0.0
+        lower, upper = bounds(PROBE, TWO_PROTOS, Fuzzifiers(2.0, 2.0))
+        assert np.all(upper - lower == 0.0)
 
     def test_equidistant(self):
         protos = np.array([[1.0], [-1.0]])
-        ivs = membership_interval(np.array([0.0]), protos, Fuzzifiers(1.5, 2.5))
-        for iv in ivs:
-            assert iv.lower == pytest.approx(0.5)
-            assert iv.upper == pytest.approx(0.5)
+        lower, upper = bounds([0.0], protos, Fuzzifiers(1.5, 2.5))
+        assert lower == pytest.approx([0.5, 0.5])
+        assert upper == pytest.approx([0.5, 0.5])
 
     def test_ordering(self):
         rng = np.random.default_rng(3)
         protos = rng.uniform(size=(4, 2))
         for _ in range(20):
-            ivs = membership_interval(rng.uniform(size=2), protos, Fuzzifiers(1.3, 3.0))
-            for iv in ivs:
-                assert 0.0 <= iv.lower <= iv.upper <= 1.0
+            lower, upper = bounds(rng.uniform(size=2), protos, Fuzzifiers(1.3, 3.0))
+            assert np.all((0.0 <= lower) & (lower <= upper) & (upper <= 1.0))
 
     def test_wider_fuzzifier_gap_never_narrows_interval(self):
         # Empirical claim on a probe grid for a 2-cluster system: nesting
@@ -136,8 +152,8 @@ class TestMembershipInterval:
         for x in np.linspace(-0.5, 1.5, 41):
             widths = []
             for m1, m2 in pairs:
-                ivs = membership_interval(np.array([x]), protos, Fuzzifiers(m1, m2))
-                widths.append(ivs[0].width)
+                lower, upper = bounds([x], protos, Fuzzifiers(m1, m2))
+                widths.append(upper[0] - lower[0])
             assert all(a <= b + 1e-12 for a, b in zip(widths, widths[1:]))
 
 
@@ -428,17 +444,3 @@ class TestRuleBaseType:
                 normalization=identity_norm(1),
                 class_names=("a", "b"),
             )
-
-    def test_rules_property(self):
-        rb = RuleBase(
-            prototypes=np.array([[0.5], [0.6]]),
-            source_classes=np.array([0, 1]),
-            certainty=np.array([[1.0, 0.0], [0.2, 0.8]]),
-            fuzzifiers=Fuzzifiers(),
-            normalization=identity_norm(1),
-            class_names=("a", "b"),
-        )
-        rules = rb.rules
-        assert len(rules) == 2
-        assert rules[1].antecedent.source_class == 1
-        assert rules[1].certainty.tolist() == [0.2, 0.8]

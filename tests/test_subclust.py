@@ -8,11 +8,9 @@ from it2frbc import subclust
 from it2frbc import (
     ConfigError,
     DataError,
-    PotentialField,
     SubclustParams,
     gen_circular,
     initial_potentials,
-    revise_potentials,
     subtractive_cluster,
 )
 
@@ -53,24 +51,32 @@ class TestParams:
 class TestInitialPotentials:
     def test_single_point(self):
         field = initial_potentials(np.array([[3.0, 4.0]]), SubclustParams(1.0))
-        assert field.values.tolist() == [1.0]
+        assert field.tolist() == [1.0]
 
     def test_two_coincident(self):
         field = initial_potentials(np.zeros((2, 2)), SubclustParams(1.0))
-        assert field.values.tolist() == [2.0, 2.0]
+        assert field.tolist() == [2.0, 2.0]
 
     def test_three_point_oracle(self):
         field = initial_potentials(THREE_POINTS, SubclustParams(0.5))
-        assert field.values == pytest.approx(THREE_INITIAL, rel=1e-14)
+        assert field == pytest.approx(THREE_INITIAL, rel=1e-14)
 
     def test_all_at_least_one(self):
         rng = np.random.default_rng(0)
         field = initial_potentials(rng.normal(size=(30, 3)), SubclustParams(0.3))
-        assert np.all(field.values >= 1.0)
+        assert np.all(field >= 1.0)
 
     def test_dimension_check(self):
         with pytest.raises(DataError):
             initial_potentials(np.zeros(3), SubclustParams(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_refused(self, bad):
+        # A nan column made every potential nan and the loop returned nan centers.
+        pts = np.array([[0.0, 0.0], [1.0, bad], [0.5, 0.5]])
+        for run in (initial_potentials, subtractive_cluster):
+            with pytest.raises(DataError, match="finite"):
+                run(pts, SubclustParams(0.5))
 
 
 def single_shot_potentials(X, alpha):
@@ -90,7 +96,7 @@ class TestBlockedPotentials:
         rows = block_rows(300, 9)
         assert 1 < rows < 300 and 300 % rows != 0
         params = SubclustParams(0.4)
-        got = initial_potentials(X, params).values
+        got = initial_potentials(X, params)
         assert np.array_equal(got, single_shot_potentials(X, params.alpha))
 
     # Budgets below m*N = 228 force one row per block; a real row over the
@@ -101,7 +107,7 @@ class TestBlockedPotentials:
         params = SubclustParams(0.3)
         expected = single_shot_potentials(X, params.alpha)
         monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
-        assert np.array_equal(initial_potentials(X, params).values, expected)
+        assert np.array_equal(initial_potentials(X, params), expected)
 
     def test_peak_memory_is_bounded(self):
         # The (n, n, N) tensor alone would be 2000*2000*9*8 bytes = 288 MB.
@@ -115,41 +121,41 @@ class TestBlockedPotentials:
         assert peak < 16 * 2**20
 
 
+def revise(field, pts, k, params):
+    """One revision step of the clustering loop, on plain arrays."""
+    return subclust._revised(field, pts, k, params.beta)
+
+
 class TestRevisePotentials:
     def test_center_potential_becomes_zero(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         params = SubclustParams(0.8)
         field = initial_potentials(pts, params)
-        k = int(field.values.argmax())
-        revised = revise_potentials(field, pts, k, params)
-        assert revised.values[k] == 0.0
+        k = int(field.argmax())
+        revised = revise(field, pts, k, params)
+        assert revised[k] == 0.0
 
     def test_far_point_unchanged(self):
         pts = np.array([[0.0], [1e9]])
         params = SubclustParams(1.0)
         field = initial_potentials(pts, params)
-        revised = revise_potentials(field, pts, 0, params)
-        assert revised.values[1] == field.values[1]
+        revised = revise(field, pts, 0, params)
+        assert revised[1] == field[1]
 
     def test_three_point_oracle(self):
         params = SubclustParams(0.5)
         field = initial_potentials(THREE_POINTS, params)
-        assert int(field.values.argmax()) == 1
-        revised = revise_potentials(field, THREE_POINTS, 1, params)
-        assert revised.values == pytest.approx(THREE_REVISED, rel=1e-12, abs=1e-15)
+        assert int(field.argmax()) == 1
+        revised = revise(field, THREE_POINTS, 1, params)
+        assert revised == pytest.approx(THREE_REVISED, rel=1e-12, abs=1e-15)
 
     def test_never_increases(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(size=(25, 2))
         params = SubclustParams(0.4)
         field = initial_potentials(pts, params)
-        revised = revise_potentials(field, pts, int(field.values.argmax()), params)
-        assert np.all(revised.values <= field.values)
-
-    def test_index_validation(self):
-        field = PotentialField(np.ones(2))
-        with pytest.raises(DataError):
-            revise_potentials(field, np.zeros((2, 1)), 5, SubclustParams(1.0))
+        revised = revise(field, pts, int(field.argmax()), params)
+        assert np.all(revised <= field)
 
 
 class TestSubtractiveCluster:
