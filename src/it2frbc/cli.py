@@ -17,6 +17,7 @@ from .dataset import (
     GENERATORS,
     NormalizationParams,
     SplitSpec,
+    _read_csv,
     fit_normalizer,
     load_csv,
     load_features_csv,
@@ -213,40 +214,27 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     rb = load_rulebase(args.model)
-    raw = _read_rows(args.input)
-    width = len(raw[0])
+    n = rb.num_features
 
-    label_col = args.label_col
-    if label_col is None:
-        if width == rb.num_features:
-            label_col = None
-        elif width == rb.num_features + 1:
-            label_col = width - 1
-        else:
+    def trailing_label(width: int) -> int | None:
+        if width not in (n, n + 1):
             raise DataError(
-                f"input has {width} columns but model expects {rb.num_features} features "
-                f"(or {rb.num_features + 1} columns with a label)"
+                f"input has {width} columns but model expects {n} features "
+                f"(or {n + 1} columns with a label)"
             )
-    elif label_col < 0:
-        label_col += width
+        return -1 if width == n + 1 else None
 
-    feature_cols = [i for i in range(width) if i != label_col]
-    if len(feature_cols) != rb.num_features:
-        raise DataError(
-            f"input has {len(feature_cols)} features but model expects {rb.num_features}"
-        )
-    try:
-        X = np.array([[float(row[i]) for i in feature_cols] for row in raw], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"non-numeric feature value in {args.input}: {exc}") from exc
-
+    label_col = trailing_label if args.label_col is None else args.label_col
+    X, labels, label_col = _read_csv(args.input, label_col)
+    if X.shape[1] != n:
+        raise DataError(f"input has {X.shape[1]} features but model expects {n}")
     predictions, scores = classify_batch(X, rb)
 
     _print_config(
         {
             "model": args.model,
             "in": args.input,
-            "rows": str(len(raw)),
+            "rows": str(len(X)),
             "label_col": "none" if label_col is None else str(label_col),
             "out": args.out,
         }
@@ -254,7 +242,7 @@ def cmd_predict(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            [f"f{i + 1}" for i in range(rb.num_features)]
+            [f"f{i + 1}" for i in range(n)]
             + ["predicted"]
             + [f"score_{name}" for name in rb.class_names]
         )
@@ -264,46 +252,16 @@ def cmd_predict(args) -> int:
                 + [rb.class_names[pred]]
                 + [repr(float(s)) for s in score]
             )
-    print(f"wrote predictions for {len(raw)} rows to {args.out}")
+    print(f"wrote predictions for {len(X)} rows to {args.out}")
 
-    if label_col is not None:
+    if labels is not None:
         name_to_idx = {name: i for i, name in enumerate(rb.class_names)}
-        known = [(i, name_to_idx[raw[i][label_col].strip()])
-                 for i in range(len(raw)) if raw[i][label_col].strip() in name_to_idx]
+        known = [i for i, name in enumerate(labels) if name in name_to_idx]
         if known:
-            idx = [i for i, _ in known]
-            truth = np.array([t for _, t in known])
-            acc = 100.0 * float((predictions[idx] == truth).mean())
+            truth = np.array([name_to_idx[labels[i]] for i in known])
+            acc = 100.0 * float((predictions[known] == truth).mean())
             print(f"accuracy against provided labels: {acc:.2f} ({len(known)} labeled rows)")
     return 0
-
-
-def _read_rows(path) -> list[list[str]]:
-    try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError("empty dataset")
-
-    def numeric(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    # Header row: every cell non-numeric (a data row keeps numeric features
-    # even when its label cell is a string).
-    if all(not numeric(c) for c in rows[0]):
-        rows = rows[1:]
-    if not rows:
-        raise DataError("empty dataset")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"inconsistent column counts in {path}: {sorted(widths)}")
-    return rows
 
 
 def cmd_eval(args) -> int:

@@ -7,7 +7,6 @@ Labels are integer class indices ``0..num_classes-1``.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,108 +130,104 @@ class SplitSpec:
             raise ConfigError("seed must be a non-negative integer")
 
 
-def _parse_number(text: str) -> float | None:
+def _is_number(cell: str) -> bool:
     try:
-        return float(text)
+        float(cell)
+        return True
     except ValueError:
-        return None
+        return False
+
+
+def _is_header(cells: list[str]) -> bool:
+    """The header rule: no cell is a number or a missing mark."""
+    return not any(_is_number(c) or c.strip() in MISSING_MARKS for c in cells)
+
+
+def _read_csv(path, label_column=None, keep=None):
+    """Read a CSV of numeric feature cells and at most one label column.
+
+    Blank lines are skipped and line numbers kept. The first non-blank row
+    is a header when it passes ``_is_header``; any other row is data, so a
+    first row mixing numbers and text is refused with its line number. Every
+    data row must be as wide as the first row. ``label_column`` is a column
+    index (negative counts from the end), None for no label, or a function
+    of the width giving either. ``keep(lineno, cells)`` may drop a row
+    before its cells are converted.
+
+    Returns (features (n, num_features), stripped label cells or None,
+    resolved label column or None).
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataError("empty dataset")
+    width = len(rows[0][1])
+    if _is_header(rows[0][1]):
+        rows = rows[1:]
+    if callable(label_column):
+        label_column = label_column(width)
+    label_idx = label_column
+    if label_column is not None:
+        label_idx = label_column if label_column >= 0 else width + label_column
+        if not 0 <= label_idx < width:
+            raise ConfigError(f"label column {label_column} out of range for {width} columns")
+    for lineno, row in rows:
+        if len(row) != width:
+            raise DataError(f"line {lineno}: expected {width} fields, found {len(row)}")
+    if keep is not None:
+        rows = [(lineno, row) for lineno, row in rows if keep(lineno, row)]
+    if not rows:
+        raise DataError("empty dataset")
+
+    labels = None if label_idx is None else [row.pop(label_idx).strip() for _, row in rows]
+    try:
+        X = np.array([[float(cell) for cell in row] for _, row in rows], dtype=float)
+    except ValueError:
+        lineno, cell = next((n, c) for n, row in rows for c in row if not _is_number(c))
+        raise DataError(f"line {lineno}: non-numeric feature value {cell!r}") from None
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        # Refused here, before normalization turns inf into nan with a warning.
+        lineno = rows[int(np.argmin(finite))][0]
+        raise DataError(f"line {lineno}: non-finite value (nan or inf)")
+    return X, labels, label_idx
 
 
 def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Dataset:
     """Load a delimiter-separated file into a Dataset.
 
     The label column may hold strings; labels are mapped to indices in
-    first-appearance order. A non-numeric first row is treated as a header.
-    Missing values (empty field or "?") are handled per ``missing_policy``:
-    "drop_row" removes the row, "error" raises.
+    first-appearance order. A first row with no number or missing mark is a
+    header. Missing values (empty field or "?") are handled per
+    ``missing_policy``: "drop_row" removes the row, "error" raises.
     """
     if missing_policy not in ("drop_row", "error"):
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
-    try:
-        with open(path, newline="") as fh:
-            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError("empty dataset")
 
-    width = len(rows[0][1])
-    if width < 2:
+    def keep(lineno: int, cells: list[str]) -> bool:
+        if not any(c.strip() in MISSING_MARKS for c in cells):
+            return True
+        if missing_policy == "error":
+            raise DataError(f"line {lineno}: missing value")
+        return False
+
+    X, raw_labels, _ = _read_csv(path, label_column, keep)
+    if X.shape[1] == 0:
         raise DataError("need at least one feature column and one label column")
-    label_idx = label_column if label_column >= 0 else width + label_column
-    if not 0 <= label_idx < width:
-        raise ConfigError(f"label column {label_column} out of range for {width} columns")
-
-    # Header row: some feature cell is neither numeric nor a missing mark.
-    first = rows[0][1]
-    is_header = any(
-        _parse_number(cell) is None and cell.strip() not in MISSING_MARKS
-        for i, cell in enumerate(first)
-        if i != label_idx
-    )
-    if is_header:
-        rows = rows[1:]
-        if not rows:
-            raise DataError("empty dataset")
-
-    feats: list[list[float]] = []
-    raw_labels: list[str] = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise DataError(f"line {lineno}: expected {width} fields, found {len(row)}")
-        cells = [c.strip() for c in row]
-        if any(c in MISSING_MARKS for c in cells):
-            if missing_policy == "error":
-                raise DataError(f"line {lineno}: missing value")
-            continue
-        vec = []
-        for i, cell in enumerate(cells):
-            if i == label_idx:
-                continue
-            val = _parse_number(cell)
-            if val is None:
-                raise DataError(f"line {lineno}: non-numeric feature value {cell!r}")
-            vec.append(val)
-        feats.append(vec)
-        raw_labels.append(cells[label_idx])
-
-    if not feats:
-        raise DataError("empty dataset")
-
     name_to_idx: dict[str, int] = {}
     for name in raw_labels:
         if name not in name_to_idx:
             name_to_idx[name] = len(name_to_idx)
     labels = np.array([name_to_idx[n] for n in raw_labels], dtype=np.int64)
-    return Dataset(np.array(feats), labels, tuple(name_to_idx))
+    return Dataset(X, labels, tuple(name_to_idx))
 
 
 def load_features_csv(path) -> np.ndarray:
     """Load an unlabeled CSV (all columns numeric features)."""
-    try:
-        with open(path, newline="") as fh:
-            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError("empty dataset")
-    if any(_parse_number(c) is None for c in rows[0][1]):
-        rows = rows[1:]
-        if not rows:
-            raise DataError("empty dataset")
-    width = len(rows[0][1])
-    out = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise DataError(f"line {lineno}: expected {width} fields, found {len(row)}")
-        vec = [_parse_number(c) for c in row]
-        if any(v is None for v in vec):
-            raise DataError(f"line {lineno}: non-numeric value")
-        if not all(map(math.isfinite, vec)):
-            # Checked here, before normalization turns inf into nan with a warning.
-            raise DataError(f"line {lineno}: non-finite value (nan or inf)")
-        out.append(vec)
-    return np.array(out, dtype=float)
+    return _read_csv(path)[0]
 
 
 def save_csv(ds: Dataset, path) -> None:

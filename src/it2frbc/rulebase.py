@@ -97,7 +97,11 @@ class RuleBase:
 
 
 def _distances(X, prototypes) -> np.ndarray:
-    """Euclidean distances of each row of X to each prototype, (n, c)."""
+    """Euclidean distances of each row of X to each prototype, (n, c).
+
+    A row whose squared distances overflow comes back divided by a per-row
+    scale, which leaves its distance ratios intact.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     P = np.atleast_2d(np.asarray(prototypes, dtype=float))
     if X.shape[1] != P.shape[1]:
@@ -107,6 +111,13 @@ def _distances(X, prototypes) -> np.ndarray:
     d = np.empty((X.shape[0], P.shape[0]))
     for start, stop, sq in _sq_distance_blocks(X, P):
         d[start:stop] = sq
+    # A huge finite pattern overflows its squared distances to inf. Such a
+    # row is recomputed from differences divided by its largest |difference|;
+    # memberships depend only on the ratios d_k / d_q, so the scale cancels.
+    for i in np.flatnonzero(np.isinf(d).any(axis=1)):
+        diff = X[i] - P
+        diff /= np.abs(diff).max()
+        d[i] = np.einsum("ij,ij->i", diff, diff)
     return np.sqrt(d, out=d)
 
 
@@ -140,8 +151,6 @@ def membership_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper membership matrices (n, c) from the two fuzzifiers,
     both applied to one distance matrix."""
-    if not (fz.m1 > 1.0 and fz.m2 > 1.0):
-        raise ConfigError("fuzzifier must be greater than 1")
     mu1, mu2 = _partitions(_distances(X, prototypes), (fz.m1, fz.m2))
     return np.minimum(mu1, mu2), np.maximum(mu1, mu2)
 

@@ -161,6 +161,20 @@ class TestTrainPredict:
         assert "finite" in err
         assert not out_file.exists()
 
+    def test_predict_label_col_out_of_range(self, tmp_path, capsys, circ_file):
+        # Used to write the whole output file and then exit 3 on an IndexError.
+        model = tmp_path / "model.json"
+        assert main(["train", "--in", str(circ_file), "--no-sc", "--model", str(model)]) == 0
+        capsys.readouterr()
+        plain = tmp_path / "plain.csv"
+        plain.write_text("10.0,10.0\n0.5,19.0\n")
+        out_file = tmp_path / "o.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                           "--label-col", "5", "--out", str(out_file))
+        assert code == 1
+        assert "label column 5" in err
+        assert not out_file.exists()
+
     def test_invalid_fuzzifier(self, tmp_path, capsys, circ_file):
         code, _, err = run(capsys, "train", "--in", str(circ_file), "--no-sc",
                            "--m1", "0.5", "--model", str(tmp_path / "m.json"))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,19 @@ class TestClassify:
             classify(np.array([bad, 10.0]), rb)
         with pytest.raises(DataError, match="finite"):
             classify_batch(np.array([[0.1, 0.2], [bad, 10.0]]), rb)
+
+    def test_huge_finite_input_classified(self):
+        # The squared distances of these rows overflow; they used to give
+        # class 0 with scores [0, 0] and a RuntimeWarning.
+        rb = make_rulebase([[0.2, 0.3], [0.8, 0.6]], [[0.9, 0.1], [0.2, 0.8]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want_pred, want_scores = classify_batch([[1e150, 10.0]], rb)
+            assert np.all(want_scores > 0.0)
+            for x in ([1e200, 10.0], [-1e200, 1e200], [1e300, 1e300]):
+                pred, scores = classify_batch([x], rb)
+                assert pred[0] == want_pred[0]
+                assert np.array_equal(scores, want_scores)
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(10)

@@ -1,4 +1,6 @@
 """Property-based checks of the classifier invariants."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -194,3 +196,17 @@ def test_classify_invariants(rb, raw):
     preds, scores = classify_batch(x[None, :], rb)
     assert preds[0] == res.predicted
     assert scores[0] == pytest.approx(res.scores, abs=1e-15)
+
+
+extreme = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@given(random_rulebase(), st.lists(extreme, min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_classify_extreme_magnitudes(rb, raw):
+    x = np.array(raw[: rb.num_features])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, scores = classify_batch(x[None, :], rb)
+    assert np.all(np.isfinite(scores))
+    assert np.any(scores > 0.0)
