@@ -72,7 +72,9 @@ class NormalizationParams:
 
     Out-of-range values are NOT clamped (normalized test values may fall
     outside [0,1]) so distances keep their true geometry. A constant
-    feature (min == max) maps to 0.5.
+    feature (min == max) maps to 0.5. A span max - min that overflows, and
+    a value that overflows on the way (a huge input over a tiny span), are
+    refused with DataError naming the feature.
     """
 
     minimum: np.ndarray
@@ -85,6 +87,14 @@ class NormalizationParams:
             raise DataError("min/max must be 1-D vectors of equal length")
         if np.any(lo > hi):
             raise DataError("per-feature min must not exceed max")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(hi - lo)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise DataError(
+                f"feature {k + 1}: span max - min is not finite "
+                f"(min {float(lo[k])!r}, max {float(hi[k])!r})"
+            )
         object.__setattr__(self, "minimum", _freeze(lo))
         object.__setattr__(self, "maximum", _freeze(hi))
 
@@ -103,10 +113,16 @@ class NormalizationParams:
                 f"input has {X.shape[1]} features but normalizer expects {self.num_features}"
             )
         span = self.maximum - self.minimum
-        out = np.empty_like(X)
         const = span == 0
-        out[:, ~const] = (X[:, ~const] - self.minimum[~const]) / span[~const]
-        out[:, const] = 0.5
+        with np.errstate(over="ignore"):
+            out = (X - self.minimum) / np.where(const, 1.0, span)
+        np.copyto(out, 0.5, where=const)
+        if not np.isfinite(out).all():
+            k = int(np.argmin(np.isfinite(out).all(axis=0)))
+            raise DataError(
+                f"feature {k + 1}: value does not normalize to a finite number "
+                f"(fitted min {float(self.minimum[k])!r}, max {float(self.maximum[k])!r})"
+            )
         return out[0] if single else out
 
     def invert(self, X: np.ndarray) -> np.ndarray:

@@ -6,7 +6,10 @@ prototype under the two fuzzifiers -> association = bounds x the rule's
 per-class certainty -> soundness per class = power mean, bound by bound,
 over the rules whose upper association is positive (none leaves [0, 0]) ->
 decision = argmax of the interval midpoints (ties go to the lowest index).
-Non-finite input is refused with DataError.
+The soundness of every class and both bounds is one scaled matrix product
+(_soundness_bounds); the few cells it cannot give exactly (extreme |p|,
+underflowing products, zero bounds at p < 0) are recomputed one by one with
+_power_mean_rows. Non-finite input is refused with DataError.
 """
 from __future__ import annotations
 
@@ -74,28 +77,99 @@ def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray
         live = rows & ~has_zero
         if live.any():
             scale = np.where(live, np.nanmin(masked, axis=1, initial=np.inf), 1.0)
-            ratio = np.where(mask & live[:, None], vals / np.where(scale > 0, scale, 1.0)[:, None], 1.0)
+            # Past the float range a ratio's power is 0, its limit.
+            with np.errstate(over="ignore"):
+                ratio = vals / np.where(scale > 0, scale, 1.0)[:, None]
+            ratio = np.where(mask & live[:, None], ratio, 1.0)
             powered = np.where(mask & live[:, None], ratio**p, 0.0)
             out[live] = scale[live] * (powered[live].sum(axis=1) / count[live]) ** (1.0 / p)
     return out
 
 
+# Each term of a scaled sum that underflows is off by less than _TINY, so
+# a sum of count terms at or above count * _FLOOR is exact to rounding.
+_TINY = np.finfo(float).tiny
+_FLOOR = _TINY / np.finfo(float).eps
+_MAX = np.finfo(float).max
+
+
 def _soundness_bounds(
     lower: np.ndarray, upper: np.ndarray, certainty: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class soundness bound matrices (n, M) from membership bounds (n, c)."""
+    """Per-class soundness bound matrices (n, M) from membership bounds
+    0 <= lower <= upper <= 1 (n, c) and certainty degrees R in [0, 1] (c, M).
+
+    Rule k fires for class j when upper_k * R_kj > 0, and each bound's
+    soundness is the power mean of bound_k * R_kj over the firing rules.
+    Both bounds come from one product over the stacked rows
+    B = [lower; upper] (2n, c), with no loop over classes:
+
+        S = (B / s)**p @ (R / t)**p,   count = (upper > 0) @ (R > 0),
+        soundness = s * t * (S / count)**(1/p)   (0 where count is 0).
+
+    For p > 0, s is the row max of B and t the column max of R; for p < 0,
+    s is the row min of B over the firing rules and t the column min of R
+    over its positive entries. Every scaled term is then at most 1, so the
+    sum cannot overflow. The cells the product cannot give exactly are
+    recomputed by _power_mean_rows, each as a row of its own:
+      - a scaled sum below count * _FLOOR, where underflowed terms could
+        matter (large |p|), or so small that its 1/p power overflows, or a
+        scale s * t below the smallest normal float, or a result that
+        overflows;
+      - for p < 0, every cell of a row whose bound is 0 at a firing rule
+        (that mean is 0);
+      - every cell of a row where some upper_k * R_kj of positive factors
+        can round to 0, since firing is decided on that product.
+    """
     n = lower.shape[0]
-    M = certainty.shape[1]
-    y_lower = np.zeros((n, M))
-    y_upper = np.zeros((n, M))
-    for j in range(M):
-        r = certainty[:, j][None, :]
-        assoc_lower = lower * r
-        assoc_upper = upper * r
-        firing = assoc_upper > 0.0
-        y_lower[:, j] = _power_mean_rows(assoc_lower, firing, p)
-        y_upper[:, j] = _power_mean_rows(assoc_upper, firing, p)
-    return y_lower, y_upper
+    B = np.concatenate((lower, upper))
+    fires = upper > 0.0
+    RT = np.maximum(certainty.T, 0.0, order="C")  # (M, c); negatives never fire
+    pos = RT > 0.0
+    count = np.matmul(fires, pos.T.astype(float))
+    if p > 0:
+        s = B.max(axis=1, initial=_TINY)
+        t = RT.max(axis=1, initial=_TINY)
+        B /= s[:, None]
+        B **= p
+        Y = (RT / t[:, None]) ** p
+    else:
+        firing = np.concatenate((fires, fires))
+        used = firing & (B > 0.0)
+        s = np.min(B, axis=1, where=used, initial=np.inf)
+        t = np.min(RT, axis=1, where=pos, initial=np.inf)
+        s, t = np.where(s < np.inf, s, 1.0), np.where(t < np.inf, t, 1.0)
+        # A ratio past the float range only arises from a subnormal s or t,
+        # whose cells s * t < _TINY are recomputed; its term becomes 0.
+        with np.errstate(over="ignore"):
+            B /= s[:, None]
+            Y = np.power(RT / t[:, None], p, out=np.zeros_like(RT), where=pos)
+        np.power(B, p, out=B, where=used)
+        B *= used
+        # A zero bound at a firing rule forces its mean to 0: s = 0 sends
+        # the row to the exact path.
+        s[(used != firing).any(axis=1)] = 0.0
+    S = (B @ Y.T).reshape(2, n, -1)
+    st = s.reshape(2, n, 1) * t
+    # For -1 < p < 0 a mean below _MAX**p would overflow in the 1/p power.
+    floor = max(_FLOOR, _MAX**p) if p < 0 else _FLOOR
+    fine = (S > count * floor) & (st >= _TINY)
+    # Cells that are not fine hold S / count * s * t, which is 0 where no
+    # rule fires and is recomputed everywhere else.
+    out = S / np.maximum(count, 1.0)
+    np.power(out, 1.0 / p, out=out, where=fine)
+    out *= st
+    redo = (count > 0.0) & ~(fine & np.isfinite(out))
+    # Firing is decided on upper * R: when a positive product of positive
+    # factors can round to 0, those rows need the exact test.
+    rmin = RT[pos].min(initial=1.0)
+    if np.count_nonzero(upper * rmin) != np.count_nonzero(upper):
+        redo |= (upper * rmin == 0.0).any(axis=1, where=fires)[:, None] & (count > 0.0)
+    if redo.any():
+        h, i, j = np.nonzero(redo)
+        r = certainty[:, j].T
+        out[h, i, j] = _power_mean_rows(np.stack((lower, upper))[h, i] * r, upper[i] * r > 0.0, p)
+    return out[0], out[1]
 
 
 def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:

@@ -161,6 +161,32 @@ class TestTrainPredict:
         assert "finite" in err
         assert not out_file.exists()
 
+    def test_predict_normalization_overflow_refused(self, tmp_path, capsys):
+        # 1e300 over the model's span of 1e-10 normalizes to inf; the row
+        # used to be written as class 0 with scores [0, 0], exit 0.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format": "it2frbc-model",
+            "format_version": 1,
+            "num_classes": 2,
+            "class_names": ["a", "b"],
+            "fuzzifiers": {"m1": 1.5, "m2": 2.5},
+            "aggregation_p": 2.0,
+            "normalization": {"min": [0.0, 0.0], "max": [1e-10, 2.0]},
+            "rules": [
+                {"center": [0.2, 0.3], "source_class": 0, "certainty": [0.9, 0.1]},
+                {"center": [0.8, 0.6], "source_class": 1, "certainty": [0.2, 0.8]},
+            ],
+        }))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("5e-11,1.0\n1e300,1.0\n")
+        out_file = tmp_path / "o.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                           "--out", str(out_file))
+        assert code == 2
+        assert "feature 1" in err
+        assert not out_file.exists()
+
     def test_predict_label_col_out_of_range(self, tmp_path, capsys, circ_file):
         # Used to write the whole output file and then exit 3 on an IndexError.
         model = tmp_path / "model.json"

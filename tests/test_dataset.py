@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,40 @@ class TestNormalization:
         params = NormalizationParams(np.array([-2.0, 1.0]), np.array([6.0, 1.0]))
         X = np.array([[0.0, 1.0], [4.0, 1.0]])
         assert np.allclose(params.invert(params.apply(X))[:, 0], X[:, 0])
+
+    def test_matches_per_column_formula(self):
+        # (x - min) / span per column, a constant column at exactly 0.5.
+        rng = np.random.default_rng(14)
+        lo = rng.normal(size=9) * 10.0 ** rng.uniform(-5, 5, size=9)
+        hi = lo + rng.uniform(0.1, 10.0, size=9) * 10.0 ** rng.uniform(-5, 5, size=9)
+        hi[4] = lo[4]
+        X = rng.normal(size=(1000, 9)) * 10.0 ** rng.uniform(-5, 5, size=9)
+        want = np.empty_like(X)
+        for k in range(9):
+            want[:, k] = 0.5 if k == 4 else (X[:, k] - lo[k]) / (hi[k] - lo[k])
+        assert np.array_equal(NormalizationParams(lo, hi).apply(X), want)
+
+    def test_overflowing_value_refused(self):
+        # 1e300 over a span of 1e-10 used to become inf, and inference then
+        # gave class 0 with scores [0, 0] and only RuntimeWarnings.
+        params = NormalizationParams(np.array([0.0, 0.0]), np.array([2.0, 1e-10]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="feature 2"):
+                params.apply(np.array([[1.0, 0.5], [1.0, 1e300]]))
+            with pytest.raises(DataError, match="feature 2"):
+                params.apply(np.array([1.0, -1e300]))
+
+    def test_overflowing_span_refused(self):
+        # max - min of a column holding +-1e308 is inf: every value of it
+        # would normalize to 0 or nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="feature 1"):
+                NormalizationParams(np.array([-1e308, 0.0]), np.array([1e308, 1.0]))
+            ds = Dataset(np.array([[1e308, 0.0], [-1e308, 1.0]]), np.array([0, 1]), ("a", "b"))
+            with pytest.raises(DataError, match="feature 1"):
+                fit_normalizer(ds)
 
 
 class TestSplit:

@@ -12,9 +12,11 @@ from it2frbc import (
     classify,
     classify_batch,
 )
+from it2frbc import inference
 from it2frbc.inference import _power_mean_rows, _soundness_bounds
 from it2frbc.rulebase import membership_bounds
 
+from frm_reference import power_mean as ref_power_mean
 from frm_reference import predict as ref_predict
 
 MU_M15 = (16.0 / 17.0, 1.0 / 17.0)
@@ -170,6 +172,14 @@ class TestQuasiarithmeticMean:
     def test_zero_value_negative_p(self):
         assert power_means([0.0, 0.5], -2.0) == (0.0, 0.0)
 
+    def test_subnormal_value_negative_p(self):
+        # 1.0 / 1e-320 overflows; the power of that ratio is 0, so the mean
+        # is 1e-320 * 2**0.5, with no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in power_means([1e-320, 1.0], -2.0):
+                assert got == pytest.approx(1e-320 * 2**0.5, rel=1e-3)
+
     def test_rejects_p_zero(self):
         with pytest.raises(ConfigError):
             make_rulebase([[0.0]], [[1.0]], p=0.0)
@@ -202,6 +212,113 @@ class TestSoundness:
         )
         assert lower[0, 0] == pytest.approx(np.sqrt((0.0 + 0.04) / 2))
         assert upper[0, 0] == pytest.approx(np.sqrt((0.16 + 0.25) / 2))
+
+
+def _unit_cube_case(seed, c, M, n, p):
+    rng = np.random.default_rng(seed)
+    lower, upper = membership_bounds(
+        rng.uniform(size=(n, 3)), rng.uniform(size=(c, 3)), Fuzzifiers(1.5, 2.5)
+    )
+    return lower, upper, rng.dirichlet(np.ones(M), size=c), p
+
+
+def _extreme_p_case(p):
+    # Every product lies in [0.17, 0.19], so the oracle's unscaled v**p
+    # stays finite, while the kernel's row and column scales leave each
+    # scaled term of class 1 below the underflow floor.
+    upper = np.array([[1.0, 0.18]])
+    return 0.97 * upper, upper, np.array([[1.0, 0.18], [1.0, 1.0]]), p
+
+
+def _zero_lower_case():
+    # Rule 1 fires with a zero lower bound: that class's lower mean is 0.
+    upper = np.array([[0.7, 0.2, 0.1], [0.5, 0.3, 0.2]])
+    lower = np.array([[0.6, 0.0, 0.05], [0.4, 0.2, 0.1]])
+    return lower, upper, np.array([[0.9, 0.1], [0.3, 0.7], [0.0, 1.0]]), -1.5
+
+
+def _zero_column_case(p):
+    # No rule fires for class 1, so both its bounds are 0.
+    lower, upper, certainty, _ = _unit_cube_case(15, 6, 3, 4, p)
+    certainty = certainty.copy()
+    certainty[:, 1] = 0.0
+    return lower, upper, certainty, p
+
+
+def _on_prototype_case(p):
+    protos = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.4]])
+    lower, upper = membership_bounds(protos[[1]], protos, Fuzzifiers(1.5, 2.5))
+    return lower, upper, np.array([[0.3, 0.7], [0.6, 0.4], [0.2, 0.8]]), p
+
+
+def _product_underflow_case(p):
+    # upper * r = 1e-200 * 1e-200 rounds to 0, so rule 1 does not fire for
+    # class 0 although both factors are positive: its mean is over rule 0
+    # alone, not over two rules.
+    upper = np.array([[1.0, 1e-200]])
+    return 0.5 * upper, upper, np.array([[0.5, 0.5], [1e-200, 0.0]]), p
+
+
+# (id, case, whether the exact path must run)
+KERNEL_CASES = [
+    ("unit-cube-p2", _unit_cube_case(16, 20, 3, 30, 2.0), False),
+    ("unit-cube-p2-one-row", _unit_cube_case(17, 128, 2, 1, 2.0), False),
+    ("p+400", _extreme_p_case(400.0), True),
+    ("p-400", _extreme_p_case(-400.0), True),
+    ("zero-lower-negative-p", _zero_lower_case(), True),
+    ("zero-certainty-column-p2", _zero_column_case(2.0), False),
+    ("zero-certainty-column-p-2", _zero_column_case(-2.0), False),
+    ("on-prototype-p2", _on_prototype_case(2.0), False),
+    ("on-prototype-p-1.5", _on_prototype_case(-1.5), False),
+    ("product-underflow-p2", _product_underflow_case(2.0), True),
+    ("product-underflow-p-2", _product_underflow_case(-2.0), True),
+]
+
+
+def exact_soundness(lower, upper, certainty, p):
+    """Both bounds (2, n, M) from _power_mean_rows, class by class."""
+    out = np.zeros((2, lower.shape[0], certainty.shape[1]))
+    for j in range(certainty.shape[1]):
+        r = certainty[:, j][None, :]
+        firing = upper * r > 0.0
+        out[0, :, j] = _power_mean_rows(lower * r, firing, p)
+        out[1, :, j] = _power_mean_rows(upper * r, firing, p)
+    return out
+
+
+def reference_soundness(lower, upper, certainty, p):
+    """Both bounds (2, n, M) from the straight-line oracle's power mean."""
+    out = np.zeros((2, lower.shape[0], certainty.shape[1]))
+    for i in range(lower.shape[0]):
+        for j in range(certainty.shape[1]):
+            fired = [k for k in range(certainty.shape[0])
+                     if float(upper[i, k]) * float(certainty[k, j]) > 0.0]
+            for h, bound in enumerate((lower, upper)):
+                vals = [float(bound[i, k]) * float(certainty[k, j]) for k in fired]
+                out[h, i, j] = ref_power_mean(vals, p) if vals else 0.0
+    return out
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("case, needs_exact", [c[1:] for c in KERNEL_CASES],
+                             ids=[c[0] for c in KERNEL_CASES])
+    def test_regimes(self, monkeypatch, case, needs_exact):
+        lower, upper, certainty, p = case
+        calls = []
+
+        def counted(vals, mask, p):
+            calls.append(vals.shape[0])
+            return _power_mean_rows(vals, mask, p)
+
+        monkeypatch.setattr(inference, "_power_mean_rows", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.stack(_soundness_bounds(lower, upper, certainty, p))
+        assert bool(calls) == needs_exact
+        np.testing.assert_allclose(got, exact_soundness(lower, upper, certainty, p),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, reference_soundness(lower, upper, certainty, p),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestClassify:
@@ -265,6 +382,18 @@ class TestClassify:
                 pred, scores = classify_batch([x], rb)
                 assert pred[0] == want_pred[0]
                 assert np.array_equal(scores, want_scores)
+
+    def test_normalization_overflow_refused(self):
+        # 1e300 over a span of 1e-10 overflows in normalization; it used to
+        # give class 0 with scores [0, 0] and only RuntimeWarnings.
+        norm = NormalizationParams(np.zeros(2), np.array([1e-10, 2.0]))
+        rb = make_rulebase([[0.2, 0.3], [0.8, 0.6]], [[0.9, 0.1], [0.2, 0.8]], norm=norm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="feature 1"):
+                classify_batch([[1e300, 1.0]], rb)
+            with pytest.raises(DataError, match="feature 1"):
+                classify(np.array([-1e300, 1.0]), rb)
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(10)
