@@ -6,10 +6,11 @@ prototype under the two fuzzifiers -> association = bounds x the rule's
 per-class certainty -> soundness per class = power mean, bound by bound,
 over the rules whose upper association is positive (none leaves [0, 0]) ->
 decision = argmax of the interval midpoints (ties go to the lowest index).
-The soundness of every class and both bounds is one scaled matrix product
-(_soundness_bounds); the few cells it cannot give exactly (extreme |p|,
-underflowing products, zero bounds at p < 0) are recomputed one by one with
-_power_mean_rows. Non-finite input is refused with DataError.
+For p > 0 the soundness of every class and both bounds is one scaled matrix
+product (_soundness_bounds); the few cells it cannot give exactly (extreme
+p, underflowing products) are recomputed one by one with _power_mean_rows,
+which also computes every cell for p < 0. Non-finite input is refused with
+DataError.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .rulebase import RuleBase, membership_bounds
+from .subclust import BLOCK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray
 # a sum of count terms at or above count * _FLOOR is exact to rounding.
 _TINY = np.finfo(float).tiny
 _FLOOR = _TINY / np.finfo(float).eps
-_MAX = np.finfo(float).max
 
 
 def _soundness_bounds(
@@ -101,74 +102,60 @@ def _soundness_bounds(
 
     Rule k fires for class j when upper_k * R_kj > 0, and each bound's
     soundness is the power mean of bound_k * R_kj over the firing rules.
-    Both bounds come from one product over the stacked rows
+    For p > 0 both bounds come from one product over the stacked rows
     B = [lower; upper] (2n, c), with no loop over classes:
 
         S = (B / s)**p @ (R / t)**p,   count = (upper > 0) @ (R > 0),
-        soundness = s * t * (S / count)**(1/p)   (0 where count is 0).
+        soundness = s * t * (S / count)**(1/p)   (0 where count is 0),
 
-    For p > 0, s is the row max of B and t the column max of R; for p < 0,
-    s is the row min of B over the firing rules and t the column min of R
-    over its positive entries. Every scaled term is then at most 1, so the
-    sum cannot overflow. The cells the product cannot give exactly are
-    recomputed by _power_mean_rows, each as a row of its own:
+    where s is the row max of B and t the column max of R, so every scaled
+    term is at most 1 and the sum cannot overflow. The cells the product
+    cannot give exactly are recomputed by _power_mean_rows, each as a row
+    of its own:
       - a scaled sum below count * _FLOOR, where underflowed terms could
-        matter (large |p|), or so small that its 1/p power overflows, or a
-        scale s * t below the smallest normal float, or a result that
-        overflows;
-      - for p < 0, every cell of a row whose bound is 0 at a firing rule
-        (that mean is 0);
+        matter (large p), or a scale s * t below the smallest normal float;
       - every cell of a row where some upper_k * R_kj of positive factors
         can round to 0, since firing is decided on that product.
+    For p < 0 every cell with a firing rule takes that exact path (p = 0 is
+    refused where the model is built).
     """
-    n = lower.shape[0]
-    B = np.concatenate((lower, upper))
+    n, c, M = lower.shape[0], lower.shape[1], certainty.shape[1]
     fires = upper > 0.0
     RT = np.maximum(certainty.T, 0.0, order="C")  # (M, c); negatives never fire
     pos = RT > 0.0
     count = np.matmul(fires, pos.T.astype(float))
     if p > 0:
+        B = np.concatenate((lower, upper))
         s = B.max(axis=1, initial=_TINY)
         t = RT.max(axis=1, initial=_TINY)
         B /= s[:, None]
         B **= p
-        Y = (RT / t[:, None]) ** p
+        S = (B @ ((RT / t[:, None]) ** p).T).reshape(2, n, M)
+        st = s.reshape(2, n, 1) * t
+        fine = (S > count * _FLOOR) & (st >= _TINY)
+        # Cells that are not fine hold S / count * s * t, which is 0 where
+        # no rule fires and is recomputed everywhere else.
+        out = S / np.maximum(count, 1.0)
+        np.power(out, 1.0 / p, out=out, where=fine)
+        out *= st
+        redo = (count > 0.0) & ~fine
+        # Firing is decided on upper * R: when a positive product of
+        # positive factors can round to 0, those rows need the exact test.
+        rmin = RT[pos].min(initial=1.0)
+        if np.count_nonzero(upper * rmin) != np.count_nonzero(upper):
+            redo |= (upper * rmin == 0.0).any(axis=1, where=fires)[:, None] & (count > 0.0)
     else:
-        firing = np.concatenate((fires, fires))
-        used = firing & (B > 0.0)
-        s = np.min(B, axis=1, where=used, initial=np.inf)
-        t = np.min(RT, axis=1, where=pos, initial=np.inf)
-        s, t = np.where(s < np.inf, s, 1.0), np.where(t < np.inf, t, 1.0)
-        # A ratio past the float range only arises from a subnormal s or t,
-        # whose cells s * t < _TINY are recomputed; its term becomes 0.
-        with np.errstate(over="ignore"):
-            B /= s[:, None]
-            Y = np.power(RT / t[:, None], p, out=np.zeros_like(RT), where=pos)
-        np.power(B, p, out=B, where=used)
-        B *= used
-        # A zero bound at a firing rule forces its mean to 0: s = 0 sends
-        # the row to the exact path.
-        s[(used != firing).any(axis=1)] = 0.0
-    S = (B @ Y.T).reshape(2, n, -1)
-    st = s.reshape(2, n, 1) * t
-    # For -1 < p < 0 a mean below _MAX**p would overflow in the 1/p power.
-    floor = max(_FLOOR, _MAX**p) if p < 0 else _FLOOR
-    fine = (S > count * floor) & (st >= _TINY)
-    # Cells that are not fine hold S / count * s * t, which is 0 where no
-    # rule fires and is recomputed everywhere else.
-    out = S / np.maximum(count, 1.0)
-    np.power(out, 1.0 / p, out=out, where=fine)
-    out *= st
-    redo = (count > 0.0) & ~(fine & np.isfinite(out))
-    # Firing is decided on upper * R: when a positive product of positive
-    # factors can round to 0, those rows need the exact test.
-    rmin = RT[pos].min(initial=1.0)
-    if np.count_nonzero(upper * rmin) != np.count_nonzero(upper):
-        redo |= (upper * rmin == 0.0).any(axis=1, where=fires)[:, None] & (count > 0.0)
-    if redo.any():
-        h, i, j = np.nonzero(redo)
-        r = certainty[:, j].T
-        out[h, i, j] = _power_mean_rows(np.stack((lower, upper))[h, i] * r, upper[i] * r > 0.0, p)
+        out = np.zeros((2, n, M))
+        redo = np.broadcast_to(count > 0.0, out.shape)
+    h, i, j = np.nonzero(redo)
+    if h.size:
+        bounds = np.stack((lower, upper))
+        # Row blocks of bounded size keep the gathered (cells, c) values small.
+        step = max(1, BLOCK_ELEMENTS // max(1, c))
+        for a in range(0, h.size, step):
+            hb, ib, jb = h[a:a + step], i[a:a + step], j[a:a + step]
+            r = certainty[:, jb].T
+            out[hb, ib, jb] = _power_mean_rows(bounds[hb, ib] * r, upper[ib] * r > 0.0, p)
     return out[0], out[1]
 
 

@@ -259,7 +259,7 @@ def _product_underflow_case(p):
     return 0.5 * upper, upper, np.array([[0.5, 0.5], [1e-200, 0.0]]), p
 
 
-# (id, case, whether the exact path must run)
+# (id, case, whether the exact path must run); for p < 0 it always runs.
 KERNEL_CASES = [
     ("unit-cube-p2", _unit_cube_case(16, 20, 3, 30, 2.0), False),
     ("unit-cube-p2-one-row", _unit_cube_case(17, 128, 2, 1, 2.0), False),
@@ -267,9 +267,9 @@ KERNEL_CASES = [
     ("p-400", _extreme_p_case(-400.0), True),
     ("zero-lower-negative-p", _zero_lower_case(), True),
     ("zero-certainty-column-p2", _zero_column_case(2.0), False),
-    ("zero-certainty-column-p-2", _zero_column_case(-2.0), False),
+    ("zero-certainty-column-p-2", _zero_column_case(-2.0), True),
     ("on-prototype-p2", _on_prototype_case(2.0), False),
-    ("on-prototype-p-1.5", _on_prototype_case(-1.5), False),
+    ("on-prototype-p-1.5", _on_prototype_case(-1.5), True),
     ("product-underflow-p2", _product_underflow_case(2.0), True),
     ("product-underflow-p-2", _product_underflow_case(-2.0), True),
 ]
@@ -382,6 +382,13 @@ class TestClassify:
                 pred, scores = classify_batch([x], rb)
                 assert pred[0] == want_pred[0]
                 assert np.array_equal(scores, want_scores)
+
+    @pytest.mark.parametrize("p", [2.0, -2.0])
+    def test_empty_batch(self, p):
+        rb = make_rulebase([[0.2, 0.3], [0.8, 0.6]], [[0.9, 0.1], [0.2, 0.8]], p=p)
+        preds, scores = classify_batch(np.empty((0, 2)), rb)
+        assert preds.shape == (0,)
+        assert scores.shape == (0, 2)
 
     def test_normalization_overflow_refused(self):
         # 1e300 over a span of 1e-10 overflows in normalization; it used to
