@@ -259,6 +259,13 @@ def _product_underflow_case(p):
     return 0.5 * upper, upper, np.array([[0.5, 0.5], [1e-200, 0.0]]), p
 
 
+def _subnormal_case(p):
+    # Row 0's bounds are subnormal: its scale s * t is below the smallest
+    # normal float, so the product would round it with few bits left.
+    upper = np.array([[1e-318, 4.4e-319, 0.0], [0.6, 0.3, 0.1]])
+    return 0.37 * upper, upper, np.array([[0.3, 0.7], [0.45, 0.55], [0.9, 0.1]]), p
+
+
 # (id, case, whether the exact path must run); for p < 0 it always runs.
 KERNEL_CASES = [
     ("unit-cube-p2", _unit_cube_case(16, 20, 3, 30, 2.0), False),
@@ -270,6 +277,7 @@ KERNEL_CASES = [
     ("zero-certainty-column-p-2", _zero_column_case(-2.0), True),
     ("on-prototype-p2", _on_prototype_case(2.0), False),
     ("on-prototype-p-1.5", _on_prototype_case(-1.5), True),
+    ("subnormal-bounds-p2", _subnormal_case(2.0), True),
     ("product-underflow-p2", _product_underflow_case(2.0), True),
     ("product-underflow-p-2", _product_underflow_case(-2.0), True),
 ]
