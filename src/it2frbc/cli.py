@@ -116,8 +116,7 @@ def build_parser() -> _Parser:
                          "trailing label when the file has one extra column)")
     pr.set_defaults(func=cmd_predict)
 
-    e = sub.add_parser("eval", help="repeated-split benchmark (the experiment protocol)",
-                       epilog="IT2FRBC_THREADS caps run parallelism (0 = auto, default 1).")
+    e = sub.add_parser("eval", help="repeated-split benchmark (the experiment protocol)")
     src = e.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="input", help="labeled CSV dataset")
     src.add_argument("--gen", choices=sorted(GENERATORS), help="synthetic dataset")
@@ -288,6 +287,8 @@ def cmd_eval(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"report written to {args.out}")
+    if report.failed_count == len(report.runs):
+        raise DataError(f"all {report.failed_count} runs failed")
     return 0
 
 

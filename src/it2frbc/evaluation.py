@@ -3,15 +3,15 @@ best/average/worst/stddev aggregates in the three report formats.
 
 Each run derives its own split seed from the master seed, fits the
 normalizer on its training half only, builds a rule base, and classifies
-the held-out half. Runs are independent; failed runs (e.g. a class missing
-from a training half) are recorded and excluded from the aggregates.
+the held-out half. Runs are independent and execute one after another in
+index order, so a report is a function of the configuration alone. Failed
+runs (e.g. a class missing from a training half) are recorded and excluded
+from the aggregates; `it2frbc eval` exits 2 when no run succeeded.
 """
 from __future__ import annotations
 
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,10 +118,8 @@ class ExperimentReport:
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> np.ndarray:
     """Rows = true class, columns = predicted class."""
-    conf = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        conf[t, p] += 1
-    return conf
+    cells = np.asarray(y_true, dtype=np.int64) * num_classes + np.asarray(y_pred, dtype=np.int64)
+    return np.bincount(cells, minlength=num_classes * num_classes).reshape(num_classes, num_classes)
 
 
 def accuracy(conf: np.ndarray) -> float:
@@ -161,19 +159,6 @@ def train_and_score(ds: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[Rule
     return rb, confusion_matrix(test.labels, predictions, ds.num_classes)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("IT2FRBC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"IT2FRBC_THREADS must be an integer, got {raw!r}")
-    if n == 0:
-        return os.cpu_count() or 1
-    if n < 0:
-        raise ConfigError("IT2FRBC_THREADS must be >= 0")
-    return n
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute cfg.runs independent runs; deterministic in master_seed."""
     ds = resolve_dataset(cfg)
@@ -192,12 +177,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             confusion=conf,
         )
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(cfg.runs)))
-    else:
-        results = [one(i) for i in range(cfg.runs)]
+    results = [one(i) for i in range(cfg.runs)]
 
     ok = [r for r in results if r.ok]
     accs = np.array([r.accuracy for r in ok]) if ok else None

@@ -156,6 +156,10 @@ def _soundness_bounds(
             hb, ib, jb = h[a:a + step], i[a:a + step], j[a:a + step]
             r = certainty[:, jb].T
             out[hb, ib, jb] = _power_mean_rows(bounds[hb, ib] * r, upper[ib] * r > 0.0, p)
+    # The true bounds are ordered, but when m1 and m2 nearly coincide the two
+    # rounded ones can differ by an ulp the wrong way; this moves such a
+    # lower bound by at most its rounding error.
+    np.minimum(out[0], out[1], out=out[0])
     return out[0], out[1]
 
 

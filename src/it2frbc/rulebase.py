@@ -127,21 +127,21 @@ def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
     Rows sum to 1. A pattern coinciding with t prototypes gets 1/t on each
     of those and 0 elsewhere.
     """
-    hits = d == 0.0
-    zero_rows = hits.any(axis=1)
-    regular = ~zero_rows
-    dr = d[regular]
+    dmin = d.min(axis=1, keepdims=True)
+    on_prototype = dmin == 0.0
     # Scale by the row minimum so powers stay <= 1 (no overflow for
-    # sharp fuzzifiers / tiny distances).
-    ratio = dr / dr.min(axis=1, keepdims=True)
-    shares = hits[zero_rows] / hits[zero_rows].sum(axis=1, keepdims=True)
+    # sharp fuzzifiers / tiny distances). Rows on a prototype take their
+    # shares instead, so their ratio is only a placeholder 1.
+    ratio = np.divide(d, dmin, out=np.ones_like(d), where=~on_prototype)
+    hits = d == 0.0
+    shares = np.divide(hits, hits.sum(axis=1, keepdims=True), out=np.zeros_like(d),
+                       where=on_prototype)
 
     out = []
     for m in fuzzifiers:
         w = ratio ** (-(2.0 / (m - 1.0)))
-        mu = np.zeros_like(d)
-        mu[regular] = w / w.sum(axis=1, keepdims=True)
-        mu[zero_rows] = shares
+        mu = w / w.sum(axis=1, keepdims=True)
+        np.copyto(mu, shares, where=on_prototype)
         out.append(mu)
     return out
 

@@ -285,6 +285,29 @@ class TestEval:
         assert out_file.exists()
         assert "report written" in out
 
+    def test_all_runs_failed_exits_2(self, tmp_path, capsys):
+        # Every split's training span max - min overflows, so no run
+        # succeeds: the report is still written, and the exit status says so.
+        data = tmp_path / "huge.csv"
+        data.write_text("".join(f"{v},0.{i},{i % 2}\n" for i, v in
+                                enumerate(["1e308", "-1e308"] * 4)))
+        out_file = tmp_path / "report.txt"
+        code, _, err = run(capsys, "eval", "--in", str(data), "--no-sc", "--runs", "2",
+                           "--no-timestamp", "--out", str(out_file))
+        assert code == 2
+        assert "all 2 runs failed" in err
+        assert "failed runs: 2" in out_file.read_text()
+
+    def test_some_runs_failed_exits_0(self, tmp_path, capsys):
+        # Class b has one pattern: runs that hold it out cannot train.
+        data = tmp_path / "lopsided.csv"
+        rows = [f"0.{i},0.{11 - i},a" for i in range(12)] + ["5.0,5.0,b"]
+        data.write_text("\n".join(rows) + "\n")
+        code, out, _ = run(capsys, "eval", "--in", str(data), "--no-sc", "--runs", "12",
+                           "--seed", "3", "--format", "json", "--no-timestamp")
+        assert code == 0
+        assert 0 < json.loads(out)["aggregate"]["failed_runs"] < 12
+
     def test_requires_source(self, capsys):
         code, _, err = run(capsys, "eval", "--runs", "1", "--no-sc")
         assert code == 1

@@ -266,6 +266,15 @@ def _subnormal_case(p):
     return 0.37 * upper, upper, np.array([[0.3, 0.7], [0.45, 0.55], [0.9, 0.1]]), p
 
 
+def _near_equal_fuzzifiers_case(p):
+    # m2 is one ulp above m1, so the two bounds agree to rounding; the two
+    # rows of the product can round some cells to lower > upper.
+    rng = np.random.default_rng(7)
+    lower, upper = membership_bounds(rng.uniform(size=(20, 3)), rng.uniform(size=(6, 3)),
+                                     Fuzzifiers(1.5, np.nextafter(1.5, 2.0)))
+    return lower, upper, rng.dirichlet(np.ones(3), size=6), p
+
+
 # (id, case, whether the exact path must run); for p < 0 it always runs.
 KERNEL_CASES = [
     ("unit-cube-p2", _unit_cube_case(16, 20, 3, 30, 2.0), False),
@@ -280,6 +289,7 @@ KERNEL_CASES = [
     ("subnormal-bounds-p2", _subnormal_case(2.0), True),
     ("product-underflow-p2", _product_underflow_case(2.0), True),
     ("product-underflow-p-2", _product_underflow_case(-2.0), True),
+    ("near-equal-fuzzifiers-p2", _near_equal_fuzzifiers_case(2.0), False),
 ]
 
 
@@ -323,6 +333,7 @@ class TestProductKernel:
             warnings.simplefilter("error")
             got = np.stack(_soundness_bounds(lower, upper, certainty, p))
         assert bool(calls) == needs_exact
+        assert np.all(got[0] <= got[1])
         np.testing.assert_allclose(got, exact_soundness(lower, upper, certainty, p),
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got, reference_soundness(lower, upper, certainty, p),

@@ -1,4 +1,5 @@
 """Property-based checks of the classifier invariants."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from it2frbc import (
     initial_potentials,
     split,
 )
+from it2frbc.inference import _soundness_of
 from it2frbc.rulebase import membership_bounds
 from it2frbc.subclust import _revised
 
@@ -152,9 +154,9 @@ def test_split_partition_properties(seed, frac):
 
 
 @st.composite
-def random_rulebase(draw):
+def random_rulebase(draw, max_rules=4):
     dim = draw(st.integers(1, 3))
-    c = draw(st.integers(1, 4))
+    c = draw(st.integers(1, max_rules))
     M = draw(st.integers(2, 3))
     unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
     protos = np.array(
@@ -196,6 +198,20 @@ def test_classify_invariants(rb, raw):
     preds, scores = classify_batch(x[None, :], rb)
     assert preds[0] == res.predicted
     assert scores[0] == pytest.approx(res.scores, abs=1e-15)
+
+
+@given(random_rulebase(max_rules=11), st.integers(0, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_near_equal_fuzzifiers_keep_intervals_ordered(rb, k, seed):
+    # m2 within a few ulps of m1: both bounds agree to rounding, and their
+    # rounded soundness must still satisfy lower <= upper, for p of either sign.
+    m = rb.fuzzifiers.m1
+    rb = dataclasses.replace(rb, fuzzifiers=Fuzzifiers(m, m + k * np.finfo(float).eps))
+    X = np.random.default_rng(seed).uniform(size=(20, rb.num_features))
+    lower, upper = _soundness_of(X, rb)
+    assert np.all(lower <= upper)
+    for x in X:
+        classify(x, rb)
 
 
 extreme = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
