@@ -224,7 +224,7 @@ def cmd_predict(args) -> int:
         return -1 if width == n + 1 else None
 
     label_col = trailing_label if args.label_col is None else args.label_col
-    X, labels, label_col = _read_csv(args.input, label_col)
+    X, labels, label_col, cells = _read_csv(args.input, label_col)
     if X.shape[1] != n:
         raise DataError(f"input has {X.shape[1]} features but model expects {n}")
     predictions, scores = classify_batch(X, rb)
@@ -245,12 +245,11 @@ def cmd_predict(args) -> int:
             + ["predicted"]
             + [f"score_{name}" for name in rb.class_names]
         )
-        for x, pred, score in zip(X, predictions, scores):
-            writer.writerow(
-                [repr(float(v)) for v in x]
-                + [rb.class_names[pred]]
-                + [repr(float(s)) for s in score]
-            )
+        # The feature cells are echoed as read; only the scores are formatted.
+        writer.writerows(
+            [*row, rb.class_names[pred], *map(repr, score)]
+            for row, pred, score in zip(cells, predictions.tolist(), scores.tolist())
+        )
     print(f"wrote predictions for {len(X)} rows to {args.out}")
 
     if labels is not None:

@@ -171,7 +171,7 @@ def _read_csv(path, label_column=None, keep=None):
     before its cells are converted.
 
     Returns (features (n, num_features), stripped label cells or None,
-    resolved label column or None).
+    resolved label column or None, each data row's feature cells as read).
     """
     try:
         with open(path, newline="") as fh:
@@ -209,7 +209,7 @@ def _read_csv(path, label_column=None, keep=None):
         # Refused here, before normalization turns inf into nan with a warning.
         lineno = rows[int(np.argmin(finite))][0]
         raise DataError(f"line {lineno}: non-finite value (nan or inf)")
-    return X, labels, label_idx
+    return X, labels, label_idx, [row for _, row in rows]
 
 
 def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Dataset:
@@ -230,7 +230,7 @@ def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Datas
             raise DataError(f"line {lineno}: missing value")
         return False
 
-    X, raw_labels, _ = _read_csv(path, label_column, keep)
+    X, raw_labels, _, _ = _read_csv(path, label_column, keep)
     if X.shape[1] == 0:
         raise DataError("need at least one feature column and one label column")
     name_to_idx: dict[str, int] = {}

@@ -116,6 +116,10 @@ def _soundness_bounds(
         matter (large p), or a scale s * t below the smallest normal float;
       - every cell of a row where some upper_k * R_kj of positive factors
         can round to 0, since firing is decided on that product.
+    Besides the firing mask and its float copy for the count, the only
+    (n, c) arrays are the stacked rows B, which are scaled and raised to p
+    in place; whether any firing product can round to 0 is read off the
+    smallest firing upper bound, with no (n, c) product.
     For p < 0 every cell with a firing rule takes that exact path (p = 0 is
     refused where the model is built).
     """
@@ -142,7 +146,9 @@ def _soundness_bounds(
         # Firing is decided on upper * R: when a positive product of
         # positive factors can round to 0, those rows need the exact test.
         rmin = RT[pos].min(initial=1.0)
-        if np.count_nonzero(upper * rmin) != np.count_nonzero(upper):
+        # upper * rmin is monotone in upper, so the smallest firing bound
+        # alone tells whether any such product rounds to 0.
+        if np.min(upper, where=fires, initial=np.inf) * rmin == 0.0:
             redo |= (upper * rmin == 0.0).any(axis=1, where=fires)[:, None] & (count > 0.0)
     else:
         out = np.zeros((2, n, M))

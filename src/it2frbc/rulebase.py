@@ -14,6 +14,11 @@ the footprint of uncertainty of the rule's antecedent.
 The distance matrix (n, c) is computed once per call, in row blocks of
 bounded size (O(n * c) output plus O(block) working memory, never the
 (n, c, N) difference tensor), and both fuzzifiers are applied to it.
+Past the distances and the ratios to each row's nearest prototype, the
+only (n, c) arrays are the two partitions, each normalized in its own
+buffer, and the lower bound; the upper bound is written over the second
+partition. The shares of rows sitting on a prototype take one more, built
+only when such a row exists.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval-midpoint memberships.
@@ -133,15 +138,18 @@ def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
     # sharp fuzzifiers / tiny distances). Rows on a prototype take their
     # shares instead, so their ratio is only a placeholder 1.
     ratio = np.divide(d, dmin, out=np.ones_like(d), where=~on_prototype)
-    hits = d == 0.0
-    shares = np.divide(hits, hits.sum(axis=1, keepdims=True), out=np.zeros_like(d),
-                       where=on_prototype)
+    shares = None
+    if on_prototype.any():
+        hits = d == 0.0
+        shares = np.divide(hits, hits.sum(axis=1, keepdims=True), out=np.zeros_like(d),
+                           where=on_prototype)
 
     out = []
     for m in fuzzifiers:
-        w = ratio ** (-(2.0 / (m - 1.0)))
-        mu = w / w.sum(axis=1, keepdims=True)
-        np.copyto(mu, shares, where=on_prototype)
+        mu = ratio ** (-(2.0 / (m - 1.0)))
+        mu /= mu.sum(axis=1, keepdims=True)
+        if shares is not None:
+            np.copyto(mu, shares, where=on_prototype)
         out.append(mu)
     return out
 
@@ -150,9 +158,10 @@ def membership_bounds(
     X: np.ndarray, prototypes: np.ndarray, fz: Fuzzifiers
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper membership matrices (n, c) from the two fuzzifiers,
-    both applied to one distance matrix."""
+    both applied to one distance matrix. The upper bound reuses the second
+    partition's buffer."""
     mu1, mu2 = _partitions(_distances(X, prototypes), (fz.m1, fz.m2))
-    return np.minimum(mu1, mu2), np.maximum(mu1, mu2)
+    return np.minimum(mu1, mu2), np.maximum(mu1, mu2, out=mu2)
 
 
 def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:

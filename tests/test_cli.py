@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import it2frbc
-from it2frbc import load_csv
+from it2frbc import classify_batch, load_csv, load_rulebase
 from it2frbc.cli import main
 
 
@@ -223,6 +224,53 @@ class TestTrainPredict:
         code, _, err = run(capsys, "train", "--in", str(tmp_path / "nope.csv"),
                            "--no-sc", "--model", str(tmp_path / "m.json"))
         assert code == 2
+
+
+class TestPredictEcho:
+    """predict echoes the feature cells as read and writes repr scores."""
+
+    @pytest.fixture()
+    def model(self, tmp_path, circ_file):
+        path = tmp_path / "model.json"
+        assert main(["train", "--in", str(circ_file), "--no-sc", "--model", str(path)]) == 0
+        return path
+
+    def predict(self, capsys, tmp_path, model, data, *extra):
+        out = tmp_path / "pred.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(data),
+                           "--out", str(out), *extra)
+        assert code == 0, err
+        with open(out, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_cells_echoed_as_written(self, tmp_path, capsys, model):
+        data = tmp_path / "plain.csv"
+        data.write_text("1,1e3\n 2.5,10.0\n")
+        rows = self.predict(capsys, tmp_path, model, data)
+        assert [row[:2] for row in rows[1:]] == [["1", "1e3"], [" 2.5", "10.0"]]
+
+    def test_scores_are_repr_of_classify_batch(self, tmp_path, capsys, model, circ_file):
+        rb = load_rulebase(model)
+        preds, scores = classify_batch(load_csv(circ_file, -1).features, rb)
+        body = self.predict(capsys, tmp_path, model, circ_file)[1:]
+        assert [row[2] for row in body] == [rb.class_names[k] for k in preds]
+        assert [row[3:] for row in body] == [[repr(v) for v in s] for s in scores.tolist()]
+
+    def test_gen_data_cells_are_repr_floats(self, tmp_path, capsys, model, circ_file):
+        # gen-data writes repr floats, so echoing them keeps predict's bytes.
+        with open(circ_file, newline="") as fh:
+            given = [row[:2] for row in list(csv.reader(fh))[1:]]
+        body = self.predict(capsys, tmp_path, model, circ_file)[1:]
+        assert [row[:2] for row in body] == given
+        assert all(cell == repr(float(cell)) for row in given for cell in row)
+
+    def test_label_column_left_out(self, tmp_path, capsys, model):
+        data = tmp_path / "labelled.csv"
+        data.write_text("class,x,y\n1,10.0,10\n2,0.5,1.9e1\n")
+        rows = self.predict(capsys, tmp_path, model, data, "--label-col", "0")
+        assert rows[0] == ["f1", "f2", "predicted", "score_1", "score_2"]
+        assert [row[:2] for row in rows[1:]] == [["10.0", "10"], ["0.5", "1.9e1"]]
+        assert all(len(row) == 5 for row in rows)
 
 
 class TestExportRules:

@@ -259,6 +259,13 @@ def _product_underflow_case(p):
     return 0.5 * upper, upper, np.array([[0.5, 0.5], [1e-200, 0.0]]), p
 
 
+def _product_underflow_one_row_case(p):
+    # Only row 1 has a firing product that rounds to 0 (1e-200 * 1e-200);
+    # every firing product of rows 0 and 2 stays positive.
+    upper = np.array([[0.6, 0.4], [1.0, 1e-200], [0.3, 0.7]])
+    return 0.5 * upper, upper, np.array([[0.5, 0.5], [1e-200, 0.0]]), p
+
+
 def _subnormal_case(p):
     # Row 0's bounds are subnormal: its scale s * t is below the smallest
     # normal float, so the product would round it with few bits left.
@@ -289,6 +296,7 @@ KERNEL_CASES = [
     ("subnormal-bounds-p2", _subnormal_case(2.0), True),
     ("product-underflow-p2", _product_underflow_case(2.0), True),
     ("product-underflow-p-2", _product_underflow_case(-2.0), True),
+    ("product-underflow-one-row-p2", _product_underflow_one_row_case(2.0), True),
     ("near-equal-fuzzifiers-p2", _near_equal_fuzzifiers_case(2.0), False),
 ]
 

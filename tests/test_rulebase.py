@@ -230,6 +230,21 @@ class TestBlockedMemberships:
             assert np.array_equal(mu[last - 1], expect)
             assert np.all(np.delete(mu, [995, last - 1], axis=0) > 0.0)
 
+    @pytest.mark.parametrize("fz", [Fuzzifiers(1.5, 2.5), Fuzzifiers(2.0, 2.0)])
+    def test_rows_independent_of_their_batch(self, fz):
+        # Regular rows, rows on one prototype and rows on two coincident
+        # ones: each row's bounds must not depend on what else is in the batch.
+        rng = np.random.default_rng(34)
+        protos = rng.uniform(size=(6, 3))
+        protos[4] = protos[1]
+        X = np.vstack([rng.uniform(size=(4, 3)), protos[[0, 1, 3]], rng.uniform(size=(3, 3)),
+                       protos[[4]]])
+        lower, upper = rulebase.membership_bounds(X, protos, fz)
+        for i in range(len(X)):
+            lo, up = rulebase.membership_bounds(X[i:i + 1], protos, fz)
+            assert np.array_equal(lo, lower[i:i + 1])
+            assert np.array_equal(up, upper[i:i + 1])
+
 
 class TestCertaintyDegrees:
     def test_single_class(self):
