@@ -9,9 +9,11 @@ Each ``--run WORKLOAD:SEED:PAIRS`` runs ``perfbench/run.py --trace 0`` in
 both checkouts PAIRS times, one at a time, alternating which side goes
 first. Each ``--trace WORKLOAD:SEED`` adds one ``--trace 1`` run per side.
 Every run uses the benchmark code of its own checkout and the same
-``--seconds``. The record holds every run's result line and metadata and,
-per workload and end-to-end metric, each side's median and quartiles and
-the number of pairs the change won (ties count for neither side).
+``--seconds``. The record holds every run's result line, metadata and
+unscaled ("as_measured") metrics and, per workload and end-to-end metric,
+each side's median and quartiles and the number of pairs the change won
+(ties count for neither side). A workload's ``all_correct`` is false when
+any of its runs reported ``correct: false`` or a failed operation.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, trace: int, secon
     print(f"{checkout.name} {workload} seed {seed} trace {trace}: correct={result['correct']} "
           f"failed={result['failed']} {json.dumps(values)}", flush=True)
     return {"meta": record["meta"], "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"], "metrics": values}
+            "attempted": result["attempted"], "failed": result["failed"], "metrics": values,
+            "as_measured": record.get("as_measured")}
 
 
 def quartiles(xs: list[float]) -> dict:
@@ -87,8 +90,11 @@ def main(argv=None) -> int:
             runs = {side: run_once(sides[side], workload, seed, 0, args.seconds)
                     for side in order}
             pairs.append({"first": order[0], **runs})
-        doc["workloads"].append({"workload": workload, "seed": seed, "trace": 0,
-                                 "summary": summarize(pairs, better), "pairs": pairs})
+        runs = [p[side] for p in pairs for side in sides]
+        doc["workloads"].append({
+            "workload": workload, "seed": seed, "trace": 0,
+            "all_correct": all(r["correct"] and r["failed"] == 0 for r in runs),
+            "summary": summarize(pairs, better), "pairs": pairs})
     for workload, seed in args.trace:
         doc["trace"].append({"workload": workload, "seed": seed, "trace": 1,
                              **{side: run_once(path, workload, seed, 1, args.seconds)

@@ -2,7 +2,8 @@
 two synthetic non-linear benchmark generators.
 
 Feature matrices are float64 numpy arrays of shape ``(n, num_features)``.
-Labels are integer class indices ``0..num_classes-1``.
+Labels are integer class indices ``0..num_classes-1``. NormalizationParams
+builds its per-column divisors once, when it is constructed.
 """
 from __future__ import annotations
 
@@ -75,6 +76,10 @@ class NormalizationParams:
     feature (min == max) maps to 0.5. A span max - min that overflows, and
     a value that overflows on the way (a huge input over a tiny span), are
     refused with DataError naming the feature.
+
+    The divisor of each column (its span, or 1 for a constant column) and
+    the constant-column mask (None when no column is constant) are built
+    once here, read-only, so apply() does no per-call work on the model.
     """
 
     minimum: np.ndarray
@@ -97,6 +102,9 @@ class NormalizationParams:
             )
         object.__setattr__(self, "minimum", _freeze(lo))
         object.__setattr__(self, "maximum", _freeze(hi))
+        const = hi - lo == 0
+        object.__setattr__(self, "_divisor", _freeze(np.where(const, 1.0, hi - lo)))
+        object.__setattr__(self, "_constant", _freeze(const) if const.any() else None)
 
     @property
     def num_features(self) -> int:
@@ -112,11 +120,10 @@ class NormalizationParams:
             raise DataError(
                 f"input has {X.shape[1]} features but normalizer expects {self.num_features}"
             )
-        span = self.maximum - self.minimum
-        const = span == 0
         with np.errstate(over="ignore"):
-            out = (X - self.minimum) / np.where(const, 1.0, span)
-        np.copyto(out, 0.5, where=const)
+            out = (X - self.minimum) / self._divisor
+        if self._constant is not None:
+            np.copyto(out, 0.5, where=self._constant)
         if not np.isfinite(out).all():
             k = int(np.argmin(np.isfinite(out).all(axis=0)))
             raise DataError(

@@ -9,8 +9,11 @@ decision = argmax of the interval midpoints (ties go to the lowest index).
 For p > 0 the soundness of every class and both bounds is one scaled matrix
 product (_soundness_bounds); the few cells it cannot give exactly (extreme
 p, underflowing products) are recomputed one by one with _power_mean_rows,
-which also computes every cell for p < 0. Non-finite input is refused with
-DataError.
+which also computes every cell for p < 0. The operands that depend on the
+model alone (normalization divisors, the certainty's firing mask, column
+maxima and scaled powers) are built once when the model is constructed,
+so a call computes only what depends on its patterns. Non-finite input is
+refused with DataError.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .rulebase import RuleBase, membership_bounds
+from .rulebase import _TINY, RuleBase, _SoundnessConstants, membership_bounds
 from .subclust import BLOCK_ELEMENTS
 
 
@@ -90,15 +93,16 @@ def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray
 
 # Each term of a scaled sum that underflows is off by less than _TINY, so
 # a sum of count terms at or above count * _FLOOR is exact to rounding.
-_TINY = np.finfo(float).tiny
 _FLOOR = _TINY / np.finfo(float).eps
 
 
 def _soundness_bounds(
-    lower: np.ndarray, upper: np.ndarray, certainty: np.ndarray, p: float
+    lower: np.ndarray, upper: np.ndarray, consts: _SoundnessConstants
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class soundness bound matrices (n, M) from membership bounds
-    0 <= lower <= upper <= 1 (n, c) and certainty degrees R in [0, 1] (c, M).
+    0 <= lower <= upper <= 1 (n, c) and the model's constants (built by
+    rulebase._soundness_constants from certainty degrees R in [0, 1] (c, M)
+    and the exponent p).
 
     Rule k fires for class j when upper_k * R_kj > 0, and each bound's
     soundness is the power mean of bound_k * R_kj over the firing rules.
@@ -109,7 +113,9 @@ def _soundness_bounds(
         soundness = s * t * (S / count)**(1/p)   (0 where count is 0),
 
     where s is the row max of B and t the column max of R, so every scaled
-    term is at most 1 and the sum cannot overflow. The cells the product
+    term is at most 1 and the sum cannot overflow. Everything that depends
+    on R and p alone (the float (R > 0), t, (R / t)**p and the smallest
+    positive R) comes from consts, built once per model. The cells the product
     cannot give exactly are recomputed by _power_mean_rows, each as a row
     of its own:
       - a scaled sum below count * _FLOOR, where underflowed terms could
@@ -123,19 +129,17 @@ def _soundness_bounds(
     For p < 0 every cell with a firing rule takes that exact path (p = 0 is
     refused where the model is built).
     """
-    n, c, M = lower.shape[0], lower.shape[1], certainty.shape[1]
+    n, c, M = lower.shape[0], lower.shape[1], consts.certainty.shape[1]
+    p = consts.p
     fires = upper > 0.0
-    RT = np.maximum(certainty.T, 0.0, order="C")  # (M, c); negatives never fire
-    pos = RT > 0.0
-    count = np.matmul(fires, pos.T.astype(float))
+    count = np.matmul(fires, consts.firing)
     if p > 0:
         B = np.concatenate((lower, upper))
         s = B.max(axis=1, initial=_TINY)
-        t = RT.max(axis=1, initial=_TINY)
         B /= s[:, None]
         B **= p
-        S = (B @ ((RT / t[:, None]) ** p).T).reshape(2, n, M)
-        st = s.reshape(2, n, 1) * t
+        S = (B @ consts.weights).reshape(2, n, M)
+        st = s.reshape(2, n, 1) * consts.t
         fine = (S > count * _FLOOR) & (st >= _TINY)
         # Cells that are not fine hold S / count * s * t, which is 0 where
         # no rule fires and is recomputed everywhere else.
@@ -145,11 +149,10 @@ def _soundness_bounds(
         redo = (count > 0.0) & ~fine
         # Firing is decided on upper * R: when a positive product of
         # positive factors can round to 0, those rows need the exact test.
-        rmin = RT[pos].min(initial=1.0)
         # upper * rmin is monotone in upper, so the smallest firing bound
         # alone tells whether any such product rounds to 0.
-        if np.min(upper, where=fires, initial=np.inf) * rmin == 0.0:
-            redo |= (upper * rmin == 0.0).any(axis=1, where=fires)[:, None] & (count > 0.0)
+        if np.min(upper, where=fires, initial=np.inf) * consts.rmin == 0.0:
+            redo |= (upper * consts.rmin == 0.0).any(axis=1, where=fires)[:, None] & (count > 0.0)
     else:
         out = np.zeros((2, n, M))
         redo = np.broadcast_to(count > 0.0, out.shape)
@@ -160,7 +163,7 @@ def _soundness_bounds(
         step = max(1, BLOCK_ELEMENTS // max(1, c))
         for a in range(0, h.size, step):
             hb, ib, jb = h[a:a + step], i[a:a + step], j[a:a + step]
-            r = certainty[:, jb].T
+            r = consts.certainty[:, jb].T
             out[hb, ib, jb] = _power_mean_rows(bounds[hb, ib] * r, upper[ib] * r > 0.0, p)
     # The true bounds are ordered, but when m1 and m2 nearly coincide the two
     # rounded ones can differ by an ulp the wrong way; this moves such a
@@ -176,7 +179,7 @@ def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(X).all():
         raise DataError("input features must be finite (no nan or inf)")
     lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
-    return _soundness_bounds(lower, upper, rb.certainty, rb.aggregation_p)
+    return _soundness_bounds(lower, upper, rb._soundness)
 
 
 def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
@@ -206,5 +209,5 @@ def classify(x, rb: RuleBase) -> ClassificationResult:
         predicted=int(scores.argmax()),
         soundness=intervals,
         scores=scores,
-        no_rule_fired=bool(np.all(scores == 0.0)),
+        no_rule_fired=not scores.any(),
     )

@@ -22,11 +22,16 @@ only when such a row exists.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval-midpoint memberships.
+
+A RuleBase refuses non-finite prototypes, certainty entries and exponents,
+and builds the inference constants that depend on the model alone
+(_soundness_constants) once, when it is constructed.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +40,37 @@ from .errors import ConfigError, DataError
 from .subclust import SubclustParams, _sq_distance_blocks, subtractive_cluster
 
 FORMAT_VERSION = 1
+
+_TINY = np.finfo(float).tiny
+
+
+class _SoundnessConstants(NamedTuple):
+    """The operands of inference._soundness_bounds that depend only on the
+    model, read-only. R is the certainty (c, M), R+ its negatives clipped to
+    0 (negatives never fire)."""
+
+    certainty: np.ndarray  # R (c, M), for the exact path
+    p: float
+    firing: np.ndarray  # float (R+ > 0) (c, M), F-ordered
+    t: np.ndarray  # column maxima of R+ (M,), at least _TINY
+    weights: np.ndarray | None  # (R+ / t)**p (c, M), a transposed view; p > 0 only
+    rmin: float  # smallest positive entry of R+ (1 if none)
+
+
+def _soundness_constants(certainty: np.ndarray, p: float) -> _SoundnessConstants:
+    """Build the model-only operands of the soundness kernel once."""
+    RT = np.maximum(certainty.T, 0.0, order="C")  # (M, c)
+    pos = RT > 0.0
+    t = RT.max(axis=1, initial=_TINY)
+    # Transposed views of (M, c) arrays: BLAS picks its kernel, and so the
+    # products' rounding, by operand layout. (R / t)**p would divide by 0
+    # for p < 0, where the kernel does not use it.
+    firing = pos.T.astype(float)
+    weights = ((RT / t[:, None]) ** p).T if p > 0 else None
+    for a in (firing, t, weights):
+        if a is not None:
+            a.flags.writeable = False
+    return _SoundnessConstants(certainty, p, firing, t, weights, RT[pos].min(initial=1.0))
 
 
 @dataclass(frozen=True)
@@ -59,7 +95,13 @@ class Fuzzifiers:
 class RuleBase:
     """The persisted model: c prototypes, their certainty vectors, and the
     parameters needed to classify raw patterns (normalization, fuzzifiers,
-    aggregation exponent)."""
+    aggregation exponent).
+
+    Every field must be finite. The soundness kernel's model-only operands
+    (_soundness_constants) are built once here and kept read-only in
+    ``_soundness``; the fields are frozen, so they cannot go stale, and
+    dataclasses.replace rebuilds them.
+    """
 
     prototypes: np.ndarray
     source_classes: np.ndarray
@@ -81,12 +123,20 @@ class RuleBase:
             raise DataError("certainty must be a (c, num_classes) matrix")
         if P.shape[1] != self.normalization.num_features:
             raise DataError("prototype dimensionality must match normalization")
+        for name, A in (("prototypes", P), ("certainty", R)):
+            finite = np.isfinite(A).all(axis=1)
+            if not finite.all():
+                raise DataError(f"{name} must be finite (rule {int(np.argmin(finite)) + 1})")
+        if not np.isfinite(self.aggregation_p):
+            raise DataError(f"aggregation_p must be finite, got {self.aggregation_p!r}")
         if self.aggregation_p == 0.0:
             raise ConfigError("aggregation exponent p=0 is not supported")
         object.__setattr__(self, "prototypes", _freeze(P))
         object.__setattr__(self, "source_classes", _freeze(src))
         object.__setattr__(self, "certainty", _freeze(R))
         object.__setattr__(self, "class_names", tuple(str(c) for c in self.class_names))
+        object.__setattr__(self, "_soundness",
+                           _soundness_constants(self.certainty, self.aggregation_p))
 
     @property
     def num_rules(self) -> int:
@@ -119,10 +169,11 @@ def _distances(X, prototypes) -> np.ndarray:
     # A huge finite pattern overflows its squared distances to inf. Such a
     # row is recomputed from differences divided by its largest |difference|;
     # memberships depend only on the ratios d_k / d_q, so the scale cancels.
-    for i in np.flatnonzero(np.isinf(d).any(axis=1)):
-        diff = X[i] - P
-        diff /= np.abs(diff).max()
-        d[i] = np.einsum("ij,ij->i", diff, diff)
+    if d.max(initial=0.0) == np.inf:
+        for i in np.flatnonzero(np.isinf(d).any(axis=1)):
+            diff = X[i] - P
+            diff /= np.abs(diff).max()
+            d[i] = np.einsum("ij,ij->i", diff, diff)
     return np.sqrt(d, out=d)
 
 

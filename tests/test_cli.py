@@ -104,6 +104,23 @@ def circ_file(tmp_path, capsys):
     return path
 
 
+def two_rule_model():
+    """A hand-written model whose feature 1 spans only 1e-10."""
+    return {
+        "format": "it2frbc-model",
+        "format_version": 1,
+        "num_classes": 2,
+        "class_names": ["a", "b"],
+        "fuzzifiers": {"m1": 1.5, "m2": 2.5},
+        "aggregation_p": 2.0,
+        "normalization": {"min": [0.0, 0.0], "max": [1e-10, 2.0]},
+        "rules": [
+            {"center": [0.2, 0.3], "source_class": 0, "certainty": [0.9, 0.1]},
+            {"center": [0.8, 0.6], "source_class": 1, "certainty": [0.2, 0.8]},
+        ],
+    }
+
+
 class TestTrainPredict:
     def test_round_trip(self, tmp_path, capsys, circ_file):
         model = tmp_path / "model.json"
@@ -166,19 +183,7 @@ class TestTrainPredict:
         # 1e300 over the model's span of 1e-10 normalizes to inf; the row
         # used to be written as class 0 with scores [0, 0], exit 0.
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({
-            "format": "it2frbc-model",
-            "format_version": 1,
-            "num_classes": 2,
-            "class_names": ["a", "b"],
-            "fuzzifiers": {"m1": 1.5, "m2": 2.5},
-            "aggregation_p": 2.0,
-            "normalization": {"min": [0.0, 0.0], "max": [1e-10, 2.0]},
-            "rules": [
-                {"center": [0.2, 0.3], "source_class": 0, "certainty": [0.9, 0.1]},
-                {"center": [0.8, 0.6], "source_class": 1, "certainty": [0.2, 0.8]},
-            ],
-        }))
+        model.write_text(json.dumps(two_rule_model()))
         plain = tmp_path / "plain.csv"
         plain.write_text("5e-11,1.0\n1e300,1.0\n")
         out_file = tmp_path / "o.csv"
@@ -186,6 +191,26 @@ class TestTrainPredict:
                            "--out", str(out_file))
         assert code == 2
         assert "feature 1" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("field", ["center", "certainty", "aggregation_p"])
+    def test_predict_non_finite_model_field_refused(self, tmp_path, capsys, field):
+        # Such a model used to write class 0 with nan,nan scores on every row
+        # (nan center or exponent) or ignore a rule (nan certainty), exit 0.
+        doc = two_rule_model()
+        if field == "aggregation_p":
+            doc[field] = float("nan")
+        else:
+            doc["rules"][0][field][1] = float("nan")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("5e-11,1.0\n1e-11,0.5\n")
+        out_file = tmp_path / "o.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                           "--out", str(out_file))
+        assert code == 2
+        assert "must be finite" in err
         assert not out_file.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])

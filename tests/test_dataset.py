@@ -127,17 +127,29 @@ class TestNormalization:
         X = np.array([[0.0, 1.0], [4.0, 1.0]])
         assert np.allclose(params.invert(params.apply(X))[:, 0], X[:, 0])
 
-    def test_matches_per_column_formula(self):
+    @staticmethod
+    def assert_per_column_formula(constant):
         # (x - min) / span per column, a constant column at exactly 0.5.
         rng = np.random.default_rng(14)
         lo = rng.normal(size=9) * 10.0 ** rng.uniform(-5, 5, size=9)
         hi = lo + rng.uniform(0.1, 10.0, size=9) * 10.0 ** rng.uniform(-5, 5, size=9)
-        hi[4] = lo[4]
+        if constant is not None:
+            hi[constant] = lo[constant]
         X = rng.normal(size=(1000, 9)) * 10.0 ** rng.uniform(-5, 5, size=9)
         want = np.empty_like(X)
         for k in range(9):
-            want[:, k] = 0.5 if k == 4 else (X[:, k] - lo[k]) / (hi[k] - lo[k])
-        assert np.array_equal(NormalizationParams(lo, hi).apply(X), want)
+            want[:, k] = 0.5 if k == constant else (X[:, k] - lo[k]) / (hi[k] - lo[k])
+        params = NormalizationParams(lo, hi)
+        assert np.array_equal(params.apply(X), want)
+        for i in range(3):
+            assert np.array_equal(params.apply(X[i]), want[i])
+
+    def test_matches_per_column_formula(self):
+        self.assert_per_column_formula(constant=4)
+
+    def test_matches_per_column_formula_without_constant_column(self):
+        # apply() skips the constant-column fill when there is none.
+        self.assert_per_column_formula(constant=None)
 
     def test_overflowing_value_refused(self):
         # 1e300 over a span of 1e-10 used to become inf, and inference then

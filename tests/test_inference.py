@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,10 +12,12 @@ from it2frbc import (
     RuleBase,
     classify,
     classify_batch,
+    load_rulebase,
+    save_rulebase,
 )
-from it2frbc import inference
-from it2frbc.inference import _power_mean_rows, _soundness_bounds
-from it2frbc.rulebase import membership_bounds
+from it2frbc import inference, rulebase
+from it2frbc.inference import _power_mean_rows
+from it2frbc.rulebase import _soundness_constants, membership_bounds
 
 from frm_reference import power_mean as ref_power_mean
 from frm_reference import predict as ref_predict
@@ -48,6 +51,13 @@ TWO_RULE_RB = make_rulebase(
 PROBE = np.array([0.25, 0.0])
 
 
+def soundness(lower, upper, certainty, p):
+    """The soundness kernel on constants built by the model's own helper."""
+    return inference._soundness_bounds(
+        lower, upper, _soundness_constants(np.asarray(certainty, dtype=float), p)
+    )
+
+
 def matching(x, rb):
     """Membership bounds (c,) of one normalized pattern to each rule."""
     x = np.asarray(x, dtype=float)
@@ -58,7 +68,7 @@ def matching(x, rb):
 def association(lower, upper, certainty, k, p=2.0):
     """Association bounds (M,) of rule k alone: the power mean of a single
     firing value is that value, so the kernel returns the product itself."""
-    y_lower, y_upper = _soundness_bounds(
+    y_lower, y_upper = soundness(
         np.array([[lower[k]]]), np.array([[upper[k]]]), certainty[[k]], p
     )
     return y_lower[0], y_upper[0]
@@ -187,19 +197,19 @@ class TestQuasiarithmeticMean:
 
 class TestSoundness:
     def test_all_zero_class(self):
-        lower, upper = _soundness_bounds(
+        lower, upper = soundness(
             np.array([[0.1]]), np.array([[0.2]]), np.array([[0.0, 1.0]]), 2.0
         )
         assert (lower[0, 0], upper[0, 0]) == (0.0, 0.0)
         assert upper[0, 1] > 0
 
     def test_single_rule_idempotent(self):
-        lower, upper = _soundness_bounds(np.array([[0.3]]), np.array([[0.6]]), np.ones((1, 1)), 2.0)
+        lower, upper = soundness(np.array([[0.3]]), np.array([[0.6]]), np.ones((1, 1)), 2.0)
         assert lower[0, 0] == pytest.approx(0.3)
         assert upper[0, 0] == pytest.approx(0.6)
 
     def test_two_rules_arithmetic(self):
-        lower, upper = _soundness_bounds(
+        lower, upper = soundness(
             np.array([[0.2, 0.8]]), np.array([[0.4, 1.0]]), np.ones((2, 1)), 1.0
         )
         assert lower[0, 0] == pytest.approx(0.5)
@@ -207,7 +217,7 @@ class TestSoundness:
 
     def test_qualifies_on_upper_bound(self):
         # lower bound 0 must not drop the rule when its upper bound fires
-        lower, upper = _soundness_bounds(
+        lower, upper = soundness(
             np.array([[0.0, 0.2]]), np.array([[0.4, 0.5]]), np.ones((2, 1)), 2.0
         )
         assert lower[0, 0] == pytest.approx(np.sqrt((0.0 + 0.04) / 2))
@@ -339,13 +349,62 @@ class TestProductKernel:
         monkeypatch.setattr(inference, "_power_mean_rows", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = np.stack(_soundness_bounds(lower, upper, certainty, p))
+            got = np.stack(soundness(lower, upper, certainty, p))
         assert bool(calls) == needs_exact
         assert np.all(got[0] <= got[1])
         np.testing.assert_allclose(got, exact_soundness(lower, upper, certainty, p),
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got, reference_soundness(lower, upper, certainty, p),
                                    rtol=1e-12, atol=1e-12)
+
+
+class TestModelConstants:
+    """The soundness kernel's model-only operands are built with the model."""
+
+    def model(self, p=2.0):
+        rng = np.random.default_rng(18)
+        return make_rulebase(rng.uniform(size=(24, 3)), rng.dirichlet(np.ones(3), size=24),
+                             p=p), rng.uniform(size=(60, 3))
+
+    def test_built_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counted(certainty, p):
+            calls.append(p)
+            return _soundness_constants(certainty, p)
+
+        monkeypatch.setattr(rulebase, "_soundness_constants", counted)
+        rb, X = self.model()
+        assert calls == [2.0]
+        for x in X[:20]:
+            classify(x, rb)
+        classify_batch(X, rb)
+        assert calls == [2.0]
+
+    def test_read_only(self):
+        rb, _ = self.model()
+        for a in rb._soundness:
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable
+
+    @pytest.mark.parametrize("field", ["aggregation_p", "certainty"])
+    def test_replace_rebuilds(self, field):
+        rb, X = self.model()
+        value = {"aggregation_p": -2.0, "certainty": np.roll(rb.certainty, 1, axis=1)}[field]
+        changed = dataclasses.replace(rb, **{field: value})
+        fresh = make_rulebase(changed.prototypes, changed.certainty, p=changed.aggregation_p)
+        _, got = classify_batch(X, changed)
+        assert np.array_equal(got, classify_batch(X, fresh)[1])
+        assert not np.array_equal(got, classify_batch(X, rb)[1])
+
+    @pytest.mark.parametrize("p", [2.0, -1.5])
+    def test_save_load_round_trip(self, tmp_path, p):
+        rb, X = self.model(p)
+        path = tmp_path / "model.json"
+        save_rulebase(rb, path)
+        got = classify_batch(X, load_rulebase(path))
+        want = classify_batch(X, rb)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestClassify:
@@ -455,7 +514,7 @@ class TestClassify:
             for k in range(rb.num_rules):
                 lower, upper = association(m_lower, m_upper, rb.certainty, k, rb.aggregation_p)
                 assert np.all(lower <= upper)
-            lower, upper = _soundness_bounds(
+            lower, upper = soundness(
                 m_lower[None, :], m_upper[None, :], rb.certainty, rb.aggregation_p
             )
             assert np.all(lower <= upper)

@@ -407,6 +407,27 @@ class TestPersistence:
         preds, _ = classify_batch(rng.uniform(size=(20, 2)), rb)
         assert np.all(preds == 0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("center", np.nan, r"prototypes must be finite \(rule 2\)"),
+        ("center", -np.inf, r"prototypes must be finite \(rule 2\)"),
+        ("certainty", np.nan, r"certainty must be finite \(rule 2\)"),
+        ("aggregation_p", np.nan, "aggregation_p must be finite"),
+        ("aggregation_p", np.inf, "aggregation_p must be finite"),
+    ], ids=["center-nan", "center-inf", "certainty-nan", "p-nan", "p-inf"])
+    def test_non_finite_field_refused(self, tmp_path, key, value, message):
+        # A nan center or exponent used to give class 0 with nan scores on
+        # every row; a nan certainty entry, a rule that never fires.
+        path = tmp_path / "model.json"
+        save_rulebase(self.make_rulebase(), path)
+        doc = json.loads(path.read_text())
+        if key == "aggregation_p":
+            doc[key] = value
+        else:
+            doc["rules"][1][key][0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=message):
+            load_rulebase(path)
+
 
 class TestExportRules:
     def test_two_rule_format(self):
