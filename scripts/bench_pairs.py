@@ -12,8 +12,9 @@ Every run uses the benchmark code of its own checkout and the same
 ``--seconds``. The record holds every run's result line, metadata and
 unscaled ("as_measured") metrics and, per workload and end-to-end metric,
 each side's median and quartiles and the number of pairs the change won
-(ties count for neither side). A workload's ``all_correct`` is false when
-any of its runs reported ``correct: false`` or a failed operation.
+(ties count for neither side), for the scaled values and, under
+"as_measured", for the unscaled ones. A workload's ``all_correct`` is false
+when any of its runs reported ``correct: false`` or a failed operation.
 """
 from __future__ import annotations
 
@@ -46,16 +47,19 @@ def quartiles(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def compare(pairs: list[dict], key: str, name: str, direction: str) -> dict:
+    par = [p["parent"][key][name] for p in pairs]
+    chg = [p["change"][key][name] for p in pairs]
+    sign = -1.0 if direction == "lower" else 1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+    return {"parent": quartiles(par), "change": quartiles(chg), "change_wins": wins}
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    out = {}
-    for name, direction in better.items():
-        par = [p["parent"]["metrics"][name] for p in pairs]
-        chg = [p["change"]["metrics"][name] for p in pairs]
-        sign = -1.0 if direction == "lower" else 1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
-        out[name] = {"better": direction, "parent": quartiles(par), "change": quartiles(chg),
-                     "change_wins": wins, "pairs": len(pairs)}
-    return out
+    return {name: {"better": direction, **compare(pairs, "metrics", name, direction),
+                   "pairs": len(pairs),
+                   "as_measured": compare(pairs, "as_measured", name, direction)}
+            for name, direction in better.items()}
 
 
 def spec(text: str, parts: int) -> tuple:

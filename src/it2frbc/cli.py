@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -73,10 +74,20 @@ def _add_subclust_flags(p: argparse.ArgumentParser, require_choice: bool) -> Non
     p.add_argument("--max-centers", type=int, default=None, help="safety cap on centers")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m1", type=float, default=1.5, help="lower fuzzifier")
     p.add_argument("--m2", type=float, default=2.5, help="upper fuzzifier")
-    p.add_argument("--p", type=float, default=2.0, help="aggregation exponent")
+    p.add_argument("--p", type=_finite_float, default=2.0, help="aggregation exponent")
 
 
 def build_parser() -> _Parser:
@@ -211,6 +222,40 @@ def cmd_train(args) -> int:
     return 0
 
 
+_QUOTE = csv.excel.quotechar
+# The characters that make csv.writer quote a cell: ',', '"', '\r', '\n'.
+_SPECIAL = csv.excel.delimiter + _QUOTE + csv.excel.lineterminator
+
+
+def _csv_cell(cell: str) -> str:
+    """``cell`` as csv.writer (excel dialect, minimal quoting) writes it in a row."""
+    if any(ch in cell for ch in _SPECIAL):
+        return _QUOTE + cell.replace(_QUOTE, _QUOTE + _QUOTE) + _QUOTE
+    return cell
+
+
+def _predict_body(cells, width, class_names, predictions, scores) -> str:
+    """predict's data rows, byte for byte as csv.writer would write them.
+
+    The feature cells are echoed as read; only the scores are formatted
+    (``repr``). A cell ``float()`` accepts holds no ',' or '"', but it may
+    hold a line break from a quoted input cell. Counting the special
+    characters of all cells at once finds those, and only then is each cell
+    quoted on its own.
+    """
+    feats = list(map(",".join, cells))
+    joined = "".join(feats)
+    if [joined.count(ch) for ch in _SPECIAL] != [len(feats) * (width - 1), 0, 0, 0]:
+        feats = [",".join(map(_csv_cell, row)) for row in cells]
+    names = list(map(_csv_cell, class_names))
+    score_cells = iter(map(repr, scores.ravel().tolist()))
+    lines = list(map(",".join, zip(
+        feats, map(names.__getitem__, predictions.tolist()), *[score_cells] * scores.shape[1]
+    )))
+    lines.append("")  # so the join ends the last row with a line terminator too
+    return "\r\n".join(lines)
+
+
 def cmd_predict(args) -> int:
     rb = load_rulebase(args.model)
     n = rb.num_features
@@ -245,11 +290,7 @@ def cmd_predict(args) -> int:
             + ["predicted"]
             + [f"score_{name}" for name in rb.class_names]
         )
-        # The feature cells are echoed as read; only the scores are formatted.
-        writer.writerows(
-            [*row, rb.class_names[pred], *map(repr, score)]
-            for row, pred, score in zip(cells, predictions.tolist(), scores.tolist())
-        )
+        fh.write(_predict_body(cells, n, rb.class_names, predictions, scores))
     print(f"wrote predictions for {len(X)} rows to {args.out}")
 
     if labels is not None:

@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ConfigError("runs must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0,1)")
+        if not np.isfinite(self.aggregation_p):
+            raise ConfigError(f"aggregation exponent p must be finite, got {self.aggregation_p!r}")
         if self.aggregation_p == 0.0:
             raise ConfigError("aggregation exponent p=0 is not supported")
 

@@ -22,14 +22,21 @@ def result(p50, raw_p50, correct=True, failed=0):
 
 
 def test_summarize_counts_wins_and_ties(bench_pairs):
-    pairs = [{"parent": result(p, 0.0), "change": result(c, 0.0)}
-             for p, c in [(100.0, 80.0), (100.0, 100.0), (90.0, 95.0), (110.0, 70.0)]]
+    # The unscaled values tell a different story: the change wins 3 pairs.
+    pairs = [{"parent": result(p, rp), "change": result(c, rc)}
+             for p, c, rp, rc in [(100.0, 80.0, 200.0, 150.0), (100.0, 100.0, 200.0, 190.0),
+                                  (90.0, 95.0, 180.0, 170.0), (110.0, 70.0, 220.0, 220.0)]]
     got = bench_pairs.summarize(pairs, {"classify_p50_us": "lower", "setup_s": "lower"})
     p50 = got["classify_p50_us"]
     assert (p50["change_wins"], p50["pairs"]) == (2, 4)
     assert p50["parent"]["median"] == 100.0
     assert p50["change"]["median"] == 87.5
     assert got["setup_s"]["change_wins"] == 0
+    raw = p50["as_measured"]
+    assert raw["change_wins"] == 3
+    assert raw["parent"] == {"median": 200.0, "q1": 195.0, "q3": 205.0}
+    assert raw["change"]["median"] == 180.0
+    assert got["setup_s"]["as_measured"]["change_wins"] == 0
 
 
 def test_main_keeps_unscaled_values_and_flags_failures(bench_pairs, tmp_path, monkeypatch):
@@ -69,6 +76,7 @@ def test_main_keeps_unscaled_values_and_flags_failures(bench_pairs, tmp_path, mo
     assert run["metrics"]["classify_p50_us"] == 80.0
     assert run["as_measured"]["classify_p50_us"] == 160.0
     assert online["summary"]["classify_p50_us"]["change_wins"] == 2
+    assert online["summary"]["classify_p50_us"]["as_measured"]["change"]["median"] == 160.0
     assert doc["trace"][0]["workload"] == "online_classify"
     assert doc["trace"][0]["parent"]["as_measured"]["classify_p50_us"] == 200.0
 

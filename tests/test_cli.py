@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import pathlib
@@ -250,6 +251,16 @@ class TestTrainPredict:
                            "--no-sc", "--model", str(tmp_path / "m.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_p_is_a_usage_error(self, tmp_path, capsys, circ_file, bad):
+        # Used to exit 2, refused by the model after the data was read.
+        model = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--in", str(circ_file), "--no-sc",
+                           f"--p={bad}", "--model", str(model))
+        assert code == 1
+        assert "--p" in err
+        assert not model.exists()
+
 
 class TestPredictEcho:
     """predict echoes the feature cells as read and writes repr scores."""
@@ -296,6 +307,50 @@ class TestPredictEcho:
         assert rows[0] == ["f1", "f2", "predicted", "score_1", "score_2"]
         assert [row[:2] for row in rows[1:]] == [["10.0", "10"], ["0.5", "1.9e1"]]
         assert all(len(row) == 5 for row in rows)
+
+    @staticmethod
+    def reference_bytes(model, data, header=False, label_col=None):
+        """What csv.writer (excel dialect) writes for ``data``: the header,
+        then each row's feature cells as read, the class name and repr scores."""
+        rb = load_rulebase(model)
+        with open(data, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+        if label_col is not None:
+            rows = [row[:label_col] + row[label_col + 1:] for row in rows]
+        if header:
+            rows = rows[1:]
+        preds, scores = classify_batch(np.array(rows, dtype=float), rb)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow([f"f{i + 1}" for i in range(rb.num_features)] + ["predicted"]
+                        + [f"score_{name}" for name in rb.class_names])
+        writer.writerows([*row, rb.class_names[k], *map(repr, s)]
+                         for row, k, s in zip(rows, preds.tolist(), scores.tolist()))
+        return buf.getvalue().encode()
+
+    def predict_bytes(self, capsys, tmp_path, model, data, *extra):
+        self.predict(capsys, tmp_path, model, data, *extra)
+        return (tmp_path / "pred.csv").read_bytes()
+
+    def test_bytes_match_csv_writer_when_cells_need_quoting(self, tmp_path, capsys):
+        # Class names with a comma and a quote, and feature cells holding a
+        # line break inside a quoted input cell, are quoted as csv.writer does.
+        doc = two_rule_model()
+        doc["class_names"] = ["a,b", 'c"d']
+        doc["normalization"] = {"min": [0.0, 0.0], "max": [1.0, 2.0]}
+        model = tmp_path / "quoting.json"
+        model.write_text(json.dumps(doc))
+        data = tmp_path / "quoting.csv"
+        data.write_bytes(b'"0.1\n", 0.5\r\n1e3,"\r\n0.2"\n0.9,1.5\r\n')
+        got = self.predict_bytes(capsys, tmp_path, model, data)
+        assert got == self.reference_bytes(model, data)
+        assert b'"0.1\n", 0.5,"a,b",' in got and b'"c""d"' in got
+        assert b'1e3,"\r\n0.2",' in got and got.endswith(b"\r\n")
+
+    def test_bytes_match_csv_writer(self, tmp_path, capsys, model, circ_file):
+        got = self.predict_bytes(capsys, tmp_path, model, circ_file)
+        assert got == self.reference_bytes(model, circ_file, header=True, label_col=2)
+        assert got.endswith(b"\r\n")
 
 
 class TestExportRules:
@@ -390,6 +445,15 @@ class TestEval:
                            "--p", "0")
         assert code == 1
         assert "p=0" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_p_is_a_usage_error(self, capsys, bad):
+        # Used to write a report in which every run failed, then exit 2.
+        code, out, err = run(capsys, "eval", "--gen", "circular", "--runs", "2", "--no-sc",
+                             f"--p={bad}")
+        assert code == 1
+        assert "--p" in err
+        assert out == ""
 
     def test_ra_and_no_sc_conflict(self, capsys):
         code, _, err = run(capsys, "eval", "--gen", "circular", "--ra", "0.2", "--no-sc")

@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(generator="wavy")
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_p(self, p):
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(generator="circular", aggregation_p=p)
+
     def test_defaults_describe(self):
         desc = ExperimentConfig(generator="circular").describe()
         assert desc["runs"] == "32"
