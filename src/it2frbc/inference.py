@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import DataError
 from .rulebase import _TINY, RuleBase, _SoundnessConstants, membership_bounds
 from .subclust import BLOCK_ELEMENTS
@@ -187,9 +188,10 @@ def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
 
     Normalization is applied internally; scores are the per-class soundness
     interval midpoints and predictions their row argmax (ties -> lowest
-    class index).
+    class index). The products run on one BLAS thread (see _blas).
     """
-    y_lower, y_upper = _soundness_of(np.atleast_2d(np.asarray(X, dtype=float)), rb)
+    with one_blas_thread():
+        y_lower, y_upper = _soundness_of(np.atleast_2d(np.asarray(X, dtype=float)), rb)
     scores = 0.5 * (y_lower + y_upper)
     return scores.argmax(axis=1), scores
 

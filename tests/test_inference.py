@@ -15,7 +15,7 @@ from it2frbc import (
     load_rulebase,
     save_rulebase,
 )
-from it2frbc import inference, rulebase
+from it2frbc import _blas, inference, rulebase
 from it2frbc.inference import _power_mean_rows
 from it2frbc.rulebase import _soundness_constants, membership_bounds
 
@@ -580,3 +580,38 @@ class TestClassify:
         rb = make_rulebase(protos, cert, p=-1.5)
         res = classify(np.array([0.5]), rb)
         assert res.scores == pytest.approx([0.6, 0.4], abs=1e-15)
+
+
+class TestOneBlasThread:
+    needs_openblas = pytest.mark.skipif(
+        _blas._FUNCTIONS is None, reason="numpy's OpenBLAS not found"
+    )
+
+    @needs_openblas
+    def test_limits_inside_and_restores_after_nested_blocks(self):
+        set_threads, get_threads = _blas._FUNCTIONS
+        before = get_threads()
+        with _blas.one_blas_thread():
+            assert get_threads() == 1
+            with _blas.one_blas_thread():
+                assert get_threads() == 1
+            assert get_threads() == 1
+        assert get_threads() == before
+
+    @needs_openblas
+    def test_restores_after_an_error(self):
+        _, get_threads = _blas._FUNCTIONS
+        before = get_threads()
+        with pytest.raises(DataError):
+            classify_batch(np.array([[np.nan]]), make_rulebase([[0.5]], [[1.0]]))
+        assert get_threads() == before
+
+    def test_batch_equals_threaded_product(self):
+        # One thread gives the same bytes as the default thread count.
+        rng = np.random.default_rng(3)
+        rb = make_rulebase(rng.random((128, 9)), rng.random((128, 2)))
+        X = rng.random((3000, 9))
+        lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
+        want = inference._soundness_bounds(lower, upper, rb._soundness)
+        _, scores = classify_batch(X, rb)
+        assert np.array_equal(scores, 0.5 * (want[0] + want[1]))
