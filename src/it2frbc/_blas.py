@@ -1,8 +1,8 @@
 """Run numpy's matrix products on one OpenBLAS thread for the length of a call.
 
-classify_batch's soundness product, (2n, c) @ (c, M) with M the number of
-classes, is too thin to gain from BLAS threads: on a 2-CPU host a 10k-row
-predict takes the same time on one thread as on two. A threaded product
+classify_batch's soundness product, (2 * rows, c) @ (c, M) per row block
+with M the number of classes, is too thin to gain from BLAS threads: on a
+2-CPU host a 10k-row predict takes the same time on one thread as on two. A threaded product
 costs more than it gives, though: OpenBLAS keeps its worker threads spinning
 for a while after each threaded call, and code that runs right after the call
 stalls for milliseconds now and then while they do. One thread gives the same

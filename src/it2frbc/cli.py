@@ -85,8 +85,8 @@ def _finite_float(text: str) -> float:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m1", type=float, default=1.5, help="lower fuzzifier")
-    p.add_argument("--m2", type=float, default=2.5, help="upper fuzzifier")
+    p.add_argument("--m1", type=_finite_float, default=1.5, help="lower fuzzifier")
+    p.add_argument("--m2", type=_finite_float, default=2.5, help="upper fuzzifier")
     p.add_argument("--p", type=_finite_float, default=2.0, help="aggregation exponent")
 
 

@@ -12,8 +12,11 @@ p, underflowing products) are recomputed one by one with _power_mean_rows,
 which also computes every cell for p < 0. The operands that depend on the
 model alone (normalization divisors, the certainty's firing mask, column
 maxima and scaled powers) are built once when the model is constructed,
-so a call computes only what depends on its patterns. Non-finite input is
-refused with DataError.
+so a call computes only what depends on its patterns. classify_batch runs
+the kernel over row blocks whose (rows, c) arrays hold about
+subclust.BLOCK_ELEMENTS values each (about 2 MB), so its memory is the
+(n, M) scores plus a few such blocks, whatever n is; classify calls the
+kernel on its one row directly. Non-finite input is refused with DataError.
 """
 from __future__ import annotations
 
@@ -123,17 +126,18 @@ def _soundness_bounds(
         matter (large p), or a scale s * t below the smallest normal float;
       - every cell of a row where some upper_k * R_kj of positive factors
         can round to 0, since firing is decided on that product.
-    Besides the firing mask and its float copy for the count, the only
-    (n, c) arrays are the stacked rows B, which are scaled and raised to p
-    in place; whether any firing product can round to 0 is read off the
-    smallest firing upper bound, with no (n, c) product.
+    Besides the firing mask, built as floats for the count, the only (n, c)
+    arrays are the stacked rows B, which are scaled and raised to p in
+    place; whether any firing product can round to 0 is read off the
+    smallest firing upper bound, with no (n, c) product. classify_batch
+    calls this on row blocks (_row_blocks), so n is at most a block.
     For p < 0 every cell with a firing rule takes that exact path (p = 0 is
     refused where the model is built).
     """
     n, c, M = lower.shape[0], lower.shape[1], consts.certainty.shape[1]
     p = consts.p
-    fires = upper > 0.0
-    count = np.matmul(fires, consts.firing)
+    # The firing mask is written as floats, the dtype of the product.
+    count = np.matmul(np.greater(upper, 0.0, out=np.empty_like(upper)), consts.firing)
     if p > 0:
         B = np.concatenate((lower, upper))
         s = B.max(axis=1, initial=_TINY)
@@ -151,8 +155,13 @@ def _soundness_bounds(
         # Firing is decided on upper * R: when a positive product of
         # positive factors can round to 0, those rows need the exact test.
         # upper * rmin is monotone in upper, so the smallest firing bound
-        # alone tells whether any such product rounds to 0.
-        if np.min(upper, where=fires, initial=np.inf) * consts.rmin == 0.0:
+        # alone tells whether any such product rounds to 0. Bounds are
+        # >= 0, so it is the smallest bound unless that one is 0.
+        smallest = upper.min(initial=np.inf)
+        if smallest == 0.0:
+            smallest = np.min(upper, where=upper > 0.0, initial=np.inf)
+        if smallest * consts.rmin == 0.0:
+            fires = upper > 0.0
             redo |= (upper * consts.rmin == 0.0).any(axis=1, where=fires)[:, None] & (count > 0.0)
     else:
         out = np.zeros((2, n, M))
@@ -183,16 +192,44 @@ def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     return _soundness_bounds(lower, upper, rb._soundness)
 
 
+# Blocks keep at least this many rows, so that splitting a batch leaves its
+# scores' bytes unchanged. With 2 classes, blocks of 300 rows or fewer move
+# the (2 * rows, c) @ (c, M) product onto another OpenBLAS kernel (measured
+# at 32 to 1024 rules), which changes the last bits of most scores; from
+# 384 rows up every split gave the bytes of the unsplit product. More
+# classes move the switch to fewer rows.
+_MIN_BLOCK_ROWS = 512
+
+
+def _row_blocks(n: int, c: int) -> list[int]:
+    """Edges of the row blocks of an n-pattern batch against c rules.
+
+    A block's (rows, c) arrays hold about BLOCK_ELEMENTS values, but never
+    fewer than _MIN_BLOCK_ROWS rows; the batch is split evenly, so block
+    lengths differ by at most one row. A batch that fits is one block.
+    """
+    k = max(1, min(-(-n // max(1, BLOCK_ELEMENTS // c)), n // _MIN_BLOCK_ROWS))
+    return [-(-i * n // k) for i in range(k + 1)]
+
+
 def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     """Classify raw-unit patterns (n, N); returns (predictions, scores).
 
     Normalization is applied internally; scores are the per-class soundness
     interval midpoints and predictions their row argmax (ties -> lowest
-    class index). The products run on one BLAS thread (see _blas).
+    class index). Rows go through the kernel in blocks (_row_blocks), each
+    writing its midpoints into the (n, M) scores, so the (rows, c) arrays
+    stay bounded whatever n is. The products run on one BLAS thread (see
+    _blas).
     """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    edges = _row_blocks(X.shape[0], rb.num_rules)
+    scores = np.empty((X.shape[0], rb.num_classes))
     with one_blas_thread():
-        y_lower, y_upper = _soundness_of(np.atleast_2d(np.asarray(X, dtype=float)), rb)
-    scores = 0.5 * (y_lower + y_upper)
+        for a, b in zip(edges, edges[1:]):
+            y_lower, y_upper = _soundness_of(X[a:b], rb)
+            np.add(y_lower, y_upper, out=scores[a:b])
+    scores *= 0.5
     return scores.argmax(axis=1), scores
 
 

@@ -18,7 +18,9 @@ Past the distances and the ratios to each row's nearest prototype, the
 only (n, c) arrays are the two partitions, each normalized in its own
 buffer, and the lower bound; the upper bound is written over the second
 partition. The shares of rows sitting on a prototype take one more, built
-only when such a row exists.
+only when such a row exists. Inference calls this per row block of
+bounded size (inference._row_blocks), so there n is at most a block;
+certainty_degrees calls it once on the whole training set.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval-midpoint memberships.
@@ -75,7 +77,7 @@ def _soundness_constants(certainty: np.ndarray, p: float) -> _SoundnessConstants
 
 @dataclass(frozen=True)
 class Fuzzifiers:
-    """Lower/upper fuzziness exponents (both > 1, m1 <= m2).
+    """Lower/upper fuzziness exponents (both finite and > 1, m1 <= m2).
 
     m1 == m2 degenerates to an ordinary type-1 membership (zero-width
     intervals); m1 < m2 opens the footprint of uncertainty.
@@ -85,6 +87,9 @@ class Fuzzifiers:
     m2: float = 2.5
 
     def __post_init__(self):
+        for name, m in (("m1", self.m1), ("m2", self.m2)):
+            if not np.isfinite(m):
+                raise ConfigError(f"fuzzifier {name} must be finite, got {m!r}")
         if not (self.m1 > 1.0 and self.m2 > 1.0):
             raise ConfigError("fuzzifiers must be greater than 1")
         if self.m1 > self.m2:
@@ -343,7 +348,8 @@ def load_rulebase(path) -> RuleBase:
             class_names=tuple(doc["class_names"]),
             aggregation_p=float(doc["aggregation_p"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        # A parameter that validation refuses is the file's fault here.
         raise DataError(f"malformed model file {path}: {exc}") from exc
     if rb.num_classes != int(doc["num_classes"]):
         raise DataError(f"malformed model file {path}: class count mismatch")

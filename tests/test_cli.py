@@ -262,6 +262,40 @@ class TestTrainPredict:
         assert not model.exists()
 
 
+    @pytest.mark.parametrize("flag", ["--m1", "--m2"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_fuzzifier_is_a_usage_error(self, tmp_path, capsys, circ_file, flag, bad):
+        # --m2=inf used to train and save a model with "m2": Infinity, exit 0.
+        model = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--in", str(circ_file), "--no-sc",
+                           f"{flag}={bad}", "--model", str(model))
+        assert code == 1
+        assert f"argument {flag}: must be a finite number" in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("fuzzifiers, p", [
+        ({"m1": 0.5, "m2": 2.5}, 2.0),
+        ({"m1": 3.0, "m2": 2.0}, 2.0),
+        ({"m1": 1.5, "m2": float("inf")}, 2.0),
+        ({"m1": 1.5, "m2": 2.5}, 0.0),
+    ], ids=["m1-below-1", "m1-above-m2", "m2-inf", "p-zero"])
+    def test_predict_invalid_model_parameter_is_a_data_error(self, tmp_path, capsys,
+                                                             fuzzifiers, p):
+        # Used to exit 1, a usage error, with a message that did not name the file.
+        doc = two_rule_model()
+        doc["fuzzifiers"], doc["aggregation_p"] = fuzzifiers, p
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("5e-11,1.0\n1e-11,0.5\n")
+        out_file = tmp_path / "o.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                           "--out", str(out_file))
+        assert code == 2
+        assert f"malformed model file {model}" in err
+        assert not out_file.exists()
+
+
 class TestPredictEcho:
     """predict echoes the feature cells as read and writes repr scores."""
 
@@ -453,6 +487,16 @@ class TestEval:
                              f"--p={bad}")
         assert code == 1
         assert "--p" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--m1", "--m2"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_fuzzifier_is_a_usage_error(self, capsys, flag, bad):
+        # --m2=inf used to run every split and exit 0.
+        code, out, err = run(capsys, "eval", "--gen", "circular", "--runs", "2", "--no-sc",
+                             f"{flag}={bad}")
+        assert code == 1
+        assert f"argument {flag}: must be a finite number" in err
         assert out == ""
 
     def test_ra_and_no_sc_conflict(self, capsys):

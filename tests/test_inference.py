@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -580,6 +581,54 @@ class TestClassify:
         rb = make_rulebase(protos, cert, p=-1.5)
         res = classify(np.array([0.5]), rb)
         assert res.scores == pytest.approx([0.6, 0.4], abs=1e-15)
+
+
+class TestRowBlocks:
+    """classify_batch runs the kernel over row blocks (inference._row_blocks)."""
+
+    @pytest.mark.parametrize("n, c", [(0, 128), (1, 128), (2048, 128), (2049, 128),
+                                      (10_000, 128), (7001, 128), (5000, 10**6)])
+    def test_edges(self, n, c):
+        edges = inference._row_blocks(n, c)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == n
+        assert sizes.max() - sizes.min() <= 1
+        if n * c <= inference.BLOCK_ELEMENTS:
+            assert len(sizes) == 1  # a batch that fits runs unsplit
+        else:
+            assert sizes.min() >= inference._MIN_BLOCK_ROWS
+            assert sizes.max() <= max(inference.BLOCK_ELEMENTS // c, 2 * inference._MIN_BLOCK_ROWS)
+
+    @pytest.mark.parametrize("p", [2.0, -1.5])
+    def test_blocks_equal_the_unblocked_kernel(self, p):
+        rng = np.random.default_rng(21)
+        rb = make_rulebase(rng.random((128, 9)), rng.random((128, 2)), p=p)
+        X = rng.random((7001, 9))
+        X[-3:-1] = rb.prototypes[[5, 77]]  # rows on a prototype
+        X[-5, 2] = 1e200  # squared distances overflow
+        edges = inference._row_blocks(len(X), rb.num_rules)
+        assert len(edges) >= 5 and edges[-1] - edges[-2] < edges[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preds, scores = classify_batch(X, rb)
+        lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
+        with _blas.one_blas_thread():
+            want = inference._soundness_bounds(lower, upper, rb._soundness)
+        assert np.array_equal(scores, 0.5 * (want[0] + want[1]))
+        assert np.array_equal(preds, scores.argmax(axis=1))
+
+    def test_peak_memory_is_bounded(self):
+        # Unblocked, the (n, c) arrays of 10k rows x 128 rules peak at 43.7 MB.
+        rng = np.random.default_rng(22)
+        rb = make_rulebase(rng.random((128, 9)), rng.random((128, 2)))
+        X = rng.random((10_000, 9))
+        tracemalloc.start()
+        try:
+            classify_batch(X, rb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestOneBlasThread:

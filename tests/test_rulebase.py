@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ class TestFuzzifiers:
     @pytest.mark.parametrize("m1,m2", [(1.0, 2.0), (0.5, 2.0), (2.0, 1.0), (2.5, 1.5)])
     def test_rejects_invalid(self, m1, m2):
         with pytest.raises(ConfigError):
+            Fuzzifiers(m1, m2)
+
+    @pytest.mark.parametrize("m1,m2,name", [(np.nan, 2.0, "m1"), (1.5, np.inf, "m2"),
+                                            (-np.inf, 2.0, "m1"), (np.inf, np.inf, "m1")])
+    def test_rejects_non_finite(self, m1, m2, name):
+        # An infinite m2 used to be accepted and saved as "m2": Infinity.
+        with pytest.raises(ConfigError, match=f"fuzzifier {name} must be finite"):
             Fuzzifiers(m1, m2)
 
 
@@ -426,6 +434,23 @@ class TestPersistence:
             doc["rules"][1][key][0] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=message):
+            load_rulebase(path)
+
+
+    @pytest.mark.parametrize("fuzzifiers, p, message", [
+        ({"m1": 0.5, "m2": 2.5}, 2.0, "greater than 1"),
+        ({"m1": 3.0, "m2": 2.0}, 2.0, "m1 must not exceed m2"),
+        ({"m1": 1.5, "m2": np.inf}, 2.0, "m2 must be finite"),
+        ({"m1": 1.5, "m2": 2.5}, 0.0, "p=0"),
+    ], ids=["m1-below-1", "m1-above-m2", "m2-inf", "p-zero"])
+    def test_invalid_parameter_is_a_data_error(self, tmp_path, fuzzifiers, p, message):
+        # Used to raise ConfigError (a usage error) without naming the file.
+        path = tmp_path / "model.json"
+        save_rulebase(self.make_rulebase(), path)
+        doc = json.loads(path.read_text())
+        doc["fuzzifiers"], doc["aggregation_p"] = fuzzifiers, p
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"malformed model file {re.escape(str(path))}: .*{message}"):
             load_rulebase(path)
 
 
