@@ -2,12 +2,12 @@
 
 classify_batch's soundness product, (2 * rows, c) @ (c, M) per row block
 with M the number of classes, is too thin to gain from BLAS threads: on a
-2-CPU host a 10k-row predict takes the same time on one thread as on two. A threaded product
-costs more than it gives, though: OpenBLAS keeps its worker threads spinning
-for a while after each threaded call, and code that runs right after the call
-stalls for milliseconds now and then while they do. One thread gives the same
-bytes, since OpenBLAS splits a product over its output cells, never over the
-inner sum.
+2-CPU host a 10k-row predict takes the same time on one thread as on two.
+A threaded product costs more than it gives, though: OpenBLAS keeps its
+worker threads spinning for a while after each threaded call, and code that
+runs right after the call stalls for milliseconds now and then while they
+do. One thread gives the same bytes, since OpenBLAS splits a product over
+its output cells, never over the inner sum.
 
 numpy wheels bundle OpenBLAS in a library beside the package (numpy.libs on
 Linux and Windows, numpy/.dylibs on macOS); its thread-count functions are
