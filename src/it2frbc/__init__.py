@@ -16,7 +16,7 @@ from .dataset import (
     save_csv,
     split,
 )
-from .errors import ConfigError, DataError, InternalError
+from .errors import ConfigError, DataError
 from .evaluation import (
     ExperimentConfig,
     ExperimentReport,
@@ -54,7 +54,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "Fuzzifiers",
-    "InternalError",
     "NormalizationParams",
     "RuleBase",
     "RunResult",

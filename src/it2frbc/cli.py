@@ -1,8 +1,11 @@
 """Command-line interface: data generation, clustering, training,
 prediction, benchmarking, and rule export.
 
-Exit codes: 0 success, 1 usage/parameter error, 2 data error, 3 internal
-error.
+Exit codes: 0 success; 1 usage error, for a value given on the command line
+that its parameter's rule refuses (a non-finite number, a radius with no
+finite, positive alpha or beta, a negative seed); 2 data error, for a value
+read from a file (a CSV cell, or a model file that fails validation); 3
+internal error.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .dataset import (
     save_csv,
     split,
 )
-from .errors import ConfigError, DataError, InternalError
+from .errors import ConfigError, DataError
 from .evaluation import ExperimentConfig, accuracy, confusion_matrix, emit_report, run_experiment
 from .inference import classify_batch
 from .rulebase import Fuzzifiers, build_rulebase, export_rules_text, load_rulebase, save_rulebase
@@ -63,14 +66,15 @@ def _subclust_from_args(args) -> SubclustParams | None:
 def _add_subclust_flags(p: argparse.ArgumentParser, require_choice: bool) -> None:
     if require_choice:
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--ra", type=float, help="subtractive-clustering radius")
+        group.add_argument("--ra", type=_finite_float, help="subtractive-clustering radius")
         group.add_argument("--no-sc", action="store_true",
                            help="single prototype per class (per-class mean)")
     else:
-        p.add_argument("--ra", type=float, required=True, help="subtractive-clustering radius")
-    p.add_argument("--rb-ratio", type=float, default=1.25, help="r_b = rb_ratio * r_a")
-    p.add_argument("--accept", type=float, default=0.5, help="accept ratio")
-    p.add_argument("--reject", type=float, default=0.15, help="reject ratio")
+        p.add_argument("--ra", type=_finite_float, required=True,
+                       help="subtractive-clustering radius")
+    p.add_argument("--rb-ratio", type=_finite_float, default=1.25, help="r_b = rb_ratio * r_a")
+    p.add_argument("--accept", type=_finite_float, default=0.5, help="accept ratio")
+    p.add_argument("--reject", type=_finite_float, default=0.15, help="reject ratio")
     p.add_argument("--max-centers", type=int, default=None, help="safety cap on centers")
 
 
@@ -113,7 +117,7 @@ def build_parser() -> _Parser:
     _add_subclust_flags(t, require_choice=True)
     _add_model_flags(t)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--train-frac", type=float, default=0.5)
+    t.add_argument("--train-frac", type=_finite_float, default=0.5)
     t.add_argument("--stratified", action="store_true")
     t.add_argument("--model", required=True, help="output model file (JSON)")
     t.set_defaults(func=cmd_train)
@@ -137,7 +141,7 @@ def build_parser() -> _Parser:
     _add_subclust_flags(e, require_choice=True)
     _add_model_flags(e)
     e.add_argument("--seed", type=int, default=0, help="master seed")
-    e.add_argument("--train-frac", type=float, default=0.5)
+    e.add_argument("--train-frac", type=_finite_float, default=0.5)
     e.add_argument("--stratified", action="store_true")
     e.add_argument("--format", choices=("table", "csv", "json"), default="table")
     e.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -270,8 +274,6 @@ def cmd_predict(args) -> int:
 
     label_col = trailing_label if args.label_col is None else args.label_col
     X, labels, label_col, cells = _read_csv(args.input, label_col)
-    if X.shape[1] != n:
-        raise DataError(f"input has {X.shape[1]} features but model expects {n}")
     predictions, scores = classify_batch(X, rb)
 
     _print_config(
@@ -347,15 +349,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, ConfigError) else 2
     except Exception as exc:  # pragma: no cover - last-resort guard
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,7 @@ builds its per-column divisors once, when it is constructed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,8 +149,14 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in the open interval (0,1)")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> int:
+    """The seed rule, for splits and generators alike; returns ``seed``."""
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    return seed
 
 
 def _is_number(cell: str) -> bool:
@@ -319,7 +325,7 @@ def gen_circular(seed: int) -> Dataset:
     (10,10): class 1 if d < 5, class 2 if d > 7; the annulus 5 <= d <= 7 is
     discarded. Drawing continues until the class totals reach 63 and 123.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     inner: list[np.ndarray] = []
     outer: list[np.ndarray] = []
     while len(inner) < CIRCULAR_COUNTS[0] or len(outer) < CIRCULAR_COUNTS[1]:
@@ -350,7 +356,7 @@ IRREGULAR_COUNTS = (480, 383)
 def gen_irregular(seed: int) -> Dataset:
     """Synthetic 2-feature problem: 863 patterns, class 1 (480) surrounding
     an irregular multi-lobe class 2 (383); not linearly separable."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     blob: list[tuple[float, float]] = []
     while len(blob) < IRREGULAR_COUNTS[1]:
         u = rng.random()

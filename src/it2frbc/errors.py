@@ -7,7 +7,3 @@ class DataError(Exception):
 
 class ConfigError(Exception):
     """A parameter violates its documented constraints."""
-
-
-class InternalError(Exception):
-    """An invariant that should be unreachable was violated."""

@@ -27,7 +27,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError
 from .inference import classify_batch
-from .rulebase import Fuzzifiers, RuleBase, build_rulebase
+from .rulebase import Fuzzifiers, RuleBase, _check_aggregation_p, build_rulebase
 from .subclust import SubclustParams
 
 
@@ -54,12 +54,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie in (0,1)")
-        if not np.isfinite(self.aggregation_p):
-            raise ConfigError(f"aggregation exponent p must be finite, got {self.aggregation_p!r}")
-        if self.aggregation_p == 0.0:
-            raise ConfigError("aggregation exponent p=0 is not supported")
+        SplitSpec(self.train_fraction, self.master_seed, self.stratified)
+        _check_aggregation_p(self.aggregation_p)
 
     def describe(self) -> dict[str, str]:
         """All settings materialized, for self-describing reports."""

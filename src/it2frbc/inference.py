@@ -32,14 +32,10 @@ from .subclust import BLOCK_ELEMENTS
 
 @dataclass(frozen=True)
 class SoundnessInterval:
-    """Aggregated per-class evidence interval."""
+    """Aggregated per-class evidence interval, 0 <= lower <= upper."""
 
     lower: float
     upper: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper:
-            raise DataError(f"invalid soundness interval [{self.lower}, {self.upper}]")
 
     @property
     def midpoint(self) -> float:
@@ -240,10 +236,12 @@ def classify(x, rb: RuleBase) -> ClassificationResult:
     if x.ndim != 1:
         raise DataError("classify expects a single feature vector")
     y_lower, y_upper = _soundness_of(x[None, :], rb)
+    lower, upper = y_lower[0].tolist(), y_upper[0].tolist()
+    for lo, up in zip(lower, upper):
+        if not 0.0 <= lo <= up:
+            raise DataError(f"invalid soundness interval [{lo}, {up}]")
     scores = 0.5 * (y_lower[0] + y_upper[0])
-    intervals = tuple(
-        SoundnessInterval(float(lo), float(up)) for lo, up in zip(y_lower[0], y_upper[0])
-    )
+    intervals = tuple(map(SoundnessInterval, lower, upper))
     return ClassificationResult(
         predicted=int(scores.argmax()),
         soundness=intervals,

@@ -75,6 +75,14 @@ def _soundness_constants(certainty: np.ndarray, p: float) -> _SoundnessConstants
     return _SoundnessConstants(certainty, p, firing, t, weights, RT[pos].min(initial=1.0))
 
 
+def _check_aggregation_p(p: float) -> None:
+    """The aggregation exponent's rule: finite and non-zero."""
+    if not np.isfinite(p):
+        raise ConfigError(f"aggregation_p must be finite, got {p!r}")
+    if p == 0.0:
+        raise ConfigError("aggregation exponent p=0 is not supported")
+
+
 @dataclass(frozen=True)
 class Fuzzifiers:
     """Lower/upper fuzziness exponents (both finite and > 1, m1 <= m2).
@@ -132,10 +140,7 @@ class RuleBase:
             finite = np.isfinite(A).all(axis=1)
             if not finite.all():
                 raise DataError(f"{name} must be finite (rule {int(np.argmin(finite)) + 1})")
-        if not np.isfinite(self.aggregation_p):
-            raise DataError(f"aggregation_p must be finite, got {self.aggregation_p!r}")
-        if self.aggregation_p == 0.0:
-            raise ConfigError("aggregation exponent p=0 is not supported")
+        _check_aggregation_p(self.aggregation_p)
         object.__setattr__(self, "prototypes", _freeze(P))
         object.__setattr__(self, "source_classes", _freeze(src))
         object.__setattr__(self, "certainty", _freeze(R))
@@ -225,8 +230,6 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     interval-midpoint memberships over all training patterns."""
     if len(train) == 0:
         raise DataError("certainty degrees need a non-empty training set")
-    if np.any(train.labels < 0):
-        raise DataError("certainty degrees need every training pattern labeled")
     P = np.atleast_2d(np.asarray(prototypes, dtype=float))
     lower, upper = membership_bounds(train.features, P, fz)
     U = 0.5 * (lower + upper)  # (n, c)
@@ -316,7 +319,7 @@ def save_rulebase(rb: RuleBase, path) -> None:
 
 
 def load_rulebase(path) -> RuleBase:
-    """Load a model written by save_rulebase."""
+    """Load a model written by save_rulebase; every refusal names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -328,13 +331,11 @@ def load_rulebase(path) -> RuleBase:
         raise DataError(f"{path} is not a recognized model file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise DataError(
-            f"unsupported model format version {doc.get('format_version')!r} "
+            f"{path}: unsupported model format version {doc.get('format_version')!r} "
             f"(expected {FORMAT_VERSION})"
         )
     try:
         rules = doc["rules"]
-        if not rules:
-            raise DataError("model has no rules")
         norm = NormalizationParams(
             np.array(doc["normalization"]["min"], dtype=float),
             np.array(doc["normalization"]["max"], dtype=float),
@@ -348,11 +349,11 @@ def load_rulebase(path) -> RuleBase:
             class_names=tuple(doc["class_names"]),
             aggregation_p=float(doc["aggregation_p"]),
         )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        # A parameter that validation refuses is the file's fault here.
+        if doc["num_classes"] != rb.num_classes:
+            raise DataError("class count mismatch")
+    except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
+        # A value that validation refuses is the file's fault here.
         raise DataError(f"malformed model file {path}: {exc}") from exc
-    if rb.num_classes != int(doc["num_classes"]):
-        raise DataError(f"malformed model file {path}: class count mismatch")
     return rb
 
 

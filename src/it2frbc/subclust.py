@@ -50,10 +50,17 @@ class SubclustParams:
     max_centers: int | None = None
 
     def __post_init__(self):
-        if not self.r_a > 0:
-            raise ConfigError("r_a must be positive")
-        if not self.rb_ratio > 0:
-            raise ConfigError("rb_ratio must be positive")
+        # The radius rule. A radius whose square underflows, overflows or is
+        # infinite makes alpha or beta 0 or inf (or raises), which gives nan
+        # potentials or no clusters.
+        try:
+            usable = self.r_a > 0 and self.rb_ratio > 0 and all(
+                0.0 < v < np.inf for v in (self.alpha, self.beta))
+        except (ZeroDivisionError, OverflowError):
+            usable = False
+        if not usable:
+            raise ConfigError(f"r_a={self.r_a!r} and rb_ratio={self.rb_ratio!r} must be positive "
+                              "and give a finite, positive alpha = 4/r_a**2 and beta = 4/r_b**2")
         if not 0.0 < self.accept_ratio <= 1.0:
             raise ConfigError("accept_ratio must lie in (0,1]")
         if not 0.0 <= self.reject_ratio < self.accept_ratio:

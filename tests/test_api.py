@@ -11,7 +11,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = {
     "ClassificationResult", "ConfigError", "DataError", "Dataset", "ExperimentConfig",
-    "ExperimentReport", "Fuzzifiers", "InternalError", "NormalizationParams", "RuleBase",
+    "ExperimentReport", "Fuzzifiers", "NormalizationParams", "RuleBase",
     "RunResult", "SoundnessInterval", "SplitSpec", "SubclustParams", "accuracy",
     "build_rulebase", "certainty_degrees", "classify", "classify_batch", "confusion_matrix",
     "emit_report", "export_rules_text", "fit_normalizer", "gen_circular", "gen_irregular",

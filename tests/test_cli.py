@@ -517,3 +517,114 @@ class TestUsage:
     def test_no_args(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
+
+
+class TestParameterRules:
+    """Each parameter rule refuses a value given on the command line with
+    exit 1, and a value read from a model file with exit 2."""
+
+    @pytest.mark.parametrize("ra", ["1e-170", "1e-200", "1e200", "1e-155", "1e-160"])
+    def test_cluster_extreme_radius(self, tmp_path, capsys, circ_file, ra):
+        # 1e-170, 1e-200 and 1e200 used to exit 3 (ZeroDivisionError or
+        # OverflowError in alpha); 1e-155 and 1e-160 gave alpha = inf, nan
+        # potentials and duplicate centers, with exit 0.
+        out_file = tmp_path / "c.csv"
+        code, _, err = run(capsys, "cluster", "--in", str(circ_file), f"--ra={ra}",
+                           "--out", str(out_file))
+        assert code == 1
+        assert "alpha" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("flag", ["--ra", "--rb-ratio", "--accept", "--reject"])
+    def test_cluster_non_finite_flag(self, tmp_path, capsys, circ_file, flag):
+        # --ra inf used to give alpha = 0 and exit 0 with 2 centers.
+        out_file = tmp_path / "c.csv"
+        code, _, err = run(capsys, "cluster", "--in", str(circ_file), "--ra", "0.3",
+                           f"{flag}=inf", "--out", str(out_file))
+        assert code == 1
+        assert f"argument {flag}: must be a finite number" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--ra=1e-170"], ["--ra=1e-200"], ["--ra=1e-155"], ["--ra=1e-160"],
+        ["--ra=0.2", "--rb-ratio=1e-200"],
+    ], ids=["ra-1e-170", "ra-1e-200", "ra-1e-155", "ra-1e-160", "rb-ratio-1e-200"])
+    def test_eval_extreme_radius(self, capsys, flags):
+        # The first two and --rb-ratio 1e-200 used to exit 3; 1e-155 and
+        # 1e-160 reported "93 rules" and 88.71%, with exit 0.
+        code, out, err = run(capsys, "eval", "--gen", "circular", "--runs", "2", *flags)
+        assert code == 1
+        assert "alpha" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_negative_seed(self, tmp_path, capsys, circ_file, command):
+        # gen-data and eval used to exit 3 with numpy's ValueError.
+        out_file = tmp_path / "out"
+        argv = {
+            "gen-data": ["--which", "circular", "--out", str(out_file)],
+            "train": ["--in", str(circ_file), "--no-sc", "--model", str(out_file)],
+            "eval": ["--in", str(circ_file), "--no-sc", "--runs", "1", "--out", str(out_file)],
+        }[command]
+        code, _, err = run(capsys, command, *argv, "--seed=-1")
+        assert code == 1
+        assert "seed must be a non-negative integer" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("value", [None, "two", 3, "missing"])
+    def test_predict_bad_num_classes(self, tmp_path, capsys, value):
+        # A missing or non-integer count used to exit 3.
+        doc = two_rule_model()
+        if value == "missing":
+            del doc["num_classes"]
+        else:
+            doc["num_classes"] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("5e-11,1.0\n1e-11,0.5\n")
+        out_file = tmp_path / "o.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                           "--out", str(out_file))
+        assert code == 2
+        assert f"malformed model file {model}" in err
+        assert not out_file.exists()
+
+    def test_predict_non_finite_max_names_the_file(self, tmp_path, capsys):
+        doc = two_rule_model()
+        doc["normalization"]["max"][1] = float("inf")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("5e-11,1.0\n")
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert f"malformed model file {model}: feature 2" in err
+
+
+SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-320", "1e-200", "1e-155", "1e200", "2",
+                "0.5"]
+SUBCLUST_FLAGS = ["--ra", "--rb-ratio", "--accept", "--reject", "--max-centers"]
+MODEL_FLAGS = ["--label-col", *SUBCLUST_FLAGS, "--m1", "--m2", "--p", "--seed", "--train-frac"]
+
+
+def test_no_numeric_flag_value_exits_3(tmp_path, capsys, circ_file):
+    """Every numeric flag of cluster, train, eval and gen-data, over values
+    at and past the edges of the float range, ends in 0, 1 or 2."""
+    out = str(tmp_path / "out")
+    commands = {
+        "cluster": (["--in", str(circ_file), "--ra", "0.3", "--out", out], SUBCLUST_FLAGS),
+        "train": (["--in", str(circ_file), "--ra", "0.3", "--model", out], MODEL_FLAGS),
+        "eval": (["--in", str(circ_file), "--ra", "0.3", "--runs", "1", "--out", out],
+                 MODEL_FLAGS),
+        "gen-data": (["--which", "circular", "--out", out], ["--seed"]),
+    }
+    codes = {}
+    for command, (base, flags) in commands.items():
+        for flag in flags:
+            for value in SWEEP_VALUES:
+                codes[command, flag, value] = main([command, *base, f"{flag}={value}"])
+    capsys.readouterr()
+    assert len(codes) == 308
+    assert {key: code for key, code in codes.items() if code not in (0, 1, 2)} == {}

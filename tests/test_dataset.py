@@ -272,6 +272,18 @@ class TestGenIrregular:
         assert best_linear_accuracy(ds.features, ds.labels) < 90.0
 
 
+class TestSeedRule:
+    # The generators used to raise numpy's ValueError for a negative seed.
+    @pytest.mark.parametrize("make", [
+        gen_circular,
+        gen_irregular,
+        lambda seed: SplitSpec(0.5, seed),
+    ], ids=["gen_circular", "gen_irregular", "SplitSpec"])
+    def test_negative_seed_refused(self, make):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            make(-1)
+
+
 class TestCsvRoundTrip:
     def test_generated_dataset(self, tmp_path):
         ds = gen_circular(5)

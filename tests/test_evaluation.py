@@ -66,6 +66,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             ExperimentConfig(generator="circular", aggregation_p=p)
 
+    def test_negative_master_seed(self):
+        # Used to pass, then fail in run_experiment with numpy's ValueError.
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            ExperimentConfig(generator="circular", master_seed=-1)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            ExperimentConfig(data_path="x.csv", master_seed=-1)
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0, float("nan")])
+    def test_train_fraction_rule_is_the_split_rule(self, frac):
+        with pytest.raises(ConfigError, match="train_fraction must lie in the open interval"):
+            ExperimentConfig(generator="circular", train_fraction=frac)
+
     def test_defaults_describe(self):
         desc = ExperimentConfig(generator="circular").describe()
         assert desc["runs"] == "32"

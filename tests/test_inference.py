@@ -443,6 +443,16 @@ class TestClassify:
             for j, iv in enumerate(res.soundness):
                 assert iv.lower <= res.scores[j] <= iv.upper
 
+    @pytest.mark.parametrize("lower, upper", [(0.5, 0.4), (-0.1, 0.2), (np.nan, 0.2)])
+    def test_disordered_interval_refused(self, monkeypatch, lower, upper):
+        # classify checks the bounds once before it builds SoundnessIntervals;
+        # that check once exposed inverted intervals from near-equal fuzzifiers.
+        rb = make_rulebase([[0.4, 0.4], [0.6, 0.6]], [[1.0, 0.0], [0.0, 1.0]])
+        bounds = (np.array([[0.1, lower]]), np.array([[0.3, upper]]))
+        monkeypatch.setattr(inference, "_soundness_of", lambda X, model: bounds)
+        with pytest.raises(DataError, match=rf"invalid soundness interval \[{lower}, {upper}\]"):
+            classify(np.array([0.5, 0.5]), rb)
+
     def test_dimension_mismatch_names_both(self):
         rb = make_rulebase([[0.4, 0.4]], [[1.0, 0.0]])
         with pytest.raises(DataError, match=r"3.*2|2.*3"):

@@ -19,6 +19,7 @@ from it2frbc import (
     gen_circular,
     initial_potentials,
     split,
+    subtractive_cluster,
 )
 from it2frbc.inference import _soundness_of
 from it2frbc.rulebase import membership_bounds
@@ -134,6 +135,31 @@ def test_revision_never_increases(pp, r_a):
     revised = _revised(field, pts, k, params.beta)
     assert np.all(revised <= field + 1e-12)
     assert revised[k] == 0.0
+
+
+@st.composite
+def points_with_duplicates(draw, max_points=12, max_dim=3):
+    dim = draw(st.integers(1, max_dim))
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1,
+                         max_size=max_points))
+    copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=6))
+    order = draw(st.permutations(rows + [rows[i] for i in copies]))
+    return np.array(order, dtype=float)
+
+
+# Every radius the parameter rule accepts, from 1e-150 to 1e150.
+any_radius = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
+
+
+@given(points_with_duplicates(), any_radius, st.floats(min_value=0.0, max_value=0.49))
+@settings(max_examples=150, deadline=None)
+def test_cluster_centers_are_distinct_input_rows(pts, r_a, reject):
+    centers = subtractive_cluster(pts, SubclustParams(r_a, reject_ratio=reject))
+    rows = {tuple(r) for r in pts.tolist()}
+    found = [tuple(c) for c in centers.tolist()]
+    assert 1 <= len(found) <= len(rows)
+    assert all(c in rows for c in found)
+    assert len(set(found)) == len(found)
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(min_value=0.1, max_value=0.9))

@@ -281,13 +281,10 @@ class TestCertaintyDegrees:
         assert got == pytest.approx(np.array(want), abs=1e-12)
 
     def test_requires_labels(self):
-        ds = Dataset(np.array([[0.1]]), np.array([0]), ("a",))
-        bad = Dataset.__new__(Dataset)
-        object.__setattr__(bad, "features", ds.features)
-        object.__setattr__(bad, "labels", np.array([-1]))
-        object.__setattr__(bad, "class_names", ("a",))
-        with pytest.raises(DataError):
-            certainty_degrees(bad, np.array([[0.5]]), Fuzzifiers())
+        # certainty_degrees takes a Dataset, and Dataset is the one place that
+        # refuses a pattern without a class (a label below 0).
+        with pytest.raises(DataError, match="label outside"):
+            Dataset(np.array([[0.1]]), np.array([-1]), ("a",))
 
     def test_single_cluster_gives_class_frequencies(self):
         ds = Dataset(
@@ -421,19 +418,50 @@ class TestPersistence:
         ("certainty", np.nan, r"certainty must be finite \(rule 2\)"),
         ("aggregation_p", np.nan, "aggregation_p must be finite"),
         ("aggregation_p", np.inf, "aggregation_p must be finite"),
-    ], ids=["center-nan", "center-inf", "certainty-nan", "p-nan", "p-inf"])
+        ("max", np.inf, "feature 2: span max - min is not finite"),
+    ], ids=["center-nan", "center-inf", "certainty-nan", "p-nan", "p-inf", "max-inf"])
     def test_non_finite_field_refused(self, tmp_path, key, value, message):
         # A nan center or exponent used to give class 0 with nan scores on
-        # every row; a nan certainty entry, a rule that never fires.
+        # every row; a nan certainty entry, a rule that never fires. The
+        # message names the file (it used to, only for the exponent).
         path = tmp_path / "model.json"
         save_rulebase(self.make_rulebase(), path)
         doc = json.loads(path.read_text())
         if key == "aggregation_p":
             doc[key] = value
+        elif key == "max":
+            doc["normalization"]["max"][1] = value
         else:
             doc["rules"][1][key][0] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=f"malformed model file {re.escape(str(path))}: {message}"):
+            load_rulebase(path)
+
+    @pytest.mark.parametrize("value", [None, "two", "2", [2], 2.5, 3, "missing"],
+                             ids=["null", "text", "digits", "list", "fraction", "mismatch",
+                                  "missing"])
+    def test_bad_num_classes_refused(self, tmp_path, value):
+        # A missing or non-integer count used to escape as KeyError,
+        # ValueError or TypeError (exit 3 from the CLI), and "2" or 2.5 was
+        # read as 2.
+        path = tmp_path / "model.json"
+        save_rulebase(self.make_rulebase(), path)
+        doc = json.loads(path.read_text())
+        if value == "missing":
+            del doc["num_classes"]
+        else:
+            doc["num_classes"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"malformed model file {re.escape(str(path))}: "):
+            load_rulebase(path)
+
+    def test_no_rules_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_rulebase(self.make_rulebase(), path)
+        doc = json.loads(path.read_text())
+        doc["rules"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"malformed model file {re.escape(str(path))}: .*non-empty"):
             load_rulebase(path)
 
 

@@ -41,6 +41,18 @@ class TestParams:
             dict(r_a=0.5, accept_ratio=1.5),
             dict(r_a=0.5, reject_ratio=0.9),
             dict(r_a=0.5, max_centers=0),
+            # alpha = 4/r_a**2 or beta = 4/r_b**2 not finite and positive:
+            # r_a**2 underflows to 0 (ZeroDivisionError), overflows
+            # (OverflowError), is subnormal (alpha = inf), or is inf (alpha = 0).
+            dict(r_a=float("nan")),
+            dict(r_a=1e-200),
+            dict(r_a=1e200),
+            dict(r_a=1e-155),
+            dict(r_a=float("inf")),
+            dict(r_a=0.5, rb_ratio=float("nan")),
+            dict(r_a=0.5, rb_ratio=1e-200),
+            dict(r_a=0.5, rb_ratio=1e200),
+            dict(r_a=0.5, rb_ratio=float("inf")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
