@@ -6,17 +6,21 @@ prototype under the two fuzzifiers -> association = bounds x the rule's
 per-class certainty -> soundness per class = power mean, bound by bound,
 over the rules whose upper association is positive (none leaves [0, 0]) ->
 decision = argmax of the interval midpoints (ties go to the lowest index).
-For p > 0 the soundness of every class and both bounds is one scaled matrix
+For p > 0 the soundness of every class and both bounds is one scaled
 product (_soundness_bounds); the few cells it cannot give exactly (extreme
 p, underflowing products) are recomputed one by one with _power_mean_rows,
-which also computes every cell for p < 0. The operands that depend on the
-model alone (normalization divisors, the certainty's firing mask, column
-maxima and scaled powers) are built once when the model is constructed,
-so a call computes only what depends on its patterns. classify_batch runs
-the kernel over row blocks whose (rows, c) arrays hold about
-subclust.BLOCK_ELEMENTS values each (about 2 MB), so its memory is the
-(n, M) scores plus a few such blocks, whatever n is; classify calls the
-kernel on its one row directly. Non-finite input is refused with DataError.
+which also computes every cell for p < 0 and for p too small for the
+product's rounding. The operands that depend on the model alone
+(normalization divisors, the certainty's firing mask, column maxima and
+scaled powers) are built once when the model is constructed, so a call
+computes only what depends on its patterns. The products are sums over
+the rules taken by np.einsum, which makes no BLAS call, so each row's
+scores depend on that row alone: a pattern scores the same bytes in any
+batch and in classify. classify_batch runs the kernel over row blocks
+whose (rows, c) arrays hold about subclust.BLOCK_ELEMENTS values each
+(about 2 MB), so its memory is the (n, M) scores plus a few such blocks,
+whatever n is; classify calls the kernel on its one row directly.
+Non-finite input is refused with DataError.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import one_blas_thread
 from .errors import DataError
 from .rulebase import _TINY, RuleBase, _SoundnessConstants, membership_bounds
 from .subclust import BLOCK_ELEMENTS
@@ -59,35 +62,38 @@ def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray
     """Row-wise power mean ((1/s) * sum a^p)^(1/p) of the s masked entries
     of non-negative values; rows with no entry -> 0.
 
-    Tends to the row min as p -> -inf and the max as p -> +inf. Each row is
-    scaled by its max (p > 0) or min (p < 0) so extreme p stays stable, and
-    for p < 0 a zero entry forces the limit 0. p = 0 (the geometric limit)
-    is refused where the model is built (RuleBase).
+    Tends to the row min as p -> -inf, the max as p -> +inf and the
+    geometric mean as p -> 0. Each row is scaled by its max (p > 0) or min
+    (p < 0), d = a / scale, and the mean is taken as
+    scale * exp(log1p(mean(expm1(p * log d))) / p), which stays exact as
+    |p| -> 0, where mean(d^p) would round to 1. A row whose scale is 0
+    gives 0: all its entries are 0 (p > 0), or for p < 0 a zero entry
+    forces the limit 0. p = 0 is refused where the model is built
+    (RuleBase).
     """
-    n = vals.shape[0]
-    out = np.zeros(n)
+    out = np.zeros(vals.shape[0])
     count = mask.sum(axis=1)
-    rows = count > 0
-    if not rows.any():
-        return out
-    masked = np.where(mask, vals, np.nan)
     if p > 0:
-        scale = np.where(rows, np.nanmax(masked, axis=1, initial=-np.inf), 0.0)
-        live = rows & (scale > 0)
-        if live.any():
-            ratio = np.where(mask & live[:, None], vals / np.where(scale > 0, scale, 1.0)[:, None], 0.0)
-            out[live] = scale[live] * ((ratio[live] ** p).sum(axis=1) / count[live]) ** (1.0 / p)
+        scale = np.max(vals, axis=1, where=mask, initial=0.0)
     else:
-        has_zero = (np.where(mask, vals, 1.0) == 0.0).any(axis=1)
-        live = rows & ~has_zero
-        if live.any():
-            scale = np.where(live, np.nanmin(masked, axis=1, initial=np.inf), 1.0)
-            # Past the float range a ratio's power is 0, its limit.
-            with np.errstate(over="ignore"):
-                ratio = vals / np.where(scale > 0, scale, 1.0)[:, None]
-            ratio = np.where(mask & live[:, None], ratio, 1.0)
-            powered = np.where(mask & live[:, None], ratio**p, 0.0)
-            out[live] = scale[live] * (powered[live].sum(axis=1) / count[live]) ** (1.0 / p)
+        scale = np.min(vals, axis=1, where=mask, initial=np.inf)
+    live = (count > 0) & (scale > 0.0)
+    if live.any():
+        # Below |p| = 1e-30 the power mean is the geometric mean to rounding
+        # (their ratio is about exp(p * var(log d) / 2), and |log d| < 746),
+        # so p is held there, which keeps p * log d clear of subnormals.
+        q = np.copysign(max(abs(p), 1e-30), p)
+        s, v = scale[live], vals[live]
+        # A zero ratio (p > 0) has log -inf and d^p = 0, its limit; q * log d
+        # past the float range gives the same limits.
+        with np.errstate(divide="ignore", over="ignore"):
+            log_d = np.log(np.where(mask[live], v / s[:, None], 1.0))
+            # A ratio past the float range (p < 0) takes a difference of logs.
+            r, k = np.nonzero(np.isposinf(log_d))
+            log_d[r, k] = np.log(v[r, k]) - np.log(s[r])
+            mean = np.expm1(q * log_d).sum(axis=1) / count[live]
+        # In logs, since the mean over a subnormal scale can pass the float range.
+        out[live] = np.exp(np.log(s) + np.log1p(mean) / q)
     return out
 
 
@@ -106,10 +112,12 @@ def _soundness_bounds(
 
     Rule k fires for class j when upper_k * R_kj > 0, and each bound's
     soundness is the power mean of bound_k * R_kj over the firing rules.
-    For p > 0 both bounds come from one product over the stacked rows
-    B = [lower; upper] (2n, c), with no loop over classes:
+    Where the model has product weights (p > 0 and not too small, see
+    rulebase._soundness_constants) both bounds come from one product over
+    the stacked rows B = [lower; upper] (2n, c), with no loop over classes:
 
-        S = (B / s)**p @ (R / t)**p,   count = (upper > 0) @ (R > 0),
+        S_ij = sum_k (B_ik / s_i)**p (R_kj / t_j)**p,
+        count_ij = sum_k (upper_ik > 0) (R_kj > 0),
         soundness = s * t * (S / count)**(1/p)   (0 where count is 0),
 
     where s is the row max of B and t the column max of R, so every scaled
@@ -126,20 +134,23 @@ def _soundness_bounds(
     arrays are the stacked rows B, which are scaled and raised to p in
     place; whether any firing product can round to 0 is read off the
     smallest firing upper bound, with no (n, c) product. classify_batch
-    calls this on row blocks (_row_blocks), so n is at most a block.
-    For p < 0 every cell with a firing rule takes that exact path (p = 0 is
-    refused where the model is built).
+    calls this on row blocks, so n is at most a block. Without product
+    weights every cell with a firing rule takes that exact path.
     """
     n, c, M = lower.shape[0], lower.shape[1], consts.certainty.shape[1]
     p = consts.p
-    # The firing mask is written as floats, the dtype of the product.
-    count = np.matmul(np.greater(upper, 0.0, out=np.empty_like(upper)), consts.firing)
-    if p > 0:
+    # Both products are np.einsum sums, which make no BLAS call: each cell
+    # is summed in the same order whatever n is, so a row's bounds do not
+    # depend on the other rows. The firing mask is written as floats, the
+    # dtype of the product.
+    count = np.einsum("ik,kj->ij", np.greater(upper, 0.0, out=np.empty_like(upper)),
+                      consts.firing)
+    if consts.weights is not None:
         B = np.concatenate((lower, upper))
         s = B.max(axis=1, initial=_TINY)
         B /= s[:, None]
         B **= p
-        S = (B @ consts.weights).reshape(2, n, M)
+        S = np.einsum("ik,kj->ij", B, consts.weights).reshape(2, n, M)
         st = s.reshape(2, n, 1) * consts.t
         fine = (S > count * _FLOOR) & (st >= _TINY)
         # Cells that are not fine hold S / count * s * t, which is 0 where
@@ -188,43 +199,24 @@ def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     return _soundness_bounds(lower, upper, rb._soundness)
 
 
-# Blocks keep at least this many rows, so that splitting a batch leaves its
-# scores' bytes unchanged. With 2 classes, blocks of 300 rows or fewer move
-# the (2 * rows, c) @ (c, M) product onto another OpenBLAS kernel (measured
-# at 32 to 1024 rules), which changes the last bits of most scores; from
-# 384 rows up every split gave the bytes of the unsplit product. More
-# classes move the switch to fewer rows.
-_MIN_BLOCK_ROWS = 512
-
-
-def _row_blocks(n: int, c: int) -> list[int]:
-    """Edges of the row blocks of an n-pattern batch against c rules.
-
-    A block's (rows, c) arrays hold about BLOCK_ELEMENTS values, but never
-    fewer than _MIN_BLOCK_ROWS rows; the batch is split evenly, so block
-    lengths differ by at most one row. A batch that fits is one block.
-    """
-    k = max(1, min(-(-n // max(1, BLOCK_ELEMENTS // c)), n // _MIN_BLOCK_ROWS))
-    return [-(-i * n // k) for i in range(k + 1)]
-
-
 def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     """Classify raw-unit patterns (n, N); returns (predictions, scores).
 
     Normalization is applied internally; scores are the per-class soundness
     interval midpoints and predictions their row argmax (ties -> lowest
-    class index). Rows go through the kernel in blocks (_row_blocks), each
-    writing its midpoints into the (n, M) scores, so the (rows, c) arrays
-    stay bounded whatever n is. The products run on one BLAS thread (see
-    _blas).
+    class index). Rows go through the kernel in blocks of
+    BLOCK_ELEMENTS // c rows (at least one), each writing its midpoints
+    into the (n, M) scores, so the (rows, c) arrays stay bounded whatever
+    n is. A row's scores do not depend on the block it falls in.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    edges = _row_blocks(X.shape[0], rb.num_rules)
-    scores = np.empty((X.shape[0], rb.num_classes))
-    with one_blas_thread():
-        for a, b in zip(edges, edges[1:]):
-            y_lower, y_upper = _soundness_of(X[a:b], rb)
-            np.add(y_lower, y_upper, out=scores[a:b])
+    n = X.shape[0]
+    scores = np.empty((n, rb.num_classes))
+    step = max(1, BLOCK_ELEMENTS // rb.num_rules)
+    # An empty batch still takes one (empty) block, so its input is checked.
+    for a in range(0, max(n, 1), step):
+        y_lower, y_upper = _soundness_of(X[a:a + step], rb)
+        np.add(y_lower, y_upper, out=scores[a:a + step])
     scores *= 0.5
     return scores.argmax(axis=1), scores
 

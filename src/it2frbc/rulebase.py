@@ -19,7 +19,7 @@ only (n, c) arrays are the two partitions, each normalized in its own
 buffer, and the lower bound; the upper bound is written over the second
 partition. The shares of rows sitting on a prototype take one more, built
 only when such a row exists. Inference calls this per row block of
-bounded size (inference._row_blocks), so there n is at most a block;
+bounded size (inference.classify_batch), so there n is at most a block;
 certainty_degrees calls it once on the whole training set.
 
 The rule consequent is a certainty vector over classes, estimated from the
@@ -55,7 +55,7 @@ class _SoundnessConstants(NamedTuple):
     p: float
     firing: np.ndarray  # float (R+ > 0) (c, M), F-ordered
     t: np.ndarray  # column maxima of R+ (M,), at least _TINY
-    weights: np.ndarray | None  # (R+ / t)**p (c, M), a transposed view; p > 0 only
+    weights: np.ndarray | None  # (R+ / t)**p (c, M), a transposed view; None: exact path only
     rmin: float  # smallest positive entry of R+ (1 if none)
 
 
@@ -64,11 +64,14 @@ def _soundness_constants(certainty: np.ndarray, p: float) -> _SoundnessConstants
     RT = np.maximum(certainty.T, 0.0, order="C")  # (M, c)
     pos = RT > 0.0
     t = RT.max(axis=1, initial=_TINY)
-    # Transposed views of (M, c) arrays: BLAS picks its kernel, and so the
-    # products' rounding, by operand layout. (R / t)**p would divide by 0
-    # for p < 0, where the kernel does not use it.
+    # Transposed views of (M, c) arrays: einsum's rounding depends on its
+    # operands' layout, so the layout is fixed here.
     firing = pos.T.astype(float)
-    weights = ((RT / t[:, None]) ** p).T if p > 0 else None
+    # The product's rounding is about c * eps / p relative, so below
+    # p = c * eps / 1e-12, and for p < 0 (where (R / t)**p divides by 0),
+    # inference computes every firing cell exactly instead.
+    product = p * 1e-12 >= RT.shape[1] * np.finfo(float).eps
+    weights = ((RT / t[:, None]) ** p).T if product else None
     for a in (firing, t, weights):
         if a is not None:
             a.flags.writeable = False
@@ -110,7 +113,8 @@ class RuleBase:
     parameters needed to classify raw patterns (normalization, fuzzifiers,
     aggregation exponent).
 
-    Every field must be finite. The soundness kernel's model-only operands
+    Every field must be finite, and each source class an integer in
+    0..num_classes-1. The soundness kernel's model-only operands
     (_soundness_constants) are built once here and kept read-only in
     ``_soundness``; the fields are frozen, so they cannot go stale, and
     dataclasses.replace rebuilds them.
@@ -126,12 +130,14 @@ class RuleBase:
 
     def __post_init__(self):
         P = np.asarray(self.prototypes, dtype=float)
-        src = np.asarray(self.source_classes, dtype=np.int64)
+        src = np.asarray(self.source_classes)
         R = np.asarray(self.certainty, dtype=float)
         if P.ndim != 2 or P.shape[0] < 1:
             raise DataError("prototypes must be a non-empty (c, N) array")
         if src.shape != (P.shape[0],):
             raise DataError("one source class per prototype required")
+        if src.dtype.kind not in "iuf" or not np.isin(src, np.arange(len(self.class_names))).all():
+            raise DataError(f"source classes must be integers in 0..{len(self.class_names) - 1}")
         if R.shape != (P.shape[0], len(self.class_names)):
             raise DataError("certainty must be a (c, num_classes) matrix")
         if P.shape[1] != self.normalization.num_features:
@@ -142,7 +148,7 @@ class RuleBase:
                 raise DataError(f"{name} must be finite (rule {int(np.argmin(finite)) + 1})")
         _check_aggregation_p(self.aggregation_p)
         object.__setattr__(self, "prototypes", _freeze(P))
-        object.__setattr__(self, "source_classes", _freeze(src))
+        object.__setattr__(self, "source_classes", _freeze(src.astype(np.int64)))
         object.__setattr__(self, "certainty", _freeze(R))
         object.__setattr__(self, "class_names", tuple(str(c) for c in self.class_names))
         object.__setattr__(self, "_soundness",

@@ -398,6 +398,18 @@ class TestExportRules:
         assert len(lines) == 2
         assert all("IF" in line for line in lines)
 
+    @pytest.mark.parametrize("value", [7, -1, 1.7])
+    def test_bad_source_class(self, tmp_path, capsys, value):
+        # 7 used to exit 3 (IndexError), -1 printed class b and 1.7 class a.
+        doc = two_rule_model()
+        doc["rules"][0]["source_class"] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export-rules", "--model", str(model))
+        assert code == 2
+        assert f"malformed model file {model}: source classes must be integers in 0..1" in err
+        assert out == ""
+
 
 class TestEval:
     def test_json_report(self, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from it2frbc import (
     load_rulebase,
     save_rulebase,
 )
-from it2frbc import _blas, inference, rulebase
+from it2frbc import inference, rulebase
 from it2frbc.inference import _power_mean_rows
 from it2frbc.rulebase import _soundness_constants, membership_bounds
 
@@ -132,6 +134,11 @@ def power_means(vals, p):
     return one_row, batch_rows[1]
 
 
+def geometric_mean(vals):
+    """The p -> 0 limit of the power mean, one value at a time."""
+    return math.exp(sum(math.log(float(v)) for v in vals) / len(vals))
+
+
 class TestQuasiarithmeticMean:
     def test_idempotent(self):
         for p in (-3.0, -1.0, 0.5, 1.0, 2.0, 7.0):
@@ -159,8 +166,8 @@ class TestQuasiarithmeticMean:
     def test_converges_to_extremes(self):
         vals = [0.21, 0.5, 0.93]
         for form in range(2):
-            lo = [power_means(vals, p)[form] for p in (-10.0, -50.0, -400.0)]
-            hi = [power_means(vals, p)[form] for p in (10.0, 50.0, 400.0)]
+            lo = [power_means(vals, p)[form] for p in (-10.0, -50.0, -400.0, -1e300)]
+            hi = [power_means(vals, p)[form] for p in (10.0, 50.0, 400.0, 1e300)]
             assert all(a >= b for a, b in zip(lo, lo[1:]))
             assert all(a <= b for a, b in zip(hi, hi[1:]))
             assert lo[-1] == pytest.approx(0.21, rel=5e-3)
@@ -180,16 +187,31 @@ class TestQuasiarithmeticMean:
             results = [power_means(vals, p)[form] for p in (-5, -1, 0.5, 1, 2, 5)]
             assert all(a <= b + 1e-12 for a, b in zip(results, results[1:]))
 
+    @pytest.mark.parametrize("p", [1e-16, -1e-16, 1e-200, -1e-200, 1e-320, -1e-320])
+    def test_tiny_p_is_the_geometric_mean(self, p):
+        # (mean a^p)^(1/p) rounds every a^p to 1 here and gave the max or min.
+        for vals in ([0.2, 0.8], [0.21, 0.5, 0.93, 0.013, 1e-30]):
+            for got in power_means(vals, p):
+                assert got == pytest.approx(geometric_mean(vals), rel=1e-12, abs=0.0)
+
     def test_zero_value_negative_p(self):
         assert power_means([0.0, 0.5], -2.0) == (0.0, 0.0)
 
     def test_subnormal_value_negative_p(self):
-        # 1.0 / 1e-320 overflows; the power of that ratio is 0, so the mean
-        # is 1e-320 * 2**0.5, with no RuntimeWarning.
+        # 1.0 / 1e-320 overflows; at p = -2 the power of that ratio is 0, so
+        # the mean is 1e-320 * 2**0.5, with no RuntimeWarning. At small |p|
+        # the power is not 0 (0.48 at p = -1e-3); taking it as 0 gave 1e-19
+        # there. The mean over 1e-320 can also pass the float range: the
+        # last case gave inf.
+        pair, many = [1e-320, 1.0], [1e-320] + [1.0] * 40
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for got in power_means([1e-320, 1.0], -2.0):
-                assert got == pytest.approx(1e-320 * 2**0.5, rel=1e-3)
+            for vals, p, want, rel in ((pair, -2.0, 1e-320 * 2**0.5, 1e-3),
+                                       (pair, -1e-3, ref_power_mean(pair, -1e-3), 1e-10),
+                                       (pair, -1e-200, geometric_mean(pair), 1e-12),
+                                       (many, -1e-200, geometric_mean(many), 1e-12)):
+                for got in power_means(vals, p):
+                    assert got == pytest.approx(want, rel=rel, abs=0.0)
 
     def test_rejects_p_zero(self):
         with pytest.raises(ConfigError):
@@ -223,6 +245,18 @@ class TestSoundness:
         )
         assert lower[0, 0] == pytest.approx(np.sqrt((0.0 + 0.04) / 2))
         assert upper[0, 0] == pytest.approx(np.sqrt((0.16 + 0.25) / 2))
+
+    @pytest.mark.parametrize("p", [1e-16, -1e-16, 1e-200, -1e-200])
+    def test_tiny_p_scores_are_geometric_means(self, p):
+        rng = np.random.default_rng(24)
+        rb = make_rulebase(rng.uniform(size=(16, 3)), rng.uniform(0.05, 1.0, size=(16, 2)), p=p)
+        X = rng.uniform(size=(20, 3))
+        _, scores = classify_batch(X, rb)
+        lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
+        for i in range(len(X)):
+            for j in range(2):
+                want = [geometric_mean(b[i] * rb.certainty[:, j]) for b in (lower, upper)]
+                assert scores[i, j] == pytest.approx(0.5 * sum(want), rel=1e-12, abs=0.0)
 
 
 def _unit_cube_case(seed, c, M, n, p):
@@ -432,16 +466,30 @@ class TestClassify:
         assert np.array_equal(preds, scores.argmax(axis=1))
 
     def test_single_matches_batch(self):
+        # A row's scores do not depend on the other rows of its batch.
         rng = np.random.default_rng(9)
-        rb = make_rulebase(rng.uniform(size=(4, 3)), rng.dirichlet(np.ones(3), size=4))
-        X = rng.uniform(size=(10, 3))
+        for rules, classes in ((4, 3), (128, 2)):
+            rb = make_rulebase(rng.uniform(size=(rules, 3)),
+                               rng.dirichlet(np.ones(classes), size=rules))
+            X = rng.uniform(size=(50, 3))
+            preds, scores = classify_batch(X, rb)
+            for i in range(len(X)):
+                res = classify(X[i], rb)
+                assert res.predicted == preds[i]
+                assert np.array_equal(res.scores, scores[i])
+                for j, iv in enumerate(res.soundness):
+                    assert iv.lower <= res.scores[j] <= iv.upper
+
+    @pytest.mark.parametrize("p", [2.0, -1.5, 1e-16])
+    def test_batch_prefix_matches_whole_batch(self, p):
+        rng = np.random.default_rng(23)
+        rb = make_rulebase(rng.uniform(size=(128, 9)), rng.dirichlet(np.ones(2), size=128), p=p)
+        X = rng.uniform(size=(341, 9))
         preds, scores = classify_batch(X, rb)
-        for i in range(10):
-            res = classify(X[i], rb)
-            assert res.predicted == preds[i]
-            assert res.scores == pytest.approx(scores[i], abs=1e-15)
-            for j, iv in enumerate(res.soundness):
-                assert iv.lower <= res.scores[j] <= iv.upper
+        for k in (1, 2, 7, 100, 340):
+            got_preds, got = classify_batch(X[:k], rb)
+            assert np.array_equal(got, scores[:k])
+            assert np.array_equal(got_preds, preds[:k])
 
     @pytest.mark.parametrize("lower, upper", [(0.5, 0.4), (-0.1, 0.2), (np.nan, 0.2)])
     def test_disordered_interval_refused(self, monkeypatch, lower, upper):
@@ -594,20 +642,23 @@ class TestClassify:
 
 
 class TestRowBlocks:
-    """classify_batch runs the kernel over row blocks (inference._row_blocks)."""
+    """classify_batch runs the kernel over blocks of BLOCK_ELEMENTS // c rows."""
 
     @pytest.mark.parametrize("n, c", [(0, 128), (1, 128), (2048, 128), (2049, 128),
                                       (10_000, 128), (7001, 128), (5000, 10**6)])
-    def test_edges(self, n, c):
-        edges = inference._row_blocks(n, c)
-        sizes = np.diff(edges)
-        assert edges[0] == 0 and edges[-1] == n
-        assert sizes.max() - sizes.min() <= 1
-        if n * c <= inference.BLOCK_ELEMENTS:
-            assert len(sizes) == 1  # a batch that fits runs unsplit
-        else:
-            assert sizes.min() >= inference._MIN_BLOCK_ROWS
-            assert sizes.max() <= max(inference.BLOCK_ELEMENTS // c, 2 * inference._MIN_BLOCK_ROWS)
+    def test_edges(self, monkeypatch, n, c):
+        blocks = []
+
+        def recorded(X, rb):
+            blocks.append(len(X))
+            return np.zeros((len(X), 2)), np.zeros((len(X), 2))
+
+        monkeypatch.setattr(inference, "_soundness_of", recorded)
+        classify_batch(np.zeros((n, 3)), SimpleNamespace(num_rules=c, num_classes=2))
+        step = max(1, inference.BLOCK_ELEMENTS // c)
+        full, rest = divmod(n, step)
+        # An empty batch still takes one block, which checks its input.
+        assert blocks == [step] * full + ([rest] if rest or not n else [])
 
     @pytest.mark.parametrize("p", [2.0, -1.5])
     def test_blocks_equal_the_unblocked_kernel(self, p):
@@ -616,14 +667,12 @@ class TestRowBlocks:
         X = rng.random((7001, 9))
         X[-3:-1] = rb.prototypes[[5, 77]]  # rows on a prototype
         X[-5, 2] = 1e200  # squared distances overflow
-        edges = inference._row_blocks(len(X), rb.num_rules)
-        assert len(edges) >= 5 and edges[-1] - edges[-2] < edges[1]
+        assert len(X) > 3 * (inference.BLOCK_ELEMENTS // rb.num_rules)  # four blocks
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             preds, scores = classify_batch(X, rb)
         lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
-        with _blas.one_blas_thread():
-            want = inference._soundness_bounds(lower, upper, rb._soundness)
+        want = inference._soundness_bounds(lower, upper, rb._soundness)
         assert np.array_equal(scores, 0.5 * (want[0] + want[1]))
         assert np.array_equal(preds, scores.argmax(axis=1))
 
@@ -639,38 +688,3 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-
-
-class TestOneBlasThread:
-    needs_openblas = pytest.mark.skipif(
-        _blas._FUNCTIONS is None, reason="numpy's OpenBLAS not found"
-    )
-
-    @needs_openblas
-    def test_limits_inside_and_restores_after_nested_blocks(self):
-        set_threads, get_threads = _blas._FUNCTIONS
-        before = get_threads()
-        with _blas.one_blas_thread():
-            assert get_threads() == 1
-            with _blas.one_blas_thread():
-                assert get_threads() == 1
-            assert get_threads() == 1
-        assert get_threads() == before
-
-    @needs_openblas
-    def test_restores_after_an_error(self):
-        _, get_threads = _blas._FUNCTIONS
-        before = get_threads()
-        with pytest.raises(DataError):
-            classify_batch(np.array([[np.nan]]), make_rulebase([[0.5]], [[1.0]]))
-        assert get_threads() == before
-
-    def test_batch_equals_threaded_product(self):
-        # One thread gives the same bytes as the default thread count.
-        rng = np.random.default_rng(3)
-        rb = make_rulebase(rng.random((128, 9)), rng.random((128, 2)))
-        X = rng.random((3000, 9))
-        lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
-        want = inference._soundness_bounds(lower, upper, rb._soundness)
-        _, scores = classify_batch(X, rb)
-        assert np.array_equal(scores, 0.5 * (want[0] + want[1]))

@@ -465,6 +465,19 @@ class TestPersistence:
             load_rulebase(path)
 
 
+    @pytest.mark.parametrize("value", [7, -1, 1.7, "1"])
+    def test_bad_source_class_refused(self, tmp_path, value):
+        # 7 used to raise IndexError in export_rules_text, -1 named the
+        # last class and 1.7 was truncated to 1.
+        path = tmp_path / "model.json"
+        save_rulebase(self.make_rulebase(), path)
+        doc = json.loads(path.read_text())
+        doc["rules"][1]["source_class"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"malformed model file {re.escape(str(path))}: "
+                                            r"source classes must be integers in 0\.\.1"):
+            load_rulebase(path)
+
     @pytest.mark.parametrize("fuzzifiers, p, message", [
         ({"m1": 0.5, "m2": 2.5}, 2.0, "greater than 1"),
         ({"m1": 3.0, "m2": 2.0}, 2.0, "m1 must not exceed m2"),
