@@ -201,8 +201,8 @@ class TestQuasiarithmeticMean:
         # 1.0 / 1e-320 overflows; at p = -2 the power of that ratio is 0, so
         # the mean is 1e-320 * 2**0.5, with no RuntimeWarning. At small |p|
         # the power is not 0 (0.48 at p = -1e-3); taking it as 0 gave 1e-19
-        # there. The mean over 1e-320 can also pass the float range: the
-        # last case gave inf.
+        # there. The mean's ratio to 1e-320 can also pass the float range:
+        # the last case gave inf.
         pair, many = [1e-320, 1.0], [1e-320] + [1.0] * 40
         with warnings.catch_warnings():
             warnings.simplefilter("error")
