@@ -688,3 +688,16 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestOneBlasThread:
+    def test_batch_equals_threaded_product(self):
+        # The batch path makes no BLAS call, so its scores are the unblocked
+        # kernel's bytes whatever BLAS thread count the process runs with.
+        rng = np.random.default_rng(3)
+        rb = make_rulebase(rng.random((128, 9)), rng.random((128, 2)))
+        X = rng.random((3000, 9))
+        lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
+        want = inference._soundness_bounds(lower, upper, rb._soundness)
+        _, scores = classify_batch(X, rb)
+        assert np.array_equal(scores, 0.5 * (want[0] + want[1]))
