@@ -33,7 +33,7 @@ from .errors import ConfigError, DataError
 from .evaluation import ExperimentConfig, accuracy, confusion_matrix, emit_report, run_experiment
 from .inference import classify_batch
 from .rulebase import Fuzzifiers, build_rulebase, export_rules_text, load_rulebase, save_rulebase
-from .subclust import SubclustParams, subtractive_cluster
+from .subclust import SubclustParams, describe_params, subtractive_cluster
 
 
 class _UsageError(Exception):
@@ -59,7 +59,6 @@ def _subclust_from_args(args) -> SubclustParams | None:
         rb_ratio=args.rb_ratio,
         accept_ratio=args.accept,
         reject_ratio=args.reject,
-        max_centers=args.max_centers,
     )
 
 
@@ -75,7 +74,6 @@ def _add_subclust_flags(p: argparse.ArgumentParser, require_choice: bool) -> Non
     p.add_argument("--rb-ratio", type=_finite_float, default=1.25, help="r_b = rb_ratio * r_a")
     p.add_argument("--accept", type=_finite_float, default=0.5, help="accept ratio")
     p.add_argument("--reject", type=_finite_float, default=0.15, help="reject ratio")
-    p.add_argument("--max-centers", type=int, default=None, help="safety cap on centers")
 
 
 def _finite_float(text: str) -> float:
@@ -175,10 +173,7 @@ def cmd_cluster(args) -> int:
         {
             "in": args.input,
             "points": str(points.shape[0]),
-            "r_a": repr(params.r_a),
-            "rb_ratio": repr(params.rb_ratio),
-            "accept_ratio": repr(params.accept_ratio),
-            "reject_ratio": repr(params.reject_ratio),
+            **describe_params(params),
             "out": args.out,
         }
     )
@@ -205,7 +200,7 @@ def cmd_train(args) -> int:
             "in": args.input,
             "label_col": str(args.label_col),
             "missing_policy": args.missing_policy,
-            "r_a": "none" if params is None else repr(params.r_a),
+            **describe_params(params),
             "m1": repr(fz.m1),
             "m2": repr(fz.m2),
             "aggregation_p": repr(args.p),

@@ -18,7 +18,8 @@ MISSING_MARKS = ("", "?")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    """A read-only C-contiguous copy of arr; the caller's array stays writeable."""
+    arr = np.array(arr, order="C")
     arr.flags.writeable = False
     return arr
 

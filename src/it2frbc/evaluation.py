@@ -28,7 +28,7 @@ from .dataset import (
 from .errors import ConfigError, DataError
 from .inference import classify_batch
 from .rulebase import Fuzzifiers, RuleBase, _check_aggregation_p, build_rulebase
-from .subclust import SubclustParams
+from .subclust import SubclustParams, describe_params
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,7 @@ class ExperimentConfig:
         out["train_fraction"] = repr(self.train_fraction)
         out["stratified"] = str(self.stratified).lower()
         out["master_seed"] = str(self.master_seed)
-        if self.subclust is None:
-            out["r_a"] = "none"
-        else:
-            sc = self.subclust
-            out["r_a"] = repr(sc.r_a)
-            out["rb_ratio"] = repr(sc.rb_ratio)
-            out["accept_ratio"] = repr(sc.accept_ratio)
-            out["reject_ratio"] = repr(sc.reject_ratio)
-            if sc.max_centers is not None:
-                out["max_centers"] = str(sc.max_centers)
+        out.update(describe_params(self.subclust))
         out["m1"] = repr(self.fuzzifiers.m1)
         out["m2"] = repr(self.fuzzifiers.m2)
         out["aggregation_p"] = repr(self.aggregation_p)

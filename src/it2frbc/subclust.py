@@ -5,22 +5,28 @@ Every data point is scored by its potential as a cluster center,
     P_i = sum_j exp(-alpha * ||x_i - x_j||^2),    alpha = 4 / r_a^2,
 
 so points with many close neighbours score high. Centers are picked
-greedily by maximum remaining potential; after each accepted center x* with
-potential P*, all potentials are reduced by
+greedily by maximum remaining potential (Chiu, J. Intell. Fuzzy Syst. 2(3),
+1994); after each accepted center x* with potential P*, all potentials are
+reduced by
 
     P_i <- P_i - P* * exp(-beta * ||x_i - x*||^2),   beta = 4 / r_b^2,
 
 with r_b = 1.25 * r_a by default, which suppresses candidates near an
 existing center. Candidates between the accept and reject thresholds are
-kept only if they are far enough from the accepted centers.
+kept only if they are far enough from the accepted centers; the squared
+distances computed for the revision also give that distance, so the loop
+takes one distance pass per accepted center.
 
 Points are expected in normalized feature space (r_a is relative to it).
 
 Pairwise squared distances are computed in row blocks (``_sq_distance_blocks``,
 shared with the rule base's memberships), so the potential field needs
 O(n * block) working memory rather than the full n x n x N difference tensor.
-Accepted and discarded candidates drop out of the search at -inf, so the loop
-ends within n iterations for every accepted parameter set.
+
+Termination: every candidate, accepted or discarded, leaves the search at
+potential -inf. Once all n points have left, the maximum is -inf, which lies
+below reject_ratio * P_first (>= 0, finite), so the loop ends within n + 1
+iterations for every accepted parameter set.
 """
 from __future__ import annotations
 
@@ -47,7 +53,6 @@ class SubclustParams:
     rb_ratio: float = 1.25
     accept_ratio: float = 0.5
     reject_ratio: float = 0.15
-    max_centers: int | None = None
 
     def __post_init__(self):
         # The radius rule. A radius whose square underflows, overflows or is
@@ -65,8 +70,6 @@ class SubclustParams:
             raise ConfigError("accept_ratio must lie in (0,1]")
         if not 0.0 <= self.reject_ratio < self.accept_ratio:
             raise ConfigError("reject_ratio must lie in [0,1) and below accept_ratio")
-        if self.max_centers is not None and self.max_centers < 1:
-            raise ConfigError("max_centers must be at least 1")
 
     @property
     def alpha(self) -> float:
@@ -75,6 +78,18 @@ class SubclustParams:
     @property
     def beta(self) -> float:
         return 4.0 / (self.rb_ratio * self.r_a) ** 2
+
+
+def describe_params(params: SubclustParams | None) -> dict[str, str]:
+    """The clustering settings as printed in configurations and reports."""
+    if params is None:
+        return {"r_a": "none"}
+    return {
+        "r_a": repr(params.r_a),
+        "rb_ratio": repr(params.rb_ratio),
+        "accept_ratio": repr(params.accept_ratio),
+        "reject_ratio": repr(params.reject_ratio),
+    }
 
 
 def _as_points(points) -> np.ndarray:
@@ -112,57 +127,49 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     return P
 
 
-def _revised(P: np.ndarray, X: np.ndarray, k: int, beta: float) -> np.ndarray:
+def _revised(P: np.ndarray, X: np.ndarray, k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Subtract accepted center k's influence from every potential.
 
     Uses the center's current potential as the subtracted peak, so the
     center's own potential becomes exactly 0. Values may go negative.
+    Returns the revised potentials and every point's squared distance to
+    the center, (n,) each.
     """
     d2 = ((X - X[k]) ** 2).sum(axis=1)
-    return P - P[k] * np.exp(-beta * d2)
+    return P - P[k] * np.exp(-beta * d2), d2
 
 
 def subtractive_cluster(points, params: SubclustParams) -> np.ndarray:
-    """Run the accept/reject loop; returns center coordinates (c, N).
+    """Run Chiu's accept/reject loop; returns center coordinates (c, N).
 
-    The first candidate (global potential maximum) is always accepted.
-    Each next candidate k (maximum remaining potential P_k) is
-      - accepted outright if P_k >= accept_ratio * P_first,
-      - rejected (loop ends) if P_k < reject_ratio * P_first,
+    Each candidate k is the point of maximum remaining potential P_k (ties
+    break toward the lowest point index). With P_first the potential of the
+    first candidate, the global maximum, k is
+      - rejected, and the loop ends, if P_k < reject_ratio * P_first,
+      - accepted outright if P_k >= accept_ratio * P_first (so the first
+        candidate always is),
       - otherwise accepted iff d_min/r_a + P_k/P_first >= 1, where d_min is
-        its distance to the nearest accepted center; failing that it is
-        discarded and the search continues.
-    Accepted and discarded candidates leave the search (potential -inf), so
-    the loop also ends once every point has been considered. Ties on the
-    maximum break toward the lowest point index.
+        its distance to the nearest accepted center, and else discarded.
+    Each accepted center revises the potentials, and its squared distances
+    to every point also lower ``nearest``, the squared distance of each
+    point to its nearest accepted center, which gives d_min.
     """
     X = _as_points(points)
-    n = X.shape[0]
-    cap = n if params.max_centers is None else min(params.max_centers, n)
-
     P = initial_potentials(X, params)
     first_potential = float(P.max())
-    k = int(P.argmax())
-    chosen = [k]
-    P = _revised(P, X, k, params.beta)
-    P[k] = -np.inf
+    nearest = np.full(X.shape[0], np.inf)
+    chosen = []
 
-    while len(chosen) < cap:
+    while True:
         k = int(P.argmax())
         peak = float(P[k])
-        if peak == -np.inf:
+        if peak < params.reject_ratio * first_potential:
             break
-        if peak >= params.accept_ratio * first_potential:
-            pass
-        elif peak < params.reject_ratio * first_potential:
-            break
-        else:
-            d_min = float(np.sqrt(((X[chosen] - X[k]) ** 2).sum(axis=1)).min())
-            if d_min / params.r_a + peak / first_potential < 1.0:
-                P[k] = -np.inf
-                continue
-        chosen.append(k)
-        P = _revised(P, X, k, params.beta)
+        if (peak >= params.accept_ratio * first_potential
+                or np.sqrt(nearest[k]) / params.r_a + peak / first_potential >= 1.0):
+            chosen.append(k)
+            P, d2 = _revised(P, X, k, params.beta)
+            np.minimum(nearest, d2, out=nearest)
         P[k] = -np.inf
 
     return X[chosen].copy()

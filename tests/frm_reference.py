@@ -66,3 +66,44 @@ def scores(x, protos, cert, m1, m2, p):
 def predict(x, protos, cert, m1, m2, p):
     s = scores(x, protos, cert, m1, m2, p)
     return s.index(max(s)), s
+
+
+def subtractive_cluster(points, r_a, rb_ratio=1.25, accept_ratio=0.5, reject_ratio=0.15):
+    """Chiu's subtractive clustering loop; returns (centers, decisions).
+
+    ``centers`` lists the accepted points in order. ``decisions`` lists one
+    (kind, margin) per comparison that steered the loop: "argmax" (the
+    candidate's lead over the best point not coincident with it), "reject",
+    "accept" and "d_min" (the distance of the compared value from its
+    threshold).
+    """
+    alpha = 4.0 / r_a**2
+    beta = 4.0 / (rb_ratio * r_a) ** 2
+
+    def sq(x, y):
+        return sum((u - v) ** 2 for u, v in zip(x, y))
+
+    P = [sum(math.exp(-alpha * sq(x, y)) for y in points) for x in points]
+    first = max(P)
+    live = list(range(len(points)))
+    centers, decisions = [], []
+    while live:
+        k = max(live, key=lambda i: (P[i], -i))
+        peak = P[k]
+        live.remove(k)
+        rivals = [P[i] for i in live if list(points[i]) != list(points[k])]
+        if rivals:
+            decisions.append(("argmax", peak - max(rivals)))
+        decisions.append(("reject", abs(peak - reject_ratio * first)))
+        if peak < reject_ratio * first:
+            break
+        decisions.append(("accept", abs(peak - accept_ratio * first)))
+        if peak < accept_ratio * first:
+            d_min = min(math.dist(points[k], c) for c in centers)
+            test = d_min / r_a + peak / first
+            decisions.append(("d_min", abs(test - 1.0)))
+            if test < 1.0:
+                continue
+        centers.append(points[k])
+        P = [p - peak * math.exp(-beta * sq(x, points[k])) for p, x in zip(P, points)]
+    return centers, decisions

@@ -287,7 +287,7 @@ def test_criterion_8_invariant_suite():
         pts = rng.uniform(size=(int(rng.integers(2, 25)), 2))
         params = SubclustParams(float(rng.uniform(0.1, 1.5)))
         f0 = initial_potentials(pts, params)
-        f1 = _revised(f0, pts, int(f0.argmax()), params.beta)
+        f1, _ = _revised(f0, pts, int(f0.argmax()), params.beta)
         assert np.all(f1 <= f0 + 1e-12)
         cases += 1
 

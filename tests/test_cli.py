@@ -143,6 +143,22 @@ class TestTrainPredict:
         assert "predicted" in header
         assert any(h.startswith("score_") for h in header)
 
+    def test_train_prints_its_clustering_settings(self, tmp_path, capsys, circ_file):
+        model = str(tmp_path / "model.json")
+        code, out, _ = run(capsys, "train", "--in", str(circ_file), "--ra", "0.3",
+                           "--accept", "0.7", "--reject", "0.2", "--rb-ratio", "1.5",
+                           "--model", model)
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("  r_a: 0.3")
+        assert lines[start:start + 4] == ["  r_a: 0.3", "  rb_ratio: 1.5", "  accept_ratio: 0.7",
+                                          "  reject_ratio: 0.2"]
+        code, out, _ = run(capsys, "train", "--in", str(circ_file), "--no-sc", "--model", model)
+        assert code == 0
+        keys = [line.split(":")[0].strip() for line in out.splitlines()]
+        assert "  r_a: none" in out.splitlines()
+        assert not {"rb_ratio", "accept_ratio", "reject_ratio"} & set(keys)
+
     def test_predict_dimension_mismatch(self, tmp_path, capsys, circ_file):
         model = tmp_path / "model.json"
         assert main(["train", "--in", str(circ_file), "--no-sc", "--model", str(model)]) == 0
@@ -617,7 +633,7 @@ class TestParameterRules:
 
 SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-320", "1e-200", "1e-155", "1e200", "2",
                 "0.5"]
-SUBCLUST_FLAGS = ["--ra", "--rb-ratio", "--accept", "--reject", "--max-centers"]
+SUBCLUST_FLAGS = ["--ra", "--rb-ratio", "--accept", "--reject"]
 MODEL_FLAGS = ["--label-col", *SUBCLUST_FLAGS, "--m1", "--m2", "--p", "--seed", "--train-frac"]
 
 
@@ -638,5 +654,5 @@ def test_no_numeric_flag_value_exits_3(tmp_path, capsys, circ_file):
             for value in SWEEP_VALUES:
                 codes[command, flag, value] = main([command, *base, f"{flag}={value}"])
     capsys.readouterr()
-    assert len(codes) == 308
+    assert len(codes) == 275
     assert {key: code for key, code in codes.items() if code not in (0, 1, 2)} == {}

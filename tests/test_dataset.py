@@ -312,3 +312,15 @@ class TestInvariantsOfTypes:
         ds = gen_circular(0)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+    def test_caller_arrays_stay_writeable(self):
+        X, y = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1])
+        lo, hi = np.array([0.0, 1.0]), np.array([2.0, 5.0])
+        ds = Dataset(X, y, ("a", "b"))
+        norm = NormalizationParams(lo, hi)
+        assert all(a.flags.writeable for a in (X, y, lo, hi))
+        X[0, 0], y[0], lo[0], hi[0] = 9.0, 1, -9.0, 9.0
+        assert ds.features.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert ds.labels.tolist() == [0, 1]
+        assert (norm.minimum.tolist(), norm.maximum.tolist()) == ([0.0, 1.0], [2.0, 5.0])
+        assert norm.apply(np.array([1.0, 3.0])).tolist() == [0.5, 0.5]

@@ -132,7 +132,7 @@ def test_revision_never_increases(pp, r_a):
     params = SubclustParams(r_a)
     field = initial_potentials(pts, params)
     k = int(field.argmax())
-    revised = _revised(field, pts, k, params.beta)
+    revised, _ = _revised(field, pts, k, params.beta)
     assert np.all(revised <= field + 1e-12)
     assert revised[k] == 0.0
 

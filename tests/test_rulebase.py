@@ -536,6 +536,24 @@ class TestExportRules:
 
 
 class TestRuleBaseType:
+    def test_caller_arrays_stay_writeable(self):
+        rng = np.random.default_rng(30)
+        P, R = rng.uniform(size=(5, 2)), rng.dirichlet(np.ones(2), size=5)
+        lo, hi = np.zeros(2), np.ones(2)
+        rb = RuleBase(P, np.array([0, 0, 1, 1, 1]), R, Fuzzifiers(),
+                      NormalizationParams(lo, hi), ("a", "b"))
+        X = rng.uniform(size=(20, 2))
+        expected = classify_batch(X, rb)[1]
+        fields = rb.prototypes.copy(), rb.certainty.copy()
+        assert all(a.flags.writeable for a in (P, R, lo, hi))
+        P += 1.0
+        R[:] = R[:, ::-1]
+        lo -= 1.0
+        hi += 1.0
+        assert np.array_equal(rb.prototypes, fields[0])
+        assert np.array_equal(rb.certainty, fields[1])
+        assert np.array_equal(classify_batch(X, rb)[1], expected)
+
     def test_certainty_shape_checked(self):
         with pytest.raises(DataError):
             RuleBase(

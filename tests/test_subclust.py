@@ -9,10 +9,15 @@ from it2frbc import (
     ConfigError,
     DataError,
     SubclustParams,
+    fit_normalizer,
     gen_circular,
+    gen_irregular,
     initial_potentials,
+    normalize_dataset,
     subtractive_cluster,
 )
+
+from frm_reference import subtractive_cluster as ref_subtractive_cluster
 
 # Frozen oracle values for the 3-point set {(0,0), (0,0.1), (1,1)} at
 # r_a = 0.5 (alpha = 16, beta = 10.24), evaluated independently at
@@ -40,7 +45,7 @@ class TestParams:
             dict(r_a=0.5, accept_ratio=0.0),
             dict(r_a=0.5, accept_ratio=1.5),
             dict(r_a=0.5, reject_ratio=0.9),
-            dict(r_a=0.5, max_centers=0),
+            dict(r_a=0.5, reject_ratio=-0.1),
             # alpha = 4/r_a**2 or beta = 4/r_b**2 not finite and positive:
             # r_a**2 underflows to 0 (ZeroDivisionError), overflows
             # (OverflowError), is subnormal (alpha = inf), or is inf (alpha = 0).
@@ -135,7 +140,7 @@ class TestBlockedPotentials:
 
 def revise(field, pts, k, params):
     """One revision step of the clustering loop, on plain arrays."""
-    return subclust._revised(field, pts, k, params.beta)
+    return subclust._revised(field, pts, k, params.beta)[0]
 
 
 class TestRevisePotentials:
@@ -158,8 +163,9 @@ class TestRevisePotentials:
         params = SubclustParams(0.5)
         field = initial_potentials(THREE_POINTS, params)
         assert int(field.argmax()) == 1
-        revised = revise(field, THREE_POINTS, 1, params)
+        revised, d2 = subclust._revised(field, THREE_POINTS, 1, params.beta)
         assert revised == pytest.approx(THREE_REVISED, rel=1e-12, abs=1e-15)
+        assert d2 == pytest.approx([0.01, 0.0, 1.81], rel=1e-15)
 
     def test_never_increases(self):
         rng = np.random.default_rng(1)
@@ -206,12 +212,6 @@ class TestSubtractiveCluster:
         assert a.shape == b.shape
         assert np.allclose(a + shift, b, atol=1e-9)
 
-    def test_max_centers_cap(self):
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(size=(50, 2))
-        centers = subtractive_cluster(pts, SubclustParams(0.1, max_centers=3))
-        assert centers.shape[0] == 3
-
     def test_radius_controls_count_on_benchmark(self):
         ds = gen_circular(11)
         ring = ds.features[ds.labels == 1] / 20.0
@@ -224,6 +224,33 @@ class TestSubtractiveCluster:
         pts = rng.uniform(size=(10, 2))
         centers = subtractive_cluster(pts, SubclustParams(5.0))
         assert centers.shape[0] >= 1
+
+
+def per_class_point_sets(iris):
+    """Each class of normalized Iris, circular and irregular, and a random
+    set with duplicate rows."""
+    sets = []
+    for ds in (iris, gen_circular(0), gen_irregular(0)):
+        ds = normalize_dataset(fit_normalizer(ds), ds)
+        sets += [ds.features[ds.labels == j] for j in range(ds.num_classes)]
+    rng = np.random.default_rng(0)
+    base = np.round(rng.uniform(size=(30, 2)), 3)
+    sets.append(np.vstack([base, base[rng.integers(0, 30, 10)]]))
+    return sets
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("r_a", [0.2, 0.3, 0.5])
+    def test_same_centers_as_straight_line_loop(self, iris, r_a):
+        band = 0
+        for pts in per_class_point_sets(iris):
+            expected, decisions = ref_subtractive_cluster(pts.tolist(), r_a)
+            got = subtractive_cluster(pts, SubclustParams(r_a))
+            assert np.array_equal(got, np.array(expected))
+            # Every comparison is decided by more than rounding could move it.
+            assert min(margin for _, margin in decisions) > 1e-9
+            band += sum(kind == "d_min" for kind, _ in decisions)
+        assert band > 0
 
 
 def cluster_within(seconds, points, params):
