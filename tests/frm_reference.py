@@ -91,7 +91,7 @@ def subtractive_cluster(points, r_a, rb_ratio=1.25, accept_ratio=0.5, reject_rat
         k = max(live, key=lambda i: (P[i], -i))
         peak = P[k]
         live.remove(k)
-        rivals = [P[i] for i in live if list(points[i]) != list(points[k])]
+        rivals = [P[i] for i in live if points[i] != points[k]]
         if rivals:
             decisions.append(("argmax", peak - max(rivals)))
         decisions.append(("reject", abs(peak - reject_ratio * first)))
