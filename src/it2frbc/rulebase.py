@@ -14,16 +14,23 @@ the footprint of uncertainty of the rule's antecedent.
 The distance matrix (n, c) is computed once per call, in row blocks of
 bounded size (O(n * c) output plus O(block) working memory, never the
 (n, c, N) difference tensor), and both fuzzifiers are applied to it.
-Past the distances and the ratios to each row's nearest prototype, the
-only (n, c) arrays are the two partitions, each normalized in its own
+Squared distances past the float range, overflowing to inf or rounding
+into subnormals, are recomputed for their rows from scaled differences,
+so scaling every feature by one factor leaves the memberships as they
+are. Past the distances and the ratios to each row's nearest prototype,
+the only (n, c) arrays are the two partitions, each normalized in its own
 buffer, and the lower bound; the upper bound is written over the second
 partition. The shares of rows sitting on a prototype take one more, built
-only when such a row exists. Inference calls this per row block of
-bounded size (inference.classify_batch), so there n is at most a block;
-certainty_degrees calls it once on the whole training set.
+only when such a row exists. Both callers hand it row blocks of
+subclust.BLOCK_ELEMENTS // c rows: inference.classify_batch per block of
+patterns to classify, and certainty_degrees per block of the training
+set. So n is at most a block, and neither training nor inference memory
+grows with the number of patterns.
 
 The rule consequent is a certainty vector over classes, estimated from the
-training patterns' interval-midpoint memberships.
+training patterns' interval-midpoint memberships. Their per-class and
+total sums run block by block and keep the bytes of one sum over the
+whole training set (see certainty_degrees).
 
 A RuleBase refuses non-finite prototypes, certainty entries and exponents,
 and builds the inference constants that depend on the model alone
@@ -39,11 +46,13 @@ import numpy as np
 
 from .dataset import Dataset, NormalizationParams, _freeze
 from .errors import ConfigError, DataError
-from .subclust import SubclustParams, _sq_distance_blocks, subtractive_cluster
+from .subclust import BLOCK_ELEMENTS, SubclustParams, _sq_distance_blocks, subtractive_cluster
 
 FORMAT_VERSION = 1
 
 _TINY = np.finfo(float).tiny
+# Below this a squared distance may have lost bits to subnormal rounding.
+_SMALL = float(_TINY / np.finfo(float).eps)
 
 
 class _SoundnessConstants(NamedTuple):
@@ -170,8 +179,9 @@ class RuleBase:
 def _distances(X, prototypes) -> np.ndarray:
     """Euclidean distances of each row of X to each prototype, (n, c).
 
-    A row whose squared distances overflow comes back divided by a per-row
-    scale, which leaves its distance ratios intact.
+    A row whose squared distances overflow, or all lie below sqrt(_SMALL)
+    with one below _SMALL, comes back divided by a per-row scale, which
+    leaves its distance ratios intact.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     P = np.atleast_2d(np.asarray(prototypes, dtype=float))
@@ -182,15 +192,40 @@ def _distances(X, prototypes) -> np.ndarray:
     d = np.empty((X.shape[0], P.shape[0]))
     for start, stop, sq in _sq_distance_blocks(X, P):
         d[start:stop] = sq
-    # A huge finite pattern overflows its squared distances to inf. Such a
-    # row is recomputed from differences divided by its largest |difference|;
-    # memberships depend only on the ratios d_k / d_q, so the scale cancels.
-    if d.max(initial=0.0) == np.inf:
-        for i in np.flatnonzero(np.isinf(d).any(axis=1)):
-            diff = X[i] - P
-            diff /= np.abs(diff).max()
-            d[i] = np.einsum("ij,ij->i", diff, diff)
+    # A huge finite pattern overflows its squared distances to inf; tiny
+    # differences underflow them into subnormals or to 0, so a pattern near
+    # several prototypes counts as sitting on them. Such rows are recomputed
+    # from differences divided by the row's largest |difference|;
+    # memberships depend only on the ratios d_k / d_q, so the scale cancels,
+    # and exact zeros stay zeros. A row whose largest squared distance is at
+    # least sqrt(_SMALL) (about 1e-146) is left as it is: its smallest falls
+    # below _SMALL only at distance ratios past about 1e73. So rows sitting
+    # on a prototype of normalized data are not recomputed.
+    huge = d.max(initial=0.0) == np.inf
+    if huge or d.min(initial=np.inf) < _SMALL:
+        c = d.shape[1]
+        rows = np.flatnonzero(d < _SMALL) // c  # one entry per tiny distance
+        rows = rows[d[rows].max(axis=1) < _SMALL**0.5]
+        if huge:
+            rows = np.append(rows, np.flatnonzero(d == np.inf) // c)
+        if rows.size:
+            _rescale_rows(d, X, P, np.unique(rows))
     return np.sqrt(d, out=d)
+
+
+def _rescale_rows(d: np.ndarray, X: np.ndarray, P: np.ndarray, rows: np.ndarray) -> None:
+    """Recompute the squared distances d[rows] from differences divided by
+    each row's largest |difference| (a row on every prototype keeps its
+    zeros), in chunks whose difference tensor holds at most BLOCK_ELEMENTS
+    values."""
+    step = max(1, BLOCK_ELEMENTS // max(1, P.size))
+    for a in range(0, len(rows), step):
+        chunk = rows[a:a + step]
+        diff = X[chunk, None, :] - P
+        scale = np.abs(diff).max(axis=(1, 2), initial=0.0)
+        scale[scale == 0.0] = 1.0
+        diff /= scale[:, None, None]
+        d[chunk] = np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
@@ -233,22 +268,44 @@ def membership_bounds(
 
 def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     """Certainty matrix (c, M): per rule, the class shares of the summed
-    interval-midpoint memberships over all training patterns."""
+    interval-midpoint memberships over all training patterns.
+
+    The training set goes through membership_bounds in blocks of
+    BLOCK_ELEMENTS // c rows (at least one), so the (rows, c) arrays stay
+    bounded whatever n is. Each block's midpoints are written under a
+    leading row holding the running sum, and that buffer is reduced along
+    axis 0, which numpy adds row by row in order: the sums are the bytes
+    of one sum over the whole training set.
+    """
     if len(train) == 0:
         raise DataError("certainty degrees need a non-empty training set")
     P = np.atleast_2d(np.asarray(prototypes, dtype=float))
-    lower, upper = membership_bounds(train.features, P, fz)
-    U = 0.5 * (lower + upper)  # (n, c)
-
     c = P.shape[0]
     M = train.num_classes
-    per_class = np.zeros((c, M))
-    for j in range(M):
-        per_class[:, j] = U[train.labels == j].sum(axis=0)
-    totals = U.sum(axis=0)
+    per_class = np.zeros((M, c))
+    totals = np.zeros(c)
+    step = max(1, BLOCK_ELEMENTS // max(1, c))
+    for a in range(0, len(train), step):
+        mid = np.add(*membership_bounds(train.features[a:a + step], P, fz))
+        mid *= 0.5
+        k = len(mid)
+        if a == 0:  # after the first bounds, so one block peaks as one call did
+            U = np.empty((k + 1, c))
+        labels = train.labels[a:a + step]
+        for j in range(M):
+            mask = labels == j
+            kj = int(np.count_nonzero(mask))
+            U[0] = per_class[j]
+            np.compress(mask, mid, axis=0, out=U[1:kj + 1])
+            np.add.reduce(U[:kj + 1], axis=0, out=per_class[j])
+        U[0] = totals
+        U[1:k + 1] = mid
+        np.add.reduce(U[:k + 1], axis=0, out=totals)
+        del mid  # before the next block's bounds are built
+
     degenerate = totals <= 0.0
     totals[degenerate] = 1.0
-    R = per_class / totals[:, None]
+    R = np.divide(per_class.T, totals[:, None], order="C")
     R[degenerate] = 1.0 / M
     return R
 

@@ -5,12 +5,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import it2frbc
-from it2frbc import classify_batch, load_csv, load_rulebase
+from it2frbc import Dataset, classify_batch, load_csv, load_rulebase, save_csv
 from it2frbc.cli import main
 
 
@@ -656,3 +659,68 @@ def test_no_numeric_flag_value_exits_3(tmp_path, capsys, circ_file):
     capsys.readouterr()
     assert len(codes) == 275
     assert {key: code for key, code in codes.items() if code not in (0, 1, 2)} == {}
+
+
+@st.composite
+def small_data_and_flags(draw):
+    """A small labeled dataset (every class at least three times) and a flag set
+    for train and eval, each value from the range its rule accepts."""
+    dim = draw(st.integers(1, 3))
+    M = draw(st.integers(2, 3))
+    labels = list(range(M)) * 3 + draw(st.lists(st.integers(0, M - 1), max_size=14))
+    cell = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    feats = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=len(labels),
+                          max_size=len(labels)))
+    ds = Dataset(np.array(feats), np.array(labels), tuple(f"c{j}" for j in range(M)))
+    if draw(st.booleans()):
+        accept = draw(st.floats(min_value=0.05, max_value=1.0))
+        flags = ["--ra", repr(10.0 ** draw(st.floats(min_value=-2.0, max_value=0.5))),
+                 "--rb-ratio", repr(draw(st.floats(min_value=0.5, max_value=3.0))),
+                 "--accept", repr(accept),
+                 "--reject", repr(draw(st.floats(min_value=0.0, max_value=accept,
+                                                 exclude_max=True)))]
+    else:
+        flags = ["--no-sc"]
+    m1 = draw(st.floats(min_value=1.01, max_value=6.0))
+    m2 = draw(st.floats(min_value=m1, max_value=8.0))
+    p = draw(st.floats(min_value=0.05, max_value=8.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    flags += ["--m1", repr(m1), "--m2", repr(m2), "--p", repr(p),
+              "--seed", str(draw(st.integers(0, 2**31 - 1))),
+              "--train-frac", repr(draw(st.floats(min_value=0.3, max_value=0.8)))]
+    if draw(st.booleans()):
+        flags.append("--stratified")
+    return ds, flags
+
+
+@given(small_data_and_flags())
+@settings(max_examples=30, deadline=None)
+def test_train_predict_eval_end_to_end(data_and_flags):
+    """For accepted flags on small data: no command exits 3, predict writes
+    the scores of classify_batch on the same rows, and eval repeats its
+    report byte for byte."""
+    ds, flags = data_and_flags
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        tmp = pathlib.Path(tmp)
+        data, model, pred = tmp / "data.csv", tmp / "model.json", tmp / "pred.csv"
+        save_csv(ds, data)
+        code = main(["train", "--in", str(data), "--model", str(model), *flags])
+        assert code in (0, 2)
+        if code == 0:
+            assert main(["predict", "--model", str(model), "--in", str(data),
+                         "--out", str(pred)]) == 0
+            rb = load_rulebase(model)
+            preds, scores = classify_batch(load_csv(data, -1).features, rb)
+            with open(pred, newline="") as fh:
+                body = list(csv.reader(fh))[1:]
+            assert [row[ds.num_features] for row in body] == [rb.class_names[k] for k in preds]
+            assert [row[ds.num_features + 1:] for row in body] == [
+                [repr(v) for v in row] for row in scores.tolist()]
+        reports = []
+        for i in range(2):
+            out = tmp / f"report{i}.json"
+            code = main(["eval", "--in", str(data), "--runs", "2", "--format", "json",
+                         "--no-timestamp", "--out", str(out), *flags])
+            assert code in (0, 2)
+            reports.append(out.read_bytes() if out.exists() else None)
+        assert reports[0] == reports[1]

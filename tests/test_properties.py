@@ -252,3 +252,38 @@ def test_classify_extreme_magnitudes(rb, raw):
         _, scores = classify_batch(x[None, :], rb)
     assert np.all(np.isfinite(scores))
     assert np.any(scores > 0.0)
+
+
+@st.composite
+def scaled_training_sets(draw):
+    """Patterns on a grid with per-column scales from 2**-20 to 2**20,
+    duplicate rows, prototypes on patterns (some repeated) and off them,
+    labels, and a factor s = 2**k from about 1e-300 to 1e300, log-uniform.
+    A power of two scales every value exactly, so any difference between
+    scales comes from the kernel, not from rounding the inputs."""
+    dim = draw(st.integers(1, 3))
+    cols = 2.0 ** np.array(draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim)))
+    row = st.lists(st.integers(-50, 50), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=5))
+    X = np.array(rows + [rows[i] for i in copies], dtype=float) / 8.0 * cols
+    picks = draw(st.lists(st.integers(0, len(X) - 1), min_size=1, max_size=5))
+    free = np.array(draw(st.lists(row, max_size=2)), dtype=float).reshape(-1, dim) / 8.0 * cols
+    protos = np.vstack([X[picks], free])
+    M = draw(st.integers(1, 3))
+    labels = np.array(draw(st.lists(st.integers(0, M - 1), min_size=len(X), max_size=len(X))))
+    s = 2.0 ** draw(st.integers(-996, 996))
+    return X, labels, M, protos, s
+
+
+@given(scaled_training_sets(), fuzzifier, fuzzifier)
+@settings(max_examples=200, deadline=None)
+def test_scaling_leaves_memberships_and_certainty(data, ma, mb):
+    X, labels, M, protos, s = data
+    fz = Fuzzifiers(min(ma, mb), max(ma, mb))
+    for a, b in zip(membership_bounds(s * X, s * protos, fz), membership_bounds(X, protos, fz)):
+        assert a == pytest.approx(b, rel=0, abs=1e-12)
+    names = tuple(str(i) for i in range(M))
+    R_s = certainty_degrees(Dataset(s * X, labels, names), s * protos, fz)
+    R = certainty_degrees(Dataset(X, labels, names), protos, fz)
+    assert R_s == pytest.approx(R, rel=0, abs=1e-12)

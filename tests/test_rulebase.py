@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,161 @@ class TestCertaintyDegrees:
         )
         r = certainty_degrees(ds, np.array([[0.5]]), Fuzzifiers())
         assert r[0] == pytest.approx([0.75, 0.25])
+
+
+def one_shot_certainty(ds, protos, fz):
+    """The certainty as one sum over the whole training set: the form the
+    blocked running sums must match byte for byte."""
+    lower, upper = rulebase.membership_bounds(ds.features, protos, fz)
+    U = 0.5 * (lower + upper)
+    per_class = np.stack([U[ds.labels == j].sum(axis=0) for j in range(ds.num_classes)], axis=1)
+    totals = U.sum(axis=0)
+    degenerate = totals <= 0.0
+    totals[degenerate] = 1.0
+    R = per_class / totals[:, None]
+    R[degenerate] = 1.0 / ds.num_classes
+    return R
+
+
+def certainty_rows(c):
+    """Rows per block of certainty_degrees at c rules."""
+    return max(1, rulebase.BLOCK_ELEMENTS // c)
+
+
+class TestBlockedCertainty:
+    """certainty_degrees walks the training set in blocks of
+    BLOCK_ELEMENTS // c rows; its sums keep the bytes of one sum."""
+
+    FZ = Fuzzifiers(1.5, 2.5)
+
+    def blocked(self, monkeypatch, budget, ds, protos):
+        with monkeypatch.context() as m:
+            m.setattr(rulebase, "BLOCK_ELEMENTS", budget)
+            return certainty_degrees(ds, protos, self.FZ)
+
+    def check(self, monkeypatch, ds, protos, budgets):
+        c = len(protos)
+        assert len(ds) <= certainty_rows(c)  # one block at the default budget
+        whole = certainty_degrees(ds, protos, self.FZ)
+        assert np.array_equal(whole, one_shot_certainty(ds, protos, self.FZ))
+        for budget in budgets:
+            assert np.array_equal(self.blocked(monkeypatch, budget, ds, protos), whole), budget
+        return whole
+
+    def random_set(self, seed, n, N, M, c):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, N))
+        labels = rng.integers(0, M, n)
+        labels[:M] = np.arange(M)
+        return Dataset(X, labels, tuple("abcd"[:M])), X[rng.choice(n, c, replace=False)]
+
+    def test_one_row_blocks(self, monkeypatch):
+        ds, protos = self.random_set(40, 57, 3, 3, 6)
+        self.check(monkeypatch, ds, protos, [1, 6])
+
+    def test_uneven_last_block(self, monkeypatch):
+        ds, protos = self.random_set(41, 1000, 4, 2, 7)
+        assert [1000 % (b // 7) for b in (63, 2000)] == [1, 145]  # 9 and 285 rows a block
+        self.check(monkeypatch, ds, protos, [63, 2000])
+
+    def test_block_without_rows_of_a_class(self, monkeypatch):
+        # Sorted labels: at 10 rows per block, blocks hold one class only,
+        # and one block straddles classes 1 and 2.
+        rng = np.random.default_rng(42)
+        X = rng.uniform(size=(45, 2))
+        labels = np.repeat([0, 1, 2], [20, 15, 10])
+        ds = Dataset(X, labels, ("a", "b", "c"))
+        self.check(monkeypatch, ds, X[[3, 22, 40, 41]], [4 * 10, 4 * 7])
+
+    def test_one_rule(self, monkeypatch):
+        ds, protos = self.random_set(43, 90, 2, 3, 1)
+        R = self.check(monkeypatch, ds, protos, [1, 7])
+        assert np.array_equal(R[0], ds.class_counts() / len(ds))
+
+    def test_one_class(self, monkeypatch):
+        ds, protos = self.random_set(44, 90, 2, 1, 5)
+        R = self.check(monkeypatch, ds, protos, [5, 64])
+        assert np.array_equal(R, np.ones((5, 1)))
+
+    def test_duplicate_and_on_prototype_rows(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        X = np.round(rng.uniform(size=(80, 2)), 1)  # many duplicate rows
+        X[60:] = X[:20]
+        labels = rng.integers(0, 2, 80)
+        protos = X[[0, 5, 5, 33, 61]]  # every prototype sits on rows; two coincide
+        ds = Dataset(X, labels, ("a", "b"))
+        self.check(monkeypatch, ds, protos, [1, 5 * 3, 5 * 16])
+
+    def test_matches_reference(self, monkeypatch):
+        from frm_reference import certainty as ref_certainty
+
+        ds, protos = self.random_set(46, 70, 3, 3, 4)
+        want = ref_certainty(ds.features.tolist(), ds.labels.tolist(), protos.tolist(),
+                             1.5, 2.5, 3)
+        for budget in (1, 4 * 9, rulebase.BLOCK_ELEMENTS):
+            got = self.blocked(monkeypatch, budget, ds, protos)
+            assert got == pytest.approx(np.array(want), abs=1e-12)
+
+    def test_memory_does_not_grow_with_the_training_set(self):
+        # At 128 rules a block is 2048 rows, so 5 000 rows already take
+        # full blocks; the peak at 20 000 rows must stay that of a block.
+        rng = np.random.default_rng(47)
+        protos = rng.uniform(size=(128, 4))
+        assert certainty_rows(128) * 2 < 5000
+
+        def peak(n):
+            ds = Dataset(rng.uniform(size=(n, 4)), rng.integers(0, 2, n), ("a", "b"))
+            tracemalloc.start()
+            try:
+                certainty_degrees(ds, protos, self.FZ)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20000) <= 1.5 * peak(5000)
+
+
+class TestScaledMemberships:
+    """Memberships depend only on distance ratios, so scaling patterns and
+    prototypes by one factor leaves them as they are, down to where squared
+    distances underflow and up to where they overflow."""
+
+    def data(self):
+        rng = np.random.default_rng(48)
+        X = rng.uniform(size=(40, 3))
+        X[5] = X[7]
+        labels = rng.integers(0, 2, 40)
+        return X, labels, X[[0, 5, 9, 20]]
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-170, 1e-160, 3.7e-290, 1e-150, 1e150,
+                                   1e200, 1e300])
+    def test_scale_invariant(self, s):
+        # At 1e-160 the bounds were off by 1.4e-3; from 1e-170 down every
+        # pattern counted as sitting on every prototype, and the certainty
+        # fell back toward the class frequencies.
+        X, labels, protos = self.data()
+        fz = Fuzzifiers()
+        lower, upper = rulebase.membership_bounds(X, protos, fz)
+        lo_s, up_s = rulebase.membership_bounds(s * X, s * protos, fz)
+        assert lo_s == pytest.approx(lower, rel=0, abs=1e-15)
+        assert up_s == pytest.approx(upper, rel=0, abs=1e-15)
+        R = certainty_degrees(Dataset(X, labels, ("a", "b")), protos, fz)
+        R_s = certainty_degrees(Dataset(s * X, labels, ("a", "b")), s * protos, fz)
+        assert R_s == pytest.approx(R, rel=0, abs=1e-15)
+
+    def test_exact_zeros_kept(self):
+        # Rows on a prototype keep their shares bit for bit when their
+        # other distances are rescaled, and a row on every prototype stays.
+        protos = np.array([[1e-200, 0.0], [1e-200, 0.0], [3e-200, 1e-200]])
+        X = np.array([[1e-200, 0.0], [2e-200, 5e-201], [3e-200, 1e-200]])
+        lower, upper = rulebase.membership_bounds(X, protos, Fuzzifiers())
+        for mu in (lower, upper):
+            assert mu[0].tolist() == [0.5, 0.5, 0.0]
+            assert mu[2].tolist() == [0.0, 0.0, 1.0]
+            assert np.all(mu[1] > 0.0)
+        same = np.full((1, 2), 1e-300)
+        lower, upper = rulebase.membership_bounds(same, np.repeat(same, 3, axis=0), Fuzzifiers())
+        assert lower.tolist() == upper.tolist() == [[1 / 3] * 3]
 
 
 class TestBuildRulebase:
