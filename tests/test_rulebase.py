@@ -429,11 +429,11 @@ class TestScaledMemberships:
         fz = Fuzzifiers()
         lower, upper = rulebase.membership_bounds(X, protos, fz)
         lo_s, up_s = rulebase.membership_bounds(s * X, s * protos, fz)
-        assert lo_s == pytest.approx(lower, rel=0, abs=1e-15)
-        assert up_s == pytest.approx(upper, rel=0, abs=1e-15)
+        assert lo_s == pytest.approx(lower, rel=0, abs=1e-12)
+        assert up_s == pytest.approx(upper, rel=0, abs=1e-12)
         R = certainty_degrees(Dataset(X, labels, ("a", "b")), protos, fz)
         R_s = certainty_degrees(Dataset(s * X, labels, ("a", "b")), s * protos, fz)
-        assert R_s == pytest.approx(R, rel=0, abs=1e-15)
+        assert R_s == pytest.approx(R, rel=0, abs=1e-12)
 
     def test_exact_zeros_kept(self):
         # Rows on a prototype keep their shares bit for bit when their
