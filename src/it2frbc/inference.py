@@ -16,10 +16,12 @@ scaled powers) are built once when the model is constructed, so a call
 computes only what depends on its patterns. The products are sums over
 the rules taken by np.einsum, which makes no BLAS call, so each row's
 scores depend on that row alone: a pattern scores the same bytes in any
-batch and in classify. classify_batch runs the kernel over row blocks
-whose (rows, c) arrays hold about subclust.BLOCK_ELEMENTS values each
-(about 2 MB), so its memory is the (n, M) scores plus a few such blocks,
-whatever n is; classify calls the kernel on its one row directly.
+batch and in classify. classify_batch runs the kernel over the row blocks
+of subclust._row_blocks at width c, whose (rows, c) arrays hold about 2 MB
+each, so its memory is the (n, M) scores plus a few such blocks, whatever
+n is; the exact path walks its cells in the same blocks, and classify
+calls the kernel on its one row directly. Squared distances past the
+float range are rescaled inside rulebase.membership_bounds.
 Non-finite input is refused with DataError.
 """
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .rulebase import _TINY, RuleBase, _SoundnessConstants, membership_bounds
-from .subclust import BLOCK_ELEMENTS
+from .rulebase import _SMALL, _TINY, RuleBase, _SoundnessConstants, membership_bounds
+from .subclust import _row_blocks
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,6 @@ def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray
     return out
 
 
-# Each term of a scaled sum that underflows is off by less than _TINY, so
-# a sum of count terms at or above count * _FLOOR is exact to rounding.
-_FLOOR = _TINY / np.finfo(float).eps
-
-
 def _soundness_bounds(
     lower: np.ndarray, upper: np.ndarray, consts: _SoundnessConstants
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +123,7 @@ def _soundness_bounds(
     positive R) comes from consts, built once per model. The cells the product
     cannot give exactly are recomputed by _power_mean_rows, each as a row
     of its own:
-      - a scaled sum below count * _FLOOR, where underflowed terms could
+      - a scaled sum below count * _SMALL, where underflowed terms could
         matter (large p), or a scale s * t below the smallest normal float;
       - every cell of a row where some upper_k * R_kj of positive factors
         can round to 0, since firing is decided on that product.
@@ -152,7 +149,10 @@ def _soundness_bounds(
         B **= p
         S = np.einsum("ik,kj->ij", B, consts.weights).reshape(2, n, M)
         st = s.reshape(2, n, 1) * consts.t
-        fine = (S > count * _FLOOR) & (st >= _TINY)
+        # Each term of a scaled sum that underflows is off by less than
+        # _TINY, so a sum of count terms above count * _SMALL is exact to
+        # rounding.
+        fine = (S > count * _SMALL) & (st >= _TINY)
         # Cells that are not fine hold S / count * s * t, which is 0 where
         # no rule fires and is recomputed everywhere else.
         out = S / np.maximum(count, 1.0)
@@ -177,9 +177,8 @@ def _soundness_bounds(
     if h.size:
         bounds = np.stack((lower, upper))
         # Row blocks of bounded size keep the gathered (cells, c) values small.
-        step = max(1, BLOCK_ELEMENTS // max(1, c))
-        for a in range(0, h.size, step):
-            hb, ib, jb = h[a:a + step], i[a:a + step], j[a:a + step]
+        for cells in _row_blocks(h.size, c):
+            hb, ib, jb = h[cells], i[cells], j[cells]
             r = consts.certainty[:, jb].T
             out[hb, ib, jb] = _power_mean_rows(bounds[hb, ib] * r, upper[ib] * r > 0.0, p)
     # The true bounds are ordered, but when m1 and m2 nearly coincide the two
@@ -204,19 +203,18 @@ def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
 
     Normalization is applied internally; scores are the per-class soundness
     interval midpoints and predictions their row argmax (ties -> lowest
-    class index). Rows go through the kernel in blocks of
-    BLOCK_ELEMENTS // c rows (at least one), each writing its midpoints
-    into the (n, M) scores, so the (rows, c) arrays stay bounded whatever
-    n is. A row's scores do not depend on the block it falls in.
+    class index). Rows go through the kernel in the row blocks of
+    subclust._row_blocks at width c, each writing its midpoints into the
+    (n, M) scores, so the (rows, c) arrays stay bounded whatever n is. A
+    row's scores do not depend on the block it falls in.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     scores = np.empty((n, rb.num_classes))
-    step = max(1, BLOCK_ELEMENTS // rb.num_rules)
     # An empty batch still takes one (empty) block, so its input is checked.
-    for a in range(0, max(n, 1), step):
-        y_lower, y_upper = _soundness_of(X[a:a + step], rb)
-        np.add(y_lower, y_upper, out=scores[a:a + step])
+    for s in _row_blocks(max(n, 1), rb.num_rules):
+        y_lower, y_upper = _soundness_of(X[s], rb)
+        np.add(y_lower, y_upper, out=scores[s])
     scores *= 0.5
     return scores.argmax(axis=1), scores
 

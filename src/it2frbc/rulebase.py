@@ -11,21 +11,22 @@ all c prototypes sum to 1. Evaluating with two fuzzifiers m1 and m2 and
 taking the pointwise min/max yields the interval [lower_k, upper_k] —
 the footprint of uncertainty of the rule's antecedent.
 
-The distance matrix (n, c) is computed once per call, in row blocks of
-bounded size (O(n * c) output plus O(block) working memory, never the
-(n, c, N) difference tensor), and both fuzzifiers are applied to it.
-Squared distances past the float range, overflowing to inf or rounding
-into subnormals, are recomputed for their rows from scaled differences,
-so scaling every feature by one factor leaves the memberships as they
-are. Past the distances and the ratios to each row's nearest prototype,
-the only (n, c) arrays are the two partitions, each normalized in its own
-buffer, and the lower bound; the upper bound is written over the second
-partition. The shares of rows sitting on a prototype take one more, built
-only when such a row exists. Both callers hand it row blocks of
-subclust.BLOCK_ELEMENTS // c rows: inference.classify_batch per block of
-patterns to classify, and certainty_degrees per block of the training
-set. So n is at most a block, and neither training nor inference memory
-grows with the number of patterns.
+The distance matrix (n, c) is computed once per call, over the row
+blocks of subclust._row_blocks (O(n * c) output plus O(block) working
+memory, never the (n, c, N) difference tensor), and both fuzzifiers are
+applied to it. Squared distances past the float range, overflowing to inf
+or rounding into subnormals, are recomputed in their block from that
+block's differences, scaled per row, so scaling every feature by one
+factor leaves the memberships as they are. Past the distances and the
+ratios to each row's nearest prototype, the only (n, c) arrays are the two
+partitions, each normalized in its own buffer, and the lower bound; the
+upper bound is written over the second partition. The shares of rows
+sitting on a prototype take one more, built only when such a row exists.
+Both callers hand it row blocks from subclust._row_blocks at width c:
+inference.classify_batch per block of patterns to classify, and
+certainty_degrees per block of the training set. So n is at most a block,
+and neither training nor inference memory grows with the number of
+patterns.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval-midpoint memberships. Their per-class and
@@ -46,12 +47,13 @@ import numpy as np
 
 from .dataset import Dataset, NormalizationParams, _freeze
 from .errors import ConfigError, DataError
-from .subclust import BLOCK_ELEMENTS, SubclustParams, _sq_distance_blocks, subtractive_cluster
+from .subclust import SubclustParams, _row_blocks, subtractive_cluster
 
 FORMAT_VERSION = 1
 
 _TINY = np.finfo(float).tiny
-# Below this a squared distance may have lost bits to subnormal rounding.
+# Below this a squared distance may have lost bits to subnormal rounding
+# (inference also reads it as the floor, per term, of an exact scaled sum).
 _SMALL = float(_TINY / np.finfo(float).eps)
 
 
@@ -179,9 +181,11 @@ class RuleBase:
 def _distances(X, prototypes) -> np.ndarray:
     """Euclidean distances of each row of X to each prototype, (n, c).
 
-    A row whose squared distances overflow, or all lie below sqrt(_SMALL)
-    with one below _SMALL, comes back divided by a per-row scale, which
-    leaves its distance ratios intact.
+    Computed over the row blocks of subclust._row_blocks at width c * N. A
+    row whose squared distances overflow, or all lie below sqrt(_SMALL)
+    with one below _SMALL, is rescaled in its block from the differences
+    already there: it comes back divided by a per-row scale, which leaves
+    its distance ratios intact.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     P = np.atleast_2d(np.asarray(prototypes, dtype=float))
@@ -190,42 +194,31 @@ def _distances(X, prototypes) -> np.ndarray:
     if P.shape[0] == 0:
         raise DataError("need at least one prototype")
     d = np.empty((X.shape[0], P.shape[0]))
-    for start, stop, sq in _sq_distance_blocks(X, P):
-        d[start:stop] = sq
-    # A huge finite pattern overflows its squared distances to inf; tiny
-    # differences underflow them into subnormals or to 0, so a pattern near
-    # several prototypes counts as sitting on them. Such rows are recomputed
-    # from differences divided by the row's largest |difference|;
-    # memberships depend only on the ratios d_k / d_q, so the scale cancels,
-    # and exact zeros stay zeros. A row whose largest squared distance is at
-    # least sqrt(_SMALL) (about 1e-146) is left as it is: its smallest falls
-    # below _SMALL only at distance ratios past about 1e73. So rows sitting
-    # on a prototype of normalized data are not recomputed.
-    huge = d.max(initial=0.0) == np.inf
-    if huge or d.min(initial=np.inf) < _SMALL:
-        c = d.shape[1]
-        rows = np.flatnonzero(d < _SMALL) // c  # one entry per tiny distance
-        rows = rows[d[rows].max(axis=1) < _SMALL**0.5]
-        if huge:
-            rows = np.append(rows, np.flatnonzero(d == np.inf) // c)
-        if rows.size:
-            _rescale_rows(d, X, P, np.unique(rows))
+    for s in _row_blocks(X.shape[0], P.size):
+        diff = X[s, None, :] - P
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        # A huge finite pattern overflows its squared distances to inf; tiny
+        # differences underflow them into subnormals or to 0, so a pattern
+        # near several prototypes counts as sitting on them. Such rows are
+        # recomputed from differences divided by the row's largest
+        # |difference|; memberships depend only on the ratios d_k / d_q, so
+        # the scale cancels, and exact zeros stay zeros. A row whose largest
+        # squared distance is at least sqrt(_SMALL) (about 1e-146) is left
+        # as it is: its smallest falls below _SMALL only at distance ratios
+        # past about 1e73. So rows sitting on a prototype of normalized data
+        # are not recomputed, and a block with neither case pays only the
+        # two reductions here.
+        if sq.max() == np.inf or sq.min() < _SMALL:
+            top = sq.max(axis=1)  # inf where any entry is
+            flagged = (top == np.inf) | (sq.min(axis=1) < _SMALL) & (top < _SMALL**0.5)
+            if flagged.any():
+                rows = diff[flagged]
+                scale = np.abs(rows).max(axis=(1, 2), initial=0.0)
+                scale[scale == 0.0] = 1.0  # a row on every prototype keeps its zeros
+                rows /= scale[:, None, None]
+                sq[flagged] = np.einsum("ijk,ijk->ij", rows, rows)
+        d[s] = sq
     return np.sqrt(d, out=d)
-
-
-def _rescale_rows(d: np.ndarray, X: np.ndarray, P: np.ndarray, rows: np.ndarray) -> None:
-    """Recompute the squared distances d[rows] from differences divided by
-    each row's largest |difference| (a row on every prototype keeps its
-    zeros), in chunks whose difference tensor holds at most BLOCK_ELEMENTS
-    values."""
-    step = max(1, BLOCK_ELEMENTS // max(1, P.size))
-    for a in range(0, len(rows), step):
-        chunk = rows[a:a + step]
-        diff = X[chunk, None, :] - P
-        scale = np.abs(diff).max(axis=(1, 2), initial=0.0)
-        scale[scale == 0.0] = 1.0
-        diff /= scale[:, None, None]
-        d[chunk] = np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
@@ -270,9 +263,9 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     """Certainty matrix (c, M): per rule, the class shares of the summed
     interval-midpoint memberships over all training patterns.
 
-    The training set goes through membership_bounds in blocks of
-    BLOCK_ELEMENTS // c rows (at least one), so the (rows, c) arrays stay
-    bounded whatever n is. Each block's midpoints are written under a
+    The training set goes through membership_bounds in the row blocks of
+    subclust._row_blocks at width c, so the (rows, c) arrays stay bounded
+    whatever n is. Each block's midpoints are written under a
     leading row holding the running sum, and that buffer is reduced along
     axis 0, which numpy adds row by row in order: the sums are the bytes
     of one sum over the whole training set.
@@ -284,14 +277,13 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     M = train.num_classes
     per_class = np.zeros((M, c))
     totals = np.zeros(c)
-    step = max(1, BLOCK_ELEMENTS // max(1, c))
-    for a in range(0, len(train), step):
-        mid = np.add(*membership_bounds(train.features[a:a + step], P, fz))
+    for s in _row_blocks(len(train), c):
+        mid = np.add(*membership_bounds(train.features[s], P, fz))
         mid *= 0.5
         k = len(mid)
-        if a == 0:  # after the first bounds, so one block peaks as one call did
+        if s.start == 0:  # after the first bounds, so one block peaks as one call did
             U = np.empty((k + 1, c))
-        labels = train.labels[a:a + step]
+        labels = train.labels[s]
         for j in range(M):
             mask = labels == j
             kj = int(np.count_nonzero(mask))

@@ -19,9 +19,11 @@ takes one distance pass per accepted center.
 
 Points are expected in normalized feature space (r_a is relative to it).
 
-Pairwise squared distances are computed in row blocks (``_sq_distance_blocks``,
-shared with the rule base's memberships), so the potential field needs
-O(n * block) working memory rather than the full n x n x N difference tensor.
+The potential field is computed in row blocks, so it needs O(n * block)
+working memory rather than the full n x n x N difference tensor.
+``_row_blocks`` is the one rule for such blocks: the rule base's
+memberships and certainty degrees and the reasoning method's soundness walk
+their rows with it too.
 
 Termination: every candidate, accepted or discarded, leaves the search at
 potential -inf. Once all n points have left, the maximum is -inf, which lies
@@ -36,8 +38,18 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# Target size, in float64 values, of one row block's difference tensor (2 MB).
+# Target size, in float64 values, of a block's largest array (2 MB).
 BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(n: int, width: int):
+    """Yield slices covering range(n) in order, each of
+    max(1, BLOCK_ELEMENTS // width) rows (the last may be shorter), where
+    width is the number of values one row adds to the block's largest
+    array. The only reader of BLOCK_ELEMENTS."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 @dataclass(frozen=True)
@@ -103,27 +115,18 @@ def _as_points(points) -> np.ndarray:
     return X
 
 
-def _sq_distance_blocks(X: np.ndarray, Y: np.ndarray):
-    """Yield (start, stop, sq): squared distances of X[start:stop] to every row of Y.
-
-    A block's difference tensor holds at most BLOCK_ELEMENTS values (at least
-    one row). Each entry is the same einsum over the same differences as in
-    the single-shot (n, m, N) form, so results are bitwise independent of the
-    block size and coincident points give exact zeros.
-    """
-    rows = max(1, BLOCK_ELEMENTS // max(1, Y.shape[0] * Y.shape[1]))
-    for start in range(0, X.shape[0], rows):
-        stop = min(start + rows, X.shape[0])
-        diff = X[start:stop, None, :] - Y[None, :, :]
-        yield start, stop, np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def initial_potentials(points, params: SubclustParams) -> np.ndarray:
-    """P_i = sum_j exp(-alpha * ||x_i - x_j||^2), including the j=i term, (n,)."""
+    """P_i = sum_j exp(-alpha * ||x_i - x_j||^2), including the j=i term, (n,).
+
+    Each row block's (rows, n, N) differences go through one einsum, the
+    same as the single-shot form, so the result is bitwise independent of
+    the block size and coincident points give exact zeros.
+    """
     X = _as_points(points)
     P = np.empty(X.shape[0])
-    for start, stop, sq in _sq_distance_blocks(X, X):
-        P[start:stop] = np.exp(-params.alpha * sq).sum(axis=1)
+    for s in _row_blocks(X.shape[0], X.size):
+        diff = X[s, None, :] - X
+        P[s] = np.exp(-params.alpha * np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
     return P
 
 

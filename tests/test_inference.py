@@ -10,15 +10,17 @@ import pytest
 from it2frbc import (
     ConfigError,
     DataError,
+    Dataset,
     Fuzzifiers,
     NormalizationParams,
     RuleBase,
+    certainty_degrees,
     classify,
     classify_batch,
     load_rulebase,
     save_rulebase,
 )
-from it2frbc import inference, rulebase
+from it2frbc import inference, rulebase, subclust
 from it2frbc.inference import _power_mean_rows
 from it2frbc.rulebase import _soundness_constants, membership_bounds
 
@@ -655,7 +657,7 @@ class TestRowBlocks:
 
         monkeypatch.setattr(inference, "_soundness_of", recorded)
         classify_batch(np.zeros((n, 3)), SimpleNamespace(num_rules=c, num_classes=2))
-        step = max(1, inference.BLOCK_ELEMENTS // c)
+        step = max(1, subclust.BLOCK_ELEMENTS // c)
         full, rest = divmod(n, step)
         # An empty batch still takes one block, which checks its input.
         assert blocks == [step] * full + ([rest] if rest or not n else [])
@@ -667,7 +669,7 @@ class TestRowBlocks:
         X = rng.random((7001, 9))
         X[-3:-1] = rb.prototypes[[5, 77]]  # rows on a prototype
         X[-5, 2] = 1e200  # squared distances overflow
-        assert len(X) > 3 * (inference.BLOCK_ELEMENTS // rb.num_rules)  # four blocks
+        assert len(X) > 3 * (subclust.BLOCK_ELEMENTS // rb.num_rules)  # four blocks
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             preds, scores = classify_batch(X, rb)
@@ -675,6 +677,34 @@ class TestRowBlocks:
         want = inference._soundness_bounds(lower, upper, rb._soundness)
         assert np.array_equal(scores, 0.5 * (want[0] + want[1]))
         assert np.array_equal(preds, scores.argmax(axis=1))
+
+    def test_one_budget_bounds_every_block(self, monkeypatch):
+        # subclust.BLOCK_ELEMENTS alone sets the blocks of training
+        # (certainty), of classify_batch and of the kernel's exact cells.
+        rng = np.random.default_rng(23)
+        rb = make_rulebase(rng.random((8, 3)), rng.random((8, 2)), p=-1.5)
+        X = rng.random((50, 3))
+        train = Dataset(X, rng.integers(0, 2, 50), ("a", "b"))
+        seen = {"bounds": [], "soundness": [], "cells": []}
+
+        def recorder(module, name, key):
+            run = getattr(module, name)
+
+            def recorded(A, *args):
+                seen[key].append(len(A))
+                return run(A, *args)
+            monkeypatch.setattr(module, name, recorded)
+
+        recorder(rulebase, "membership_bounds", "bounds")
+        recorder(inference, "_soundness_of", "soundness")
+        recorder(inference, "_power_mean_rows", "cells")
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 8 * 6)
+        certainty_degrees(train, rb.prototypes, rb.fuzzifiers)
+        classify_batch(X, rb)
+        # Six rows a block at 8 rules; p < 0 sends every firing cell, 50 rows
+        # x 2 classes x 2 bounds, through the exact path.
+        assert seen["bounds"] == seen["soundness"] == [6] * 8 + [2]
+        assert sum(seen["cells"]) == 200 and max(seen["cells"]) == 6
 
     def test_peak_memory_is_bounded(self):
         # Unblocked, the (n, c) arrays of 10k rows x 128 rules peak at 43.7 MB.

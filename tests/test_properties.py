@@ -287,3 +287,34 @@ def test_scaling_leaves_memberships_and_certainty(data, ma, mb):
     R_s = certainty_degrees(Dataset(s * X, labels, names), s * protos, fz)
     R = certainty_degrees(Dataset(X, labels, names), protos, fz)
     assert R_s == pytest.approx(R, rel=0, abs=1e-12)
+
+
+# Degenerate fuzzifiers and extreme exponents: m within a few ulps of 1 or
+# up to 1e300, m1 == m2, and |p| from 1e-300 to 1e300, all log-uniform.
+near_one = st.integers(1, 8).map(lambda k: 1.0 + k * np.finfo(float).eps)
+edge_fuzzifier = st.one_of(near_one, st.floats(min_value=1e-3, max_value=300.0).map(
+    lambda e: 10.0**e))
+edge_fuzzifiers = st.one_of(
+    edge_fuzzifier.map(lambda m: Fuzzifiers(m, m)),
+    st.tuples(edge_fuzzifier, edge_fuzzifier).map(lambda ms: Fuzzifiers(*sorted(ms))))
+edge_exponent = st.tuples(st.sampled_from([-1.0, 1.0]),
+                          st.floats(min_value=-300.0, max_value=300.0)).map(
+    lambda sp: sp[0] * 10.0 ** sp[1])
+
+
+@given(random_rulebase(max_rules=6), edge_fuzzifiers, edge_exponent,
+       st.lists(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=3),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_degenerate_fuzzifiers_and_extreme_exponents(rb, fz, p, rows):
+    rb = dataclasses.replace(rb, fuzzifiers=fz, aggregation_p=p)
+    X = np.vstack([np.array(rows)[:, :rb.num_features], rb.prototypes[:1]])  # one on a rule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, scores = classify_batch(X, rb)
+        lower, upper = _soundness_of(X, rb)
+        singles = [classify(x, rb).scores for x in X]
+    assert np.all((0.0 <= lower) & (lower <= upper) & (upper <= 1.0))
+    assert np.all((0.0 <= scores) & (scores <= 1.0))
+    for single, row in zip(singles, scores):
+        assert np.array_equal(single, row)

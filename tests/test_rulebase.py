@@ -311,7 +311,7 @@ def one_shot_certainty(ds, protos, fz):
 
 def certainty_rows(c):
     """Rows per block of certainty_degrees at c rules."""
-    return max(1, rulebase.BLOCK_ELEMENTS // c)
+    return max(1, subclust.BLOCK_ELEMENTS // c)
 
 
 class TestBlockedCertainty:
@@ -322,7 +322,7 @@ class TestBlockedCertainty:
 
     def blocked(self, monkeypatch, budget, ds, protos):
         with monkeypatch.context() as m:
-            m.setattr(rulebase, "BLOCK_ELEMENTS", budget)
+            m.setattr(subclust, "BLOCK_ELEMENTS", budget)
             return certainty_degrees(ds, protos, self.FZ)
 
     def check(self, monkeypatch, ds, protos, budgets):
@@ -384,7 +384,7 @@ class TestBlockedCertainty:
         ds, protos = self.random_set(46, 70, 3, 3, 4)
         want = ref_certainty(ds.features.tolist(), ds.labels.tolist(), protos.tolist(),
                              1.5, 2.5, 3)
-        for budget in (1, 4 * 9, rulebase.BLOCK_ELEMENTS):
+        for budget in (1, 4 * 9, subclust.BLOCK_ELEMENTS):
             got = self.blocked(monkeypatch, budget, ds, protos)
             assert got == pytest.approx(np.array(want), abs=1e-12)
 
@@ -448,6 +448,26 @@ class TestScaledMemberships:
         same = np.full((1, 2), 1e-300)
         lower, upper = rulebase.membership_bounds(same, np.repeat(same, 3, axis=0), Fuzzifiers())
         assert lower.tolist() == upper.tolist() == [[1 / 3] * 3]
+
+    def test_rescale_memory_does_not_grow_with_the_rows(self):
+        # Every row overflows, so every row is rescaled. The (n, c) distances
+        # are the output; the working memory past them must stay that of a
+        # block. It was 10.2 MiB at 5 000 rows and 40.3 MiB at 20 000 when
+        # the flagged rows were found over the whole matrix.
+        rng = np.random.default_rng(49)
+        protos = rng.uniform(size=(128, 4))
+
+        def working(n):
+            X = rng.uniform(size=(n, 4))
+            X[:, 1] = 1e200
+            tracemalloc.start()
+            try:
+                d = rulebase._distances(X, protos)
+                return tracemalloc.get_traced_memory()[1] - d.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert working(20000) <= 1.5 * working(5000)
 
 
 class TestBuildRulebase:

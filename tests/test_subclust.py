@@ -96,6 +96,32 @@ class TestInitialPotentials:
                 run(pts, SubclustParams(0.5))
 
 
+class TestRowBlockWalker:
+    """_row_blocks: slices of max(1, BLOCK_ELEMENTS // max(1, width)) rows."""
+
+    @pytest.mark.parametrize("n, width, budget", [
+        (1, 128, 1 << 18), (2048, 128, 1 << 18), (2049, 128, 1 << 18), (10_000, 128, 1 << 18),
+        (7, 3, 10), (5, 0, 4), (6, 40, 7), (3, 10**6, 1 << 18), (100, 1, 1)])
+    def test_slices_cover_the_rows_once_in_order(self, monkeypatch, n, width, budget):
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
+        step = max(1, budget // max(1, width))
+        blocks = list(subclust._row_blocks(n, width))
+        assert [i for s in blocks for i in range(n)[s]] == list(range(n))
+        assert all(0 < s.stop - s.start <= step for s in blocks)
+        assert all(s.stop - s.start == step for s in blocks[:-1])
+
+    def test_no_rows_no_blocks(self):
+        assert list(subclust._row_blocks(0, 128)) == []
+
+    def test_zero_width_takes_the_whole_budget(self, monkeypatch):
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 4)
+        assert list(subclust._row_blocks(9, 0)) == [slice(0, 4), slice(4, 8), slice(8, 9)]
+
+    def test_width_over_the_budget_takes_one_row(self, monkeypatch):
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 4)
+        assert list(subclust._row_blocks(3, 5)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
 def single_shot_potentials(X, alpha):
     """The full (n, n, N) difference tensor form the row blocks must match."""
     diff = X[:, None, :] - X[None, :, :]
