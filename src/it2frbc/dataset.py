@@ -74,9 +74,9 @@ class NormalizationParams:
 
     Out-of-range values are NOT clamped (normalized test values may fall
     outside [0,1]) so distances keep their true geometry. A constant
-    feature (min == max) maps to 0.5. A span max - min that overflows, and
-    a value that overflows on the way (a huge input over a tiny span), are
-    refused with DataError naming the feature.
+    feature (min == max) maps to 0.5. Non-finite input is refused with
+    DataError, and so are a span max - min that overflows and a value that
+    overflows on the way (a huge input over a tiny span), naming the feature.
 
     The divisor of each column (its span, or 1 for a constant column) and
     the constant-column mask (None when no column is constant) are built
@@ -125,12 +125,17 @@ class NormalizationParams:
             out = (X - self.minimum) / self._divisor
         if self._constant is not None:
             np.copyto(out, 0.5, where=self._constant)
-        if not np.isfinite(out).all():
-            k = int(np.argmin(np.isfinite(out).all(axis=0)))
-            raise DataError(
-                f"feature {k + 1}: value does not normalize to a finite number "
-                f"(fitted min {float(self.minimum[k])!r}, max {float(self.maximum[k])!r})"
-            )
+        # A finite output proves finite input, except in a constant column,
+        # which hides its input; only then is the input itself tested.
+        if self._constant is not None or not np.isfinite(out).all():
+            if not np.isfinite(X).all():
+                raise DataError("input features must be finite (no nan or inf)")
+            if not np.isfinite(out).all():
+                k = int(np.argmin(np.isfinite(out).all(axis=0)))
+                raise DataError(
+                    f"feature {k + 1}: value does not normalize to a finite number "
+                    f"(fitted min {float(self.minimum[k])!r}, max {float(self.maximum[k])!r})"
+                )
         return out[0] if single else out
 
     def invert(self, X: np.ndarray) -> np.ndarray:

@@ -6,23 +6,14 @@ prototype under the two fuzzifiers -> association = bounds x the rule's
 per-class certainty -> soundness per class = power mean, bound by bound,
 over the rules whose upper association is positive (none leaves [0, 0]) ->
 decision = argmax of the interval midpoints (ties go to the lowest index).
-For p > 0 the soundness of every class and both bounds is one scaled
-product (_soundness_bounds); the few cells it cannot give exactly (extreme
-p, underflowing products) are recomputed one by one with _power_mean_rows,
-which also computes every cell for p < 0 and for p too small for the
-product's rounding. The operands that depend on the model alone
-(normalization divisors, the certainty's firing mask, column maxima and
-scaled powers) are built once when the model is constructed, so a call
-computes only what depends on its patterns. The products are sums over
-the rules taken by np.einsum, which makes no BLAS call, so each row's
-scores depend on that row alone: a pattern scores the same bytes in any
-batch and in classify. classify_batch runs the kernel over the row blocks
-of subclust._row_blocks at width c, whose (rows, c) arrays hold about 2 MB
-each, so its memory is the (n, M) scores plus a few such blocks, whatever
-n is; the exact path walks its cells in the same blocks, and classify
-calls the kernel on its one row directly. Squared distances past the
-float range are rescaled inside rulebase.membership_bounds.
-Non-finite input is refused with DataError.
+_soundness_bounds takes the soundness as one scaled product for p > 0 and
+recomputes the cells it cannot give exactly, and every cell for p < 0, with
+_power_mean_rows. Its operands that depend on the model alone are built
+once, with the model. Its sums are np.einsum, which makes no BLAS call, so
+a pattern scores the same bytes in any batch and in classify, which is row
+0 of the kernel. classify_batch walks the batch in row blocks, so memory
+stays bounded whatever n is. NormalizationParams.apply refuses non-finite
+input with DataError.
 """
 from __future__ import annotations
 
@@ -119,33 +110,37 @@ def _soundness_bounds(
 
     where s is the row max of B and t the column max of R, so every scaled
     term is at most 1 and the sum cannot overflow. Everything that depends
-    on R and p alone (the float (R > 0), t, (R / t)**p and the smallest
-    positive R) comes from consts, built once per model. The cells the product
-    cannot give exactly are recomputed by _power_mean_rows, each as a row
-    of its own:
+    on R and p alone (the float (R > 0) and its column sums, t, (R / t)**p
+    and the smallest positive R) comes from consts, built once per model.
+    The cells the product cannot give exactly are recomputed by
+    _power_mean_rows, each as a row of its own:
       - a scaled sum below count * _SMALL, where underflowed terms could
         matter (large p), or a scale s * t below the smallest normal float;
       - every cell of a row where some upper_k * R_kj of positive factors
         can round to 0, since firing is decided on that product.
-    Besides the firing mask, built as floats for the count, the only (n, c)
-    arrays are the stacked rows B, which are scaled and raised to p in
-    place; whether any firing product can round to 0 is read off the
-    smallest firing upper bound, with no (n, c) product. classify_batch
-    calls this on row blocks, so n is at most a block. Without product
-    weights every cell with a firing rule takes that exact path.
+    The only (n, c) arrays are B, scaled and raised to p in place, and the
+    firing mask, built only when some upper bound is 0; the smallest firing
+    upper bound tells whether any firing product can round to 0. n is at
+    most a row block. Without product weights every cell with a firing rule
+    takes the exact path.
     """
     n, c, M = lower.shape[0], lower.shape[1], consts.certainty.shape[1]
     p = consts.p
-    # Both products are np.einsum sums, which make no BLAS call: each cell
-    # is summed in the same order whatever n is, so a row's bounds do not
-    # depend on the other rows. The firing mask is written as floats, the
-    # dtype of the product.
-    count = np.einsum("ik,kj->ij", np.greater(upper, 0.0, out=np.empty_like(upper)),
-                      consts.firing)
+    # Both products are np.einsum sums, which make no BLAS call, so a row's
+    # bounds do not depend on the other rows. When every upper bound is
+    # positive, each rule fires wherever its certainty does: the count is
+    # the model's (M,) firing count. Otherwise the firing mask is written
+    # as floats, the dtype of the product.
+    smallest = upper.min(initial=np.inf)
+    if smallest > 0.0:
+        count = consts.fired
+    else:
+        count = np.einsum("ik,kj->ij", np.greater(upper, 0.0, out=np.empty_like(upper)),
+                          consts.firing)
     if consts.weights is not None:
         B = np.concatenate((lower, upper))
-        s = B.max(axis=1, initial=_TINY)
-        B /= s[:, None]
+        s = B.max(axis=1, initial=_TINY, keepdims=True)
+        B /= s
         B **= p
         S = np.einsum("ik,kj->ij", B, consts.weights).reshape(2, n, M)
         st = s.reshape(2, n, 1) * consts.t
@@ -153,29 +148,28 @@ def _soundness_bounds(
         # _TINY, so a sum of count terms above count * _SMALL is exact to
         # rounding.
         fine = (S > count * _SMALL) & (st >= _TINY)
-        # Cells that are not fine hold S / count * s * t, which is 0 where
-        # no rule fires and is recomputed everywhere else.
-        out = S / np.maximum(count, 1.0)
-        np.power(out, 1.0 / p, out=out, where=fine)
-        out *= st
-        redo = (count > 0.0) & ~fine
         # Firing is decided on upper * R: when a positive product of
         # positive factors can round to 0, those rows need the exact test.
         # upper * rmin is monotone in upper, so the smallest firing bound
         # alone tells whether any such product rounds to 0. Bounds are
         # >= 0, so it is the smallest bound unless that one is 0.
-        smallest = upper.min(initial=np.inf)
         if smallest == 0.0:
             smallest = np.min(upper, where=upper > 0.0, initial=np.inf)
         if smallest * consts.rmin == 0.0:
             fires = upper > 0.0
-            redo |= (upper * consts.rmin == 0.0).any(axis=1, where=fires)[:, None] & (count > 0.0)
+            fine &= ~(upper * consts.rmin == 0.0).any(axis=1, where=fires)[:, None]
+        # Cells that are not fine hold S / count * s * t, which is 0 where
+        # no rule fires and is recomputed everywhere else.
+        out = S / np.maximum(count, 1.0)
+        np.power(out, 1.0 / p, out=out, where=fine)
+        out *= st
+        redo = None if fine.all() else (count > 0.0) & ~fine
     else:
         out = np.zeros((2, n, M))
         redo = np.broadcast_to(count > 0.0, out.shape)
-    h, i, j = np.nonzero(redo)
-    if h.size:
-        bounds = np.stack((lower, upper))
+    if redo is not None:
+        h, i, j = np.nonzero(redo)
+        bounds = np.stack((lower, upper)) if h.size else None
         # Row blocks of bounded size keep the gathered (cells, c) values small.
         for cells in _row_blocks(h.size, c):
             hb, ib, jb = h[cells], i[cells], j[cells]
@@ -190,10 +184,6 @@ def _soundness_bounds(
 
 def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     """Soundness bound matrices (n, M) of raw-unit patterns X (n, N)."""
-    if X.shape[1] != rb.num_features:
-        raise DataError(f"input has {X.shape[1]} features but model expects {rb.num_features}")
-    if not np.isfinite(X).all():
-        raise DataError("input features must be finite (no nan or inf)")
     lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
     return _soundness_bounds(lower, upper, rb._soundness)
 
@@ -230,11 +220,12 @@ def classify(x, rb: RuleBase) -> ClassificationResult:
     for lo, up in zip(lower, upper):
         if not 0.0 <= lo <= up:
             raise DataError(f"invalid soundness interval [{lo}, {up}]")
-    scores = 0.5 * (y_lower[0] + y_upper[0])
-    intervals = tuple(map(SoundnessInterval, lower, upper))
+    # The batch's float operations on M Python floats: the same bytes, and
+    # max/index pick the lowest index on ties, as argmax does.
+    scores = [(lo + up) * 0.5 for lo, up in zip(lower, upper)]
     return ClassificationResult(
-        predicted=int(scores.argmax()),
-        soundness=intervals,
+        predicted=scores.index(max(scores)),
+        soundness=tuple(map(SoundnessInterval, lower, upper)),
         scores=scores,
-        no_rule_fired=not scores.any(),
+        no_rule_fired=not any(scores),
     )

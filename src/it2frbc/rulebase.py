@@ -12,21 +12,13 @@ taking the pointwise min/max yields the interval [lower_k, upper_k] —
 the footprint of uncertainty of the rule's antecedent.
 
 The distance matrix (n, c) is computed once per call, over the row
-blocks of subclust._row_blocks (O(n * c) output plus O(block) working
-memory, never the (n, c, N) difference tensor), and both fuzzifiers are
-applied to it. Squared distances past the float range, overflowing to inf
-or rounding into subnormals, are recomputed in their block from that
-block's differences, scaled per row, so scaling every feature by one
-factor leaves the memberships as they are. Past the distances and the
-ratios to each row's nearest prototype, the only (n, c) arrays are the two
-partitions, each normalized in its own buffer, and the lower bound; the
-upper bound is written over the second partition. The shares of rows
-sitting on a prototype take one more, built only when such a row exists.
-Both callers hand it row blocks from subclust._row_blocks at width c:
-inference.classify_batch per block of patterns to classify, and
-certainty_degrees per block of the training set. So n is at most a block,
-and neither training nor inference memory grows with the number of
-patterns.
+blocks of subclust._row_blocks (never the (n, c, N) difference tensor),
+and both fuzzifiers are applied to it. Squared distances past the float
+range, overflowing to inf or rounding into subnormals, are recomputed in
+their block from that block's differences, scaled per row, so scaling
+every feature by one factor leaves the memberships as they are. The
+callers of membership_bounds hand it one row block at a time, so neither
+training nor inference memory grows with the number of patterns.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval-midpoint memberships. Their per-class and
@@ -65,6 +57,7 @@ class _SoundnessConstants(NamedTuple):
     certainty: np.ndarray  # R (c, M), for the exact path
     p: float
     firing: np.ndarray  # float (R+ > 0) (c, M), F-ordered
+    fired: np.ndarray  # column sums of firing (M,): the count when every upper bound is > 0
     t: np.ndarray  # column maxima of R+ (M,), at least _TINY
     weights: np.ndarray | None  # (R+ / t)**p (c, M), a transposed view; None: exact path only
     rmin: float  # smallest positive entry of R+ (1 if none)
@@ -83,10 +76,11 @@ def _soundness_constants(certainty: np.ndarray, p: float) -> _SoundnessConstants
     # inference computes every firing cell exactly instead.
     product = p * 1e-12 >= RT.shape[1] * np.finfo(float).eps
     weights = ((RT / t[:, None]) ** p).T if product else None
-    for a in (firing, t, weights):
+    fired = firing.sum(axis=0)  # sums of 0s and 1s: exact
+    for a in (firing, fired, t, weights):
         if a is not None:
             a.flags.writeable = False
-    return _SoundnessConstants(certainty, p, firing, t, weights, RT[pos].min(initial=1.0))
+    return _SoundnessConstants(certainty, p, firing, fired, t, weights, RT[pos].min(initial=1.0))
 
 
 def _check_aggregation_p(p: float) -> None:
@@ -187,8 +181,9 @@ def _distances(X, prototypes) -> np.ndarray:
     already there: it comes back divided by a per-row scale, which leaves
     its distance ratios intact.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    P = np.atleast_2d(np.asarray(prototypes, dtype=float))
+    X, P = np.asarray(X, dtype=float), np.asarray(prototypes, dtype=float)
+    if X.ndim < 2 or P.ndim < 2:
+        X, P = np.atleast_2d(X, P)
     if X.shape[1] != P.shape[1]:
         raise DataError(f"input has {X.shape[1]} features but prototypes have {P.shape[1]}")
     if P.shape[0] == 0:
@@ -217,8 +212,8 @@ def _distances(X, prototypes) -> np.ndarray:
                 scale[scale == 0.0] = 1.0  # a row on every prototype keeps its zeros
                 rows /= scale[:, None, None]
                 sq[flagged] = np.einsum("ijk,ijk->ij", rows, rows)
-        d[s] = sq
-    return np.sqrt(d, out=d)
+        np.sqrt(sq, out=d[s])
+    return d
 
 
 def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
@@ -228,13 +223,14 @@ def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
     of those and 0 elsewhere.
     """
     dmin = d.min(axis=1, keepdims=True)
-    on_prototype = dmin == 0.0
     # Scale by the row minimum so powers stay <= 1 (no overflow for
     # sharp fuzzifiers / tiny distances). Rows on a prototype take their
     # shares instead, so their ratio is only a placeholder 1.
-    ratio = np.divide(d, dmin, out=np.ones_like(d), where=~on_prototype)
-    shares = None
-    if on_prototype.any():
+    if dmin.all():
+        ratio, shares = d / dmin, None
+    else:
+        on_prototype = dmin == 0.0
+        ratio = np.divide(d, dmin, out=np.ones_like(d), where=~on_prototype)
         hits = d == 0.0
         shares = np.divide(hits, hits.sum(axis=1, keepdims=True), out=np.zeros_like(d),
                            where=on_prototype)
@@ -253,8 +249,16 @@ def membership_bounds(
     X: np.ndarray, prototypes: np.ndarray, fz: Fuzzifiers
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper membership matrices (n, c) from the two fuzzifiers,
-    both applied to one distance matrix. The upper bound reuses the second
-    partition's buffer."""
+    both applied to one distance matrix.
+
+    Callers hand it one row block, subclust._row_blocks at width c:
+    inference.classify_batch per block of patterns, certainty_degrees per
+    block of the training set. It does not split n itself, so its memory is
+    linear in n x c: the distances, the ratios to each row's nearest
+    prototype, both partitions and the lower bound (the upper bound reuses
+    the second partition's buffer), plus the shares when a row sits on a
+    prototype.
+    """
     mu1, mu2 = _partitions(_distances(X, prototypes), (fz.m1, fz.m2))
     return np.minimum(mu1, mu2), np.maximum(mu1, mu2, out=mu2)
 

@@ -162,6 +162,29 @@ class TestNormalization:
             with pytest.raises(DataError, match="feature 2"):
                 params.apply(np.array([1.0, -1e300]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("hi", [[2.0, 1e-10], [2.0, 0.0]])
+    def test_non_finite_input_refused(self, bad, hi):
+        # Refused as input, not as an overflow, in any column; a constant
+        # column (max 0 = min) maps every finite value to 0.5 and must not
+        # hide a nan or inf.
+        params = NormalizationParams(np.array([0.0, 0.0]), np.array(hi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for X in ([[1.0, 0.5], [1.0, bad]], [bad, 0.5], [0.5, bad]):
+                with pytest.raises(DataError, match="input features must be finite"):
+                    params.apply(np.array(X))
+
+    def test_overflow_in_constant_column_maps_to_half(self):
+        # The finite value overflows on its way, but a constant column maps
+        # it to 0.5 all the same.
+        params = NormalizationParams(np.array([0.0, -1e308]), np.array([1e-10, -1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert params.apply(np.array([0.0, 1e308])).tolist() == [0.0, 0.5]
+            with pytest.raises(DataError, match="feature 1: value does not normalize"):
+                params.apply(np.array([[0.0, 0.0], [1e300, 1e308]]))
+
     def test_overflowing_span_refused(self):
         # max - min of a column holding +-1e308 is inf: every value of it
         # would normalize to 0 or nan.

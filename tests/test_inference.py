@@ -517,6 +517,19 @@ class TestClassify:
         with pytest.raises(DataError, match="finite"):
             classify_batch(np.array([[0.1, 0.2], [bad, 10.0]]), rb)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_message(self, bad):
+        # apply's one finiteness test on its output tells non-finite input
+        # from a finite value that overflows.
+        norm = NormalizationParams(np.zeros(2), np.array([1e-10, 2.0]))
+        rb = make_rulebase([[0.2, 0.3], [0.8, 0.6]], [[0.9, 0.1], [0.2, 0.8]], norm=norm)
+        with pytest.raises(DataError, match="input features must be finite"):
+            classify(np.array([0.5, bad]), rb)
+        with pytest.raises(DataError, match="input features must be finite"):
+            classify_batch(np.array([[0.1, 0.2], [bad, 1.0]]), rb)
+        with pytest.raises(DataError, match="does not normalize"):
+            classify_batch(np.array([[0.1, 0.2], [1e300, 1.0]]), rb)
+
     def test_huge_finite_input_classified(self):
         # The squared distances of these rows overflow; they used to give
         # class 0 with scores [0, 0] and a RuntimeWarning.
@@ -720,8 +733,39 @@ class TestRowBlocks:
         assert peak < 16 * 2**20
 
 
-class TestOneBlasThread:
-    def test_batch_equals_threaded_product(self):
+class TestFiringCount:
+    """The count of firing rules is the model's when every upper bound of a
+    block is positive, and comes from the firing mask when a row of the
+    block sits on a prototype (upper bounds of exactly 0 elsewhere)."""
+
+    @pytest.mark.parametrize("p", [2.0, -1.5])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rows_on_a_prototype_among_ordinary_rows(self, monkeypatch, p, reverse):
+        rng = np.random.default_rng(31)
+        protos = rng.random((6, 2))
+        cert = rng.dirichlet(np.ones(3), size=6)
+        cert[[1, 4], 2] = 0.0  # so the count differs between rows and classes
+        rb = make_rulebase(protos, cert, p=p)
+        X = np.vstack([rng.random((2, 2)), protos[[1, 4]], rng.random((5, 2))])
+        if reverse:
+            X = X[::-1].copy()
+        on = np.isin(np.arange(9), [2, 3] if not reverse else [5, 6])
+        upper = membership_bounds(X, protos, rb.fuzzifiers)[1]
+        assert np.array_equal((upper == 0.0).any(axis=1), on)
+        # Three rows a block: the two rows on a prototype fall in different
+        # blocks, each with ordinary rows, and one block has none of them.
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 3 * rb.num_rules)
+        preds, scores = classify_batch(X, rb)
+        for x, pred, row in zip(X, preds, scores):
+            res = classify(x, rb)
+            assert np.array_equal(res.scores, row)
+            assert res.predicted == pred
+            want = ref_predict(x.tolist(), protos.tolist(), cert.tolist(), 1.5, 2.5, p)[1]
+            assert res.scores == pytest.approx(want, abs=1e-12)
+
+
+class TestBatchEqualsUnblockedKernel:
+    def test_batch_equals_unblocked_kernel(self):
         # The batch path makes no BLAS call, so its scores are the unblocked
         # kernel's bytes whatever BLAS thread count the process runs with.
         rng = np.random.default_rng(3)
