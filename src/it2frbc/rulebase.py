@@ -12,13 +12,17 @@ taking the pointwise min/max yields the interval [lower_k, upper_k] —
 the footprint of uncertainty of the rule's antecedent.
 
 The distance matrix (n, c) is computed once per call, over the row
-blocks of subclust._row_blocks (never the (n, c, N) difference tensor),
-and both fuzzifiers are applied to it. Squared distances past the float
-range, overflowing to inf or rounding into subnormals, are recomputed in
-their block from that block's differences, scaled per row, so scaling
-every feature by one factor leaves the memberships as they are. The
-callers of membership_bounds hand it one row block at a time, so neither
-training nor inference memory grows with the number of patterns.
+blocks of subclust._row_blocks, and both fuzzifiers are applied to it.
+Each block's (rows, c, N) differences come from subclust._differences,
+the one implementation, shared with the potential field: repeated rows
+minus the prototypes in one contiguous pass, or for one row (a
+classify() call) the broadcast, which the repeat would slow. Squared
+distances past the float range, overflowing to inf or rounding into
+subnormals, are recomputed in their block from those differences, scaled
+per row, so scaling every feature by one factor leaves the memberships
+as they are. The callers of membership_bounds hand it one row block at a
+time, so neither training nor inference memory grows with the number of
+patterns.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval-midpoint memberships. Their per-class and
@@ -39,7 +43,7 @@ import numpy as np
 
 from .dataset import Dataset, NormalizationParams, _freeze
 from .errors import ConfigError, DataError
-from .subclust import SubclustParams, _row_blocks, subtractive_cluster
+from .subclust import SubclustParams, _differences, _row_blocks, subtractive_cluster
 
 FORMAT_VERSION = 1
 
@@ -141,7 +145,8 @@ class RuleBase:
             raise DataError("prototypes must be a non-empty (c, N) array")
         if src.shape != (P.shape[0],):
             raise DataError("one source class per prototype required")
-        if src.dtype.kind not in "iuf" or not np.isin(src, np.arange(len(self.class_names))).all():
+        whole = src.dtype.kind in "iu" or src.dtype.kind == "f" and (src == np.trunc(src)).all()
+        if not (whole and 0 <= src.min() <= src.max() < len(self.class_names)):
             raise DataError(f"source classes must be integers in 0..{len(self.class_names) - 1}")
         if R.shape != (P.shape[0], len(self.class_names)):
             raise DataError("certainty must be a (c, num_classes) matrix")
@@ -176,10 +181,7 @@ def _distances(X, prototypes) -> np.ndarray:
     """Euclidean distances of each row of X to each prototype, (n, c).
 
     Computed over the row blocks of subclust._row_blocks at width c * N. A
-    row whose squared distances overflow, or all lie below sqrt(_SMALL)
-    with one below _SMALL, is rescaled in its block from the differences
-    already there: it comes back divided by a per-row scale, which leaves
-    its distance ratios intact.
+    row past the float range comes back divided by a per-row scale (below).
     """
     X, P = np.asarray(X, dtype=float), np.asarray(prototypes, dtype=float)
     if X.ndim < 2 or P.ndim < 2:
@@ -190,19 +192,17 @@ def _distances(X, prototypes) -> np.ndarray:
         raise DataError("need at least one prototype")
     d = np.empty((X.shape[0], P.shape[0]))
     for s in _row_blocks(X.shape[0], P.size):
-        diff = X[s, None, :] - P
+        diff = _differences(X[s], P)
         sq = np.einsum("ijk,ijk->ij", diff, diff)
         # A huge finite pattern overflows its squared distances to inf; tiny
-        # differences underflow them into subnormals or to 0, so a pattern
-        # near several prototypes counts as sitting on them. Such rows are
-        # recomputed from differences divided by the row's largest
-        # |difference|; memberships depend only on the ratios d_k / d_q, so
-        # the scale cancels, and exact zeros stay zeros. A row whose largest
-        # squared distance is at least sqrt(_SMALL) (about 1e-146) is left
-        # as it is: its smallest falls below _SMALL only at distance ratios
-        # past about 1e73. So rows sitting on a prototype of normalized data
-        # are not recomputed, and a block with neither case pays only the
-        # two reductions here.
+        # differences underflow them, so a pattern near several prototypes
+        # counts as sitting on them. Such rows are recomputed from
+        # differences divided by the row's largest |difference|: the scale
+        # cancels in the ratios d_k / d_q, and exact zeros stay zeros. A row
+        # whose largest squared distance is at least sqrt(_SMALL) (~1e-146)
+        # is kept: its smallest falls below _SMALL only at distance ratios
+        # past ~1e73, so rows on a prototype of normalized data are not
+        # recomputed, and a block with neither case pays two reductions.
         if sq.max() == np.inf or sq.min() < _SMALL:
             top = sq.max(axis=1)  # inf where any entry is
             flagged = (top == np.inf) | (sq.min(axis=1) < _SMALL) & (top < _SMALL**0.5)

@@ -23,7 +23,10 @@ The potential field is computed in row blocks, so it needs O(n * block)
 working memory rather than the full n x n x N difference tensor.
 ``_row_blocks`` is the one rule for such blocks: the rule base's
 memberships and certainty degrees and the reasoning method's soundness walk
-their rows with it too.
+their rows with it too. ``_differences`` is the one implementation of a
+block's pairwise differences, here and in the rule base's distances: the
+rows repeated, minus the other operand in one contiguous pass, C-ordered
+whatever the input's layout; one row keeps the broadcast, cheaper there.
 
 Termination: every candidate, accepted or discarded, leaves the search at
 potential -inf. Once all n points have left, the maximum is -inf, which lies
@@ -50,6 +53,15 @@ def _row_blocks(n: int, width: int):
     step = max(1, BLOCK_ELEMENTS // max(1, width))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
+
+
+def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The (rows, m, N) block of A[i] - B[j], C-ordered; see the module docstring."""
+    if len(A) == 1:
+        return A[:, None, :] - B
+    diff = np.repeat(A, len(B), axis=0).reshape(len(A), len(B), A.shape[1])
+    diff -= B
+    return diff
 
 
 @dataclass(frozen=True)
@@ -104,17 +116,6 @@ def describe_params(params: SubclustParams | None) -> dict[str, str]:
     }
 
 
-def _as_points(points) -> np.ndarray:
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2:
-        raise DataError("points must be a 2-D array (n, num_features)")
-    if X.shape[0] < 1:
-        raise DataError("need at least one point")
-    if not np.isfinite(X).all():
-        raise DataError("points must be finite (no nan or inf)")
-    return X
-
-
 def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     """P_i = sum_j exp(-alpha * ||x_i - x_j||^2), including the j=i term, (n,).
 
@@ -122,10 +123,16 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     same as the single-shot form, so the result is bitwise independent of
     the block size and coincident points give exact zeros.
     """
-    X = _as_points(points)
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2:
+        raise DataError("points must be a 2-D array (n, num_features)")
+    if X.shape[0] < 1:
+        raise DataError("need at least one point")
+    if not np.isfinite(X).all():
+        raise DataError("points must be finite (no nan or inf)")
     P = np.empty(X.shape[0])
     for s in _row_blocks(X.shape[0], X.size):
-        diff = X[s, None, :] - X
+        diff = _differences(X[s], X)
         P[s] = np.exp(-params.alpha * np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
     return P
 
@@ -135,11 +142,13 @@ def _revised(P: np.ndarray, X: np.ndarray, k: int, beta: float) -> tuple[np.ndar
 
     Uses the center's current potential as the subtracted peak, so the
     center's own potential becomes exactly 0. Values may go negative.
-    Returns the revised potentials and every point's squared distance to
-    the center, (n,) each.
+    Returns the revised potentials, in one new array (P is left as it is),
+    and every point's squared distance to the center, (n,) each.
     """
     d2 = ((X - X[k]) ** 2).sum(axis=1)
-    return P - P[k] * np.exp(-beta * d2), d2
+    e = np.exp(-beta * d2)
+    e *= P[k]
+    return np.subtract(P, e, out=e), d2
 
 
 def subtractive_cluster(points, params: SubclustParams) -> np.ndarray:
@@ -157,7 +166,7 @@ def subtractive_cluster(points, params: SubclustParams) -> np.ndarray:
     to every point also lower ``nearest``, the squared distance of each
     point to its nearest accepted center, which gives d_min.
     """
-    X = _as_points(points)
+    X = np.asarray(points, dtype=float)  # initial_potentials checks it
     P = initial_potentials(X, params)
     first_potential = float(P.max())
     nearest = np.full(X.shape[0], np.inf)

@@ -654,6 +654,23 @@ class TestPersistence:
                                             r"source classes must be integers in 0\.\.1"):
             load_rulebase(path)
 
+    def test_nan_source_class_refused(self):
+        rb = self.make_rulebase()
+        src = rb.source_classes.astype(float)
+        src[1] = np.nan
+        with pytest.raises(DataError, match=r"source classes must be integers in 0\.\.1"):
+            RuleBase(rb.prototypes, src, rb.certainty, rb.fuzzifiers, rb.normalization,
+                     rb.class_names)
+
+    def test_whole_float_source_class_accepted(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_rulebase(self.make_rulebase(), path)
+        doc = json.loads(path.read_text())
+        doc["rules"][1]["source_class"] = 1.0
+        path.write_text(json.dumps(doc))
+        rb = load_rulebase(path)
+        assert rb.source_classes.dtype == np.int64 and rb.source_classes[1] == 1
+
     @pytest.mark.parametrize("fuzzifiers, p, message", [
         ({"m1": 0.5, "m2": 2.5}, 2.0, "greater than 1"),
         ({"m1": 3.0, "m2": 2.0}, 2.0, "m1 must not exceed m2"),

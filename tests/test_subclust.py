@@ -4,11 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from it2frbc import subclust
+from it2frbc import rulebase, subclust
 from it2frbc import (
     ConfigError,
     DataError,
+    Fuzzifiers,
     SubclustParams,
+    build_rulebase,
+    classify,
+    classify_batch,
     fit_normalizer,
     gen_circular,
     gen_irregular,
@@ -120,6 +124,99 @@ class TestRowBlockWalker:
     def test_width_over_the_budget_takes_one_row(self, monkeypatch):
         monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 4)
         assert list(subclust._row_blocks(3, 5)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+def broadcast_differences(A, B):
+    """The plain broadcast that subclust._differences must match bit for bit,
+    on C-ordered operands: the broadcast of a Fortran-ordered A is laid out
+    in Fortran order, and einsum's sums follow the layout."""
+    return np.ascontiguousarray(A)[:, None, :] - np.ascontiguousarray(B)
+
+
+def squared_norms(diff):
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def difference_cases():
+    rng = np.random.default_rng(14)
+    B = rng.uniform(-1.0, 1.0, size=(6, 3))
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]])
+    return {
+        "one-row": (rng.uniform(size=(1, 3)), B),
+        "one-feature": (rng.uniform(size=(5, 1)), rng.uniform(size=(4, 1))),
+        "one-prototype": (rng.uniform(size=(5, 3)), B[:1]),
+        "fortran-order": (np.asfortranarray(rng.uniform(size=(5, 3))), B),
+        "column-sliced": (rng.uniform(size=(5, 9))[:, ::3], B),
+        "signed-zeros": (zeros, zeros[::-1].copy()),
+        # Squared distances overflow / underflow: _distances rescales the rows.
+        "huge": (rng.uniform(size=(5, 3)) * 1e300, B * 1e300),
+        "tiny": (rng.uniform(size=(5, 3)) * 1e-300, B * 1e-300),
+    }
+
+
+class TestSharedDifferences:
+    """subclust._differences, the one pairwise-difference block of the
+    potential field and the rule base's distances, gives the broadcast's
+    bytes: the differences, their squared norms and everything built on them."""
+
+    @pytest.mark.parametrize("case", list(difference_cases()))
+    def test_block_equals_the_broadcast(self, case):
+        A, B = difference_cases()[case]
+        got, want = subclust._differences(A, B), broadcast_differences(A, B)
+        assert got.shape == want.shape == (len(A), len(B), A.shape[1])
+        assert got.tobytes() == want.tobytes()
+        assert squared_norms(got).tobytes() == squared_norms(want).tobytes()
+
+    @pytest.mark.parametrize("case", list(difference_cases()))
+    def test_distances_equal_the_broadcast(self, monkeypatch, case):
+        A, B = difference_cases()[case]
+        got = rulebase._distances(A, B)
+        sq = squared_norms(broadcast_differences(A, B))
+        if case in ("huge", "tiny"):
+            assert sq.max() == np.inf or sq.min() < rulebase._SMALL
+        monkeypatch.setattr(rulebase, "_differences", broadcast_differences)
+        assert got.tobytes() == rulebase._distances(A, B).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_blocks_equal_the_broadcast(self, monkeypatch, budget):
+        rng = np.random.default_rng(15)
+        X = np.round(rng.uniform(size=(13, 2)), 1)  # coincident points likely
+        protos = rng.uniform(size=(5, 2))
+        params = SubclustParams(0.3)
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
+        got = initial_potentials(X, params), rulebase._distances(X, protos)
+        monkeypatch.setattr(subclust, "_differences", broadcast_differences)
+        monkeypatch.setattr(rulebase, "_differences", broadcast_differences)
+        want = initial_potentials(X, params), rulebase._distances(X, protos)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_layout_of_the_input_moves_no_bit(self, wbcd):
+        # A broadcast over a Fortran-ordered batch gave squared norms that
+        # differ in the last bits from the same values in C order, and so
+        # other classify_batch scores; the repeated block is C-ordered.
+        rng = np.random.default_rng(17)
+        A, B = rng.uniform(size=(40, 9)), rng.uniform(size=(30, 9))
+        F = np.asfortranarray(A)
+        assert (squared_norms(subclust._differences(F, B)).tobytes()
+                == squared_norms(subclust._differences(A, B)).tobytes())
+        norm = fit_normalizer(wbcd)
+        rb = build_rulebase(normalize_dataset(norm, wbcd), SubclustParams(0.4), Fuzzifiers(),
+                            2.0, norm)
+        X = wbcd.features[::3]
+        assert np.array_equal(classify_batch(np.asfortranarray(X), rb)[1], classify_batch(X, rb)[1])
+
+    def test_classify_equals_its_row_of_a_multi_block_batch(self, wbcd):
+        norm = fit_normalizer(wbcd)
+        rb = build_rulebase(normalize_dataset(norm, wbcd), SubclustParams(0.4), Fuzzifiers(),
+                            2.0, norm)
+        rows = max(1, subclust.BLOCK_ELEMENTS // rb.num_rules)
+        rng = np.random.default_rng(16)
+        X = wbcd.features[rng.integers(0, len(wbcd), rows + 300)]
+        X = X + rng.normal(0.0, 0.3, size=X.shape)
+        _, scores = classify_batch(X, rb)
+        assert len(X) > rows
+        for x, row in zip(X, scores):
+            assert classify(x, rb).scores.tobytes() == row.tobytes()
 
 
 def single_shot_potentials(X, alpha):
