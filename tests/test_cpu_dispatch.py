@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 import it2frbc
-from it2frbc import SubclustParams, SplitSpec, build_rulebase, classify_batch, cli
-from it2frbc import Fuzzifiers, fit_normalizer, load_csv, normalize_dataset, split
+from it2frbc import (Fuzzifiers, SplitSpec, SubclustParams, build_rulebase, classify_batch, cli,
+                     fit_normalizer, load_csv, normalize_dataset, split)
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 REPORTS = {

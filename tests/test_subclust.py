@@ -154,6 +154,13 @@ def difference_cases():
     }
 
 
+@pytest.fixture(scope="module")
+def wbcd_model(wbcd):
+    norm = fit_normalizer(wbcd)
+    return build_rulebase(normalize_dataset(norm, wbcd), SubclustParams(0.4), Fuzzifiers(), 2.0,
+                          norm)
+
+
 class TestSharedDifferences:
     """subclust._differences, the one pairwise-difference block of the
     potential field and the rule base's distances, gives the broadcast's
@@ -171,8 +178,8 @@ class TestSharedDifferences:
     def test_distances_equal_the_broadcast(self, monkeypatch, case):
         A, B = difference_cases()[case]
         got = rulebase._distances(A, B)
-        sq = squared_norms(broadcast_differences(A, B))
-        if case in ("huge", "tiny"):
+        if case in ("huge", "tiny"):  # the rows take the rescale path
+            sq = squared_norms(broadcast_differences(A, B))
             assert sq.max() == np.inf or sq.min() < rulebase._SMALL
         monkeypatch.setattr(rulebase, "_differences", broadcast_differences)
         assert got.tobytes() == rulebase._distances(A, B).tobytes()
@@ -190,7 +197,7 @@ class TestSharedDifferences:
         want = initial_potentials(X, params), rulebase._distances(X, protos)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_layout_of_the_input_moves_no_bit(self, wbcd):
+    def test_layout_of_the_input_moves_no_bit(self, wbcd, wbcd_model):
         # A broadcast over a Fortran-ordered batch gave squared norms that
         # differ in the last bits from the same values in C order, and so
         # other classify_batch scores; the repeated block is C-ordered.
@@ -199,16 +206,11 @@ class TestSharedDifferences:
         F = np.asfortranarray(A)
         assert (squared_norms(subclust._differences(F, B)).tobytes()
                 == squared_norms(subclust._differences(A, B)).tobytes())
-        norm = fit_normalizer(wbcd)
-        rb = build_rulebase(normalize_dataset(norm, wbcd), SubclustParams(0.4), Fuzzifiers(),
-                            2.0, norm)
-        X = wbcd.features[::3]
+        X, rb = wbcd.features[::3], wbcd_model
         assert np.array_equal(classify_batch(np.asfortranarray(X), rb)[1], classify_batch(X, rb)[1])
 
-    def test_classify_equals_its_row_of_a_multi_block_batch(self, wbcd):
-        norm = fit_normalizer(wbcd)
-        rb = build_rulebase(normalize_dataset(norm, wbcd), SubclustParams(0.4), Fuzzifiers(),
-                            2.0, norm)
+    def test_classify_equals_its_row_of_a_multi_block_batch(self, wbcd, wbcd_model):
+        rb = wbcd_model
         rows = max(1, subclust.BLOCK_ELEMENTS // rb.num_rules)
         rng = np.random.default_rng(16)
         X = wbcd.features[rng.integers(0, len(wbcd), rows + 300)]
