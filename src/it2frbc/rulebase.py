@@ -15,14 +15,13 @@ The distance matrix (n, c) is computed once per call, over the row
 blocks of subclust._row_blocks, and both fuzzifiers are applied to it.
 Each block's (rows, c, N) differences come from subclust._differences,
 the one implementation, shared with the potential field: repeated rows
-minus the prototypes in one contiguous pass, or for one row (a
-classify() call) the broadcast, which the repeat would slow. Squared
-distances past the float range, overflowing to inf or rounding into
-subnormals, are recomputed in their block from those differences, scaled
-per row, so scaling every feature by one factor leaves the memberships
-as they are. The callers of membership_bounds hand it one row block at a
-time, so neither training nor inference memory grows with the number of
-patterns.
+minus the prototypes in one contiguous pass, for the one row of a
+classify() call too. Squared distances past the float range, overflowing
+to inf or rounding into subnormals, are recomputed in their block from
+those differences, scaled per row, so scaling every feature by one factor
+leaves the memberships as they are. The callers of membership_bounds
+hand it one row block at a time, so neither training nor inference memory
+grows with the number of patterns.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval-midpoint memberships. Their per-class and

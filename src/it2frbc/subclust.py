@@ -26,7 +26,7 @@ memberships and certainty degrees and the reasoning method's soundness walk
 their rows with it too. ``_differences`` is the one implementation of a
 block's pairwise differences, here and in the rule base's distances: the
 rows repeated, minus the other operand in one contiguous pass, C-ordered
-whatever the input's layout; one row keeps the broadcast, cheaper there.
+whatever the input's layout, one row included.
 
 Termination: every candidate, accepted or discarded, leaves the search at
 potential -inf. Once all n points have left, the maximum is -inf, which lies
@@ -57,8 +57,6 @@ def _row_blocks(n: int, width: int):
 
 def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The (rows, m, N) block of A[i] - B[j], C-ordered; see the module docstring."""
-    if len(A) == 1:
-        return A[:, None, :] - B
     diff = np.repeat(A, len(B), axis=0).reshape(len(A), len(B), A.shape[1])
     diff -= B
     return diff

@@ -151,6 +151,7 @@ def difference_cases():
         # Squared distances overflow / underflow: _distances rescales the rows.
         "huge": (rng.uniform(size=(5, 3)) * 1e300, B * 1e300),
         "tiny": (rng.uniform(size=(5, 3)) * 1e-300, B * 1e-300),
+        "one-row-fortran-other": (rng.uniform(size=(1, 3)), np.asfortranarray(B)),
     }
 
 
@@ -208,6 +209,17 @@ class TestSharedDifferences:
                 == squared_norms(subclust._differences(A, B)).tobytes())
         X, rb = wbcd.features[::3], wbcd_model
         assert np.array_equal(classify_batch(np.asfortranarray(X), rb)[1], classify_batch(X, rb)[1])
+
+    def test_layout_moves_no_bit_in_one_row_blocks(self, monkeypatch):
+        # One-row blocks, as the potentials of a large point set take: the
+        # other operand, X itself, is then the Fortran-ordered one.
+        A = np.random.default_rng(18).uniform(size=(40, 9))
+        F, params = np.asfortranarray(A), SubclustParams(0.4)
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 1)
+        assert len(list(subclust._row_blocks(len(A), A.size))) == len(A)
+        assert initial_potentials(F, params).tobytes() == initial_potentials(A, params).tobytes()
+        assert (rulebase._distances(A, F[:30]).tobytes()
+                == rulebase._distances(A, A[:30]).tobytes())
 
     def test_classify_equals_its_row_of_a_multi_block_batch(self, wbcd, wbcd_model):
         rb = wbcd_model
