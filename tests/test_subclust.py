@@ -198,28 +198,24 @@ class TestSharedDifferences:
         want = initial_potentials(X, params), rulebase._distances(X, protos)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_layout_of_the_input_moves_no_bit(self, wbcd, wbcd_model):
+    def test_layout_of_the_input_moves_no_bit(self, monkeypatch, wbcd, wbcd_model):
         # A broadcast over a Fortran-ordered batch gave squared norms that
         # differ in the last bits from the same values in C order, and so
         # other classify_batch scores; the repeated block is C-ordered.
         rng = np.random.default_rng(17)
-        A, B = rng.uniform(size=(40, 9)), rng.uniform(size=(30, 9))
+        A, B = rng.uniform(size=(300, 9)), rng.uniform(size=(30, 9))
         F = np.asfortranarray(A)
         assert (squared_norms(subclust._differences(F, B)).tobytes()
                 == squared_norms(subclust._differences(A, B)).tobytes())
         X, rb = wbcd.features[::3], wbcd_model
         assert np.array_equal(classify_batch(np.asfortranarray(X), rb)[1], classify_batch(X, rb)[1])
-
-    def test_layout_moves_no_bit_in_one_row_blocks(self, monkeypatch):
         # One-row blocks, as the potentials of a large point set take: the
-        # other operand, X itself, is then the Fortran-ordered one.
-        A = np.random.default_rng(18).uniform(size=(40, 9))
-        F, params = np.asfortranarray(A), SubclustParams(0.4)
+        # other operand, X itself, is then the Fortran-ordered one (a
+        # one-row broadcast gave 4 of these 300 potentials other bytes).
         monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 1)
-        assert len(list(subclust._row_blocks(len(A), A.size))) == len(A)
+        params = SubclustParams(0.4)
         assert initial_potentials(F, params).tobytes() == initial_potentials(A, params).tobytes()
-        assert (rulebase._distances(A, F[:30]).tobytes()
-                == rulebase._distances(A, A[:30]).tobytes())
+        assert rulebase._distances(B, F).tobytes() == rulebase._distances(B, A).tobytes()
 
     def test_classify_equals_its_row_of_a_multi_block_batch(self, wbcd, wbcd_model):
         rb = wbcd_model
