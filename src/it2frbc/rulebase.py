@@ -206,12 +206,13 @@ def _distances(X, prototypes) -> np.ndarray:
             top = sq.max(axis=1)  # inf where any entry is
             flagged = (top == np.inf) | (sq.min(axis=1) < _SMALL) & (top < _SMALL**0.5)
             if flagged.any():
-                rows = diff[flagged]
-                scale = np.abs(rows).max(axis=(1, 2), initial=0.0)
+                diff = diff[flagged]
+                scale = np.abs(diff).max(axis=(1, 2), initial=0.0)
                 scale[scale == 0.0] = 1.0  # a row on every prototype keeps its zeros
-                rows /= scale[:, None, None]
-                sq[flagged] = np.einsum("ijk,ijk->ij", rows, rows)
+                diff /= scale[:, None, None]
+                sq[flagged] = np.einsum("ijk,ijk->ij", diff, diff)
         np.sqrt(sq, out=d[s])
+        del diff  # before the next block's differences are built
     return d
 
 
@@ -219,28 +220,27 @@ def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
     """Fuzzy-partition memberships (n, c) from distances d, one per fuzzifier.
 
     Rows sum to 1. A pattern coinciding with t prototypes gets 1/t on each
-    of those and 0 elsewhere.
+    of those and 0 elsewhere. d is overwritten: it holds the ratios, and
+    then the last fuzzifier's memberships.
     """
     dmin = d.min(axis=1, keepdims=True)
     # Scale by the row minimum so powers stay <= 1 (no overflow for
     # sharp fuzzifiers / tiny distances). Rows on a prototype take their
     # shares instead, so their ratio is only a placeholder 1.
-    if dmin.all():
-        ratio, shares = d / dmin, None
-    else:
-        on_prototype = dmin == 0.0
-        ratio = np.divide(d, dmin, out=np.ones_like(d), where=~on_prototype)
-        hits = d == 0.0
-        shares = np.divide(hits, hits.sum(axis=1, keepdims=True), out=np.zeros_like(d),
-                           where=on_prototype)
+    on = (dmin == 0.0).nonzero()[0]
+    if len(on):
+        hits = d[on] == 0.0
+        shares = hits / hits.sum(axis=1, keepdims=True)
+        d[on] = dmin[on] = 1.0
+    d /= dmin
 
-    out = []
-    for m in fuzzifiers:
-        mu = ratio ** (-(2.0 / (m - 1.0)))
+    out = [d ** -(2.0 / (m - 1.0)) for m in fuzzifiers[:-1]]
+    d **= -(2.0 / (fuzzifiers[-1] - 1.0))
+    out.append(d)
+    for mu in out:
         mu /= mu.sum(axis=1, keepdims=True)
-        if shares is not None:
-            np.copyto(mu, shares, where=on_prototype)
-        out.append(mu)
+        if len(on):
+            mu[on] = shares
     return out
 
 
@@ -253,10 +253,10 @@ def membership_bounds(
     Callers hand it one row block, subclust._row_blocks at width c:
     inference.classify_batch per block of patterns, certainty_degrees per
     block of the training set. It does not split n itself, so its memory is
-    linear in n x c: the distances, the ratios to each row's nearest
-    prototype, both partitions and the lower bound (the upper bound reuses
-    the second partition's buffer), plus the shares when a row sits on a
-    prototype.
+    linear in n x c: at most three (n, c) arrays (the distances, which
+    _partitions turns into the second partition and then the upper bound;
+    the first partition; the lower bound), the shares of rows on a
+    prototype, and one difference block while the distances are built.
     """
     mu1, mu2 = _partitions(_distances(X, prototypes), (fz.m1, fz.m2))
     return np.minimum(mu1, mu2), np.maximum(mu1, mu2, out=mu2)
@@ -267,11 +267,12 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     interval-midpoint memberships over all training patterns.
 
     The training set goes through membership_bounds in the row blocks of
-    subclust._row_blocks at width c, so the (rows, c) arrays stay bounded
-    whatever n is. Each block's midpoints are written under a
-    leading row holding the running sum, and that buffer is reduced along
-    axis 0, which numpy adds row by row in order: the sums are the bytes
-    of one sum over the whole training set.
+    subclust._row_blocks at width c, so whatever n is, at most four
+    (rows, c) arrays are alive: one block's bounds and the buffer below.
+    The lower bound takes the block's midpoints in place, and they are
+    written under a leading row holding the running sum. That buffer is
+    reduced along axis 0, which numpy adds row by row in order: the sums
+    are the bytes of one sum over the whole training set.
     """
     if len(train) == 0:
         raise DataError("certainty degrees need a non-empty training set")
@@ -281,10 +282,12 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     per_class = np.zeros((M, c))
     totals = np.zeros(c)
     for s in _row_blocks(len(train), c):
-        mid = np.add(*membership_bounds(train.features[s], P, fz))
+        mid, upper = membership_bounds(train.features[s], P, fz)
+        mid += upper
+        del upper
         mid *= 0.5
         k = len(mid)
-        if s.start == 0:  # after the first bounds, so one block peaks as one call did
+        if s.start == 0:  # after the first bounds, so a one-block set peaks as they do
             U = np.empty((k + 1, c))
         labels = train.labels[s]
         for j in range(M):

@@ -20,7 +20,9 @@ takes one distance pass per accepted center.
 Points are expected in normalized feature space (r_a is relative to it).
 
 The potential field is computed in row blocks, so it needs O(n * block)
-working memory rather than the full n x n x N difference tensor.
+working memory rather than the full n x n x N difference tensor: one
+block's differences, dropped once their squared distances are taken, which
+then take the exponential in place.
 ``_row_blocks`` is the one rule for such blocks: the rule base's
 memberships and certainty degrees and the reasoning method's soundness walk
 their rows with it too. ``_differences`` is the one implementation of a
@@ -131,7 +133,10 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     P = np.empty(X.shape[0])
     for s in _row_blocks(X.shape[0], X.size):
         diff = _differences(X[s], X)
-        P[s] = np.exp(-params.alpha * np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1)
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # before the next block's differences are built
+        sq *= -params.alpha
+        P[s] = np.exp(sq, out=sq).sum(axis=1)
     return P
 
 
