@@ -216,12 +216,12 @@ def _distances(X, prototypes) -> np.ndarray:
     return d
 
 
-def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
-    """Fuzzy-partition memberships (n, c) from distances d, one per fuzzifier.
+def _partitions(d: np.ndarray, m1: float, m2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fuzzy-partition memberships (n, c) from distances d, under m1 and m2.
 
     Rows sum to 1. A pattern coinciding with t prototypes gets 1/t on each
     of those and 0 elsewhere. d is overwritten: it holds the ratios, and
-    then the last fuzzifier's memberships.
+    then the memberships under m2.
     """
     dmin = d.min(axis=1, keepdims=True)
     # Scale by the row minimum so powers stay <= 1 (no overflow for
@@ -234,14 +234,13 @@ def _partitions(d: np.ndarray, fuzzifiers) -> list[np.ndarray]:
         d[on] = dmin[on] = 1.0
     d /= dmin
 
-    out = [d ** -(2.0 / (m - 1.0)) for m in fuzzifiers[:-1]]
-    d **= -(2.0 / (fuzzifiers[-1] - 1.0))
-    out.append(d)
-    for mu in out:
+    mu1 = d ** -(2.0 / (m1 - 1.0))
+    d **= -(2.0 / (m2 - 1.0))
+    for mu in (mu1, d):
         mu /= mu.sum(axis=1, keepdims=True)
         if len(on):
             mu[on] = shares
-    return out
+    return mu1, d
 
 
 def membership_bounds(
@@ -258,7 +257,7 @@ def membership_bounds(
     the first partition; the lower bound), the shares of rows on a
     prototype, and one difference block while the distances are built.
     """
-    mu1, mu2 = _partitions(_distances(X, prototypes), (fz.m1, fz.m2))
+    mu1, mu2 = _partitions(_distances(X, prototypes), fz.m1, fz.m2)
     return np.minimum(mu1, mu2), np.maximum(mu1, mu2, out=mu2)
 
 
