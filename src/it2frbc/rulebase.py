@@ -286,7 +286,7 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
         del upper
         mid *= 0.5
         k = len(mid)
-        if s.start == 0:  # after the first bounds, so a one-block set peaks as they do
+        if s.start == 0:  # after the first bounds: a one-block set peaks as membership_bounds does
             U = np.empty((k + 1, c))
         labels = train.labels[s]
         for j in range(M):
