@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from it2frbc import (
     SplitSpec,
     SubclustParams,
     accuracy,
+    classify_batch,
     confusion_matrix,
     emit_report,
     fit_normalizer,
@@ -18,8 +22,10 @@ from it2frbc import (
     run_experiment,
     save_csv,
     split,
+    subtractive_cluster,
     train_and_score,
 )
+from it2frbc import cli, evaluation, rulebase
 from it2frbc.evaluation import derive_run_seed
 
 
@@ -248,3 +254,54 @@ class TestOneCodePath:
         plain = emit_report(run_experiment(cfg), "json")
         monkeypatch.setenv("IT2FRBC_THREADS", "lots")
         assert emit_report(run_experiment(cfg), "json") == plain
+
+
+class TestDecisionMargins:
+    """No decision of the protocol lies next to a tie, so a kernel change
+    that moves one there fails here instead of flipping a report digest on
+    some CPU (exp and pow give other last bits under other SIMD levels)."""
+
+    CONFIGS = {
+        "circular-0.2": ["--gen", "circular", "--ra", "0.2"],
+        "wbcd-0.4": ["--in", str(pathlib.Path(__file__).resolve().parent.parent / "data" /
+                                 "wbcd.csv"), "--ra", "0.4"],
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_every_decision_clears_rounding(self, monkeypatch, name):
+        from frm_reference import subtractive_cluster as ref_subtractive_cluster
+
+        scores, clusterings = [], []
+
+        def recording_classify(X, rb):
+            out = classify_batch(X, rb)
+            scores.append(out[1])
+            return out
+
+        def recording_cluster(points, params):
+            found = subtractive_cluster(points, params)
+            clusterings.append((points, params, found))
+            return found
+
+        monkeypatch.setattr(evaluation, "classify_batch", recording_classify)
+        monkeypatch.setattr(rulebase, "subtractive_cluster", recording_cluster)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["eval", *self.CONFIGS[name], "--seed", "1234", "--runs", "4",
+                             "--format", "json", "--no-timestamp"]) == 0
+        assert len(scores) == 4 and len(clusterings) >= 8
+
+        # The smallest top-two score gap of a test prediction, relative to
+        # the top score: 3.1e-5 on wbcd-0.4 and 4.9e-2 on circular-0.2.
+        top_two = np.sort(np.vstack(scores), axis=1)[:, -2:]
+        assert np.all(top_two[:, 1] > 0.0)
+        assert np.min((top_two[:, 1] - top_two[:, 0]) / top_two[:, 1]) > 1e-9
+
+        # Each comparison that steers the clustering loop, replayed by the
+        # straight-line reference on the same points: the smallest margin
+        # is 3.1e-8 on wbcd-0.4 and 1.1e-3 on circular-0.2.
+        for points, params, found in clusterings:
+            centers, decisions = ref_subtractive_cluster(
+                points.tolist(), params.r_a, params.rb_ratio, params.accept_ratio,
+                params.reject_ratio)
+            assert np.array_equal(found, np.array(centers))
+            assert min(margin for _, margin in decisions) > 1e-9

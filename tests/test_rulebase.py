@@ -254,6 +254,25 @@ class TestBlockedMemberships:
             assert np.array_equal(lo, lower[i:i + 1])
             assert np.array_equal(up, upper[i:i + 1])
 
+    def test_one_block_peaks_at_three_arrays_and_a_difference_block(self):
+        # One certainty block of 1472 rows x 178 rules, two rows on a
+        # prototype (one on two): the distances turn into the ratios and then
+        # a partition in place, and the shares cover those two rows only.
+        # With a new array for each and full-size shares there were five.
+        rng = np.random.default_rng(35)
+        c, N = 178, 9
+        rows = certainty_rows(c)
+        X = rng.uniform(size=(rows, N))
+        protos = rng.uniform(size=(c, N))
+        protos[[3, 90, 91]] = X[[10, 1000, 1000]]
+        tracemalloc.start()
+        try:
+            rulebase.membership_bounds(X, protos, Fuzzifiers(1.5, 2.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * rows * c * 8 + block_rows(c, N) * c * N * 8
+
 
 class TestCertaintyDegrees:
     def test_single_class(self):
@@ -405,6 +424,24 @@ class TestBlockedCertainty:
                 tracemalloc.stop()
 
         assert peak(20000) <= 1.5 * peak(5000)
+
+    def test_one_block_of_bounds_alive_at_a_time(self):
+        # fit_large's certainty at r_a 0.4: 4000 rows x 178 rules, 1472 rows
+        # a block, some rows on a prototype. The running-sum buffer and one
+        # block's bounds make four (rows, c) arrays; with the midpoints in a
+        # new array and full-size shares there were about six.
+        rng = np.random.default_rng(51)
+        X = rng.uniform(size=(4000, 9))
+        protos = np.vstack([X[rng.choice(4000, 20, replace=False)], rng.uniform(size=(158, 9))])
+        ds = Dataset(X, rng.integers(0, 2, 4000), ("a", "b"))
+        assert 2 < 4000 / certainty_rows(178) < 3
+        tracemalloc.start()
+        try:
+            certainty_degrees(ds, protos, self.FZ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * certainty_rows(178) * 178 * 8
 
 
 class TestScaledMemberships:

@@ -270,6 +270,20 @@ class TestBlockedPotentials:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_one_difference_block_alive_at_a_time(self):
+        # fit_large's larger class: 2552 x 9 points in 11-row blocks of 2 MB.
+        # A block kept until the next is built makes two.
+        n, N = 2552, 9
+        X = np.random.default_rng(14).uniform(size=(n, N))
+        block = block_rows(n, N) * n * N * 8
+        tracemalloc.start()
+        try:
+            initial_potentials(X, SubclustParams(0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block
+
 
 def revise(field, pts, k, params):
     """One revision step of the clustering loop, on plain arrays."""
