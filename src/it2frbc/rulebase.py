@@ -19,14 +19,13 @@ minus the prototypes in one contiguous pass, for the one row of a
 classify() call too. Squared distances past the float range, overflowing
 to inf or rounding into subnormals, are recomputed in their block from
 those differences, scaled per row, so scaling every feature by one factor
-leaves the memberships as they are. The callers of membership_bounds
-hand it one row block at a time, so neither training nor inference memory
-grows with the number of patterns.
+leaves the memberships as they are. Inference and training walk the
+same row blocks, so neither memory grows with the number of patterns.
 
 The rule consequent is a certainty vector over classes, estimated from the
-training patterns' interval-midpoint memberships. Their per-class and
-total sums run block by block and keep the bytes of one sum over the
-whole training set (see certainty_degrees).
+training patterns' interval midpoints, the means of the two partitions.
+Their per-class and total sums run block by block and keep the bytes of
+one sum over the whole training set (see certainty_degrees).
 
 A RuleBase refuses non-finite prototypes, certainty entries and exponents,
 and builds the inference constants that depend on the model alone
@@ -249,9 +248,8 @@ def membership_bounds(
     """Lower/upper membership matrices (n, c) from the two fuzzifiers,
     both applied to one distance matrix.
 
-    Callers hand it one row block, subclust._row_blocks at width c:
-    inference.classify_batch per block of patterns, certainty_degrees per
-    block of the training set. It does not split n itself, so its memory is
+    Inference is its only caller and hands it one row block of
+    subclust._row_blocks at width c. It does not split n itself, so its memory is
     linear in n x c: at most three (n, c) arrays (the distances, which
     _partitions turns into the second partition and then the upper bound;
     the first partition; the lower bound), the shares of rows on a
@@ -265,13 +263,15 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     """Certainty matrix (c, M): per rule, the class shares of the summed
     interval-midpoint memberships over all training patterns.
 
-    The training set goes through membership_bounds in the row blocks of
-    subclust._row_blocks at width c, so whatever n is, at most four
-    (rows, c) arrays are alive: one block's bounds and the buffer below.
-    The lower bound takes the block's midpoints in place, and they are
-    written under a leading row holding the running sum. That buffer is
-    reduced along axis 0, which numpy adds row by row in order: the sums
-    are the bytes of one sum over the whole training set.
+    min(a, b) + max(a, b) is a + b bit for bit, so the interval's midpoints
+    are the means (mu1 + mu2) / 2 of the two partitions, taken in the row
+    blocks of subclust._row_blocks at width c: whatever n is, at most three
+    (rows, c) arrays are alive, one block's partitions and the buffer below.
+    The midpoints are written into it under a leading row holding the
+    running sum. A class's sum reduces it along axis 0 where the running
+    sum and the class's rows are, the totals all of it; numpy adds row by
+    row in order (a masked reduction from 0), so the sums are the bytes of
+    one sum over the whole training set.
     """
     if len(train) == 0:
         raise DataError("certainty degrees need a non-empty training set")
@@ -281,24 +281,20 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     per_class = np.zeros((M, c))
     totals = np.zeros(c)
     for s in _row_blocks(len(train), c):
-        mid, upper = membership_bounds(train.features[s], P, fz)
-        mid += upper
-        del upper
-        mid *= 0.5
-        k = len(mid)
-        if s.start == 0:  # after the first bounds: a one-block set peaks as membership_bounds does
+        mu1, mu2 = _partitions(_distances(train.features[s], P), fz.m1, fz.m2)
+        k = len(mu1)
+        if s.start == 0:  # the first block is the longest
             U = np.empty((k + 1, c))
-        labels = train.labels[s]
+            rows = np.ones((k + 1, 1), dtype=bool)  # row 0, the running sum, always on
+        np.add(mu1, mu2, out=U[1:k + 1])
+        del mu1, mu2  # before the next block's distances are built
+        U[1:k + 1] *= 0.5
         for j in range(M):
-            mask = labels == j
-            kj = int(np.count_nonzero(mask))
+            rows[1:k + 1, 0] = train.labels[s] == j
             U[0] = per_class[j]
-            np.compress(mask, mid, axis=0, out=U[1:kj + 1])
-            np.add.reduce(U[:kj + 1], axis=0, out=per_class[j])
+            np.add.reduce(U[:k + 1], axis=0, where=rows[:k + 1], out=per_class[j])
         U[0] = totals
-        U[1:k + 1] = mid
         np.add.reduce(U[:k + 1], axis=0, out=totals)
-        del mid  # before the next block's bounds are built
 
     degenerate = totals <= 0.0
     totals[degenerate] = 1.0

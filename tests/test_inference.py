@@ -694,29 +694,33 @@ class TestRowBlocks:
     def test_one_budget_bounds_every_block(self, monkeypatch):
         # subclust.BLOCK_ELEMENTS alone sets the blocks of training
         # (certainty), of classify_batch and of the kernel's exact cells.
+        # Training's blocks are seen at rulebase._distances, recorded during
+        # certainty_degrees alone: classify_batch reaches it too, through
+        # membership_bounds.
         rng = np.random.default_rng(23)
         rb = make_rulebase(rng.random((8, 3)), rng.random((8, 2)), p=-1.5)
         X = rng.random((50, 3))
         train = Dataset(X, rng.integers(0, 2, 50), ("a", "b"))
-        seen = {"bounds": [], "soundness": [], "cells": []}
+        seen = {"distances": [], "soundness": [], "cells": []}
 
-        def recorder(module, name, key):
+        def recorder(module, name, key, patch=monkeypatch):
             run = getattr(module, name)
 
             def recorded(A, *args):
                 seen[key].append(len(A))
                 return run(A, *args)
-            monkeypatch.setattr(module, name, recorded)
+            patch.setattr(module, name, recorded)
 
-        recorder(rulebase, "membership_bounds", "bounds")
         recorder(inference, "_soundness_of", "soundness")
         recorder(inference, "_power_mean_rows", "cells")
         monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 8 * 6)
-        certainty_degrees(train, rb.prototypes, rb.fuzzifiers)
+        with monkeypatch.context() as m:
+            recorder(rulebase, "_distances", "distances", m)
+            certainty_degrees(train, rb.prototypes, rb.fuzzifiers)
         classify_batch(X, rb)
         # Six rows a block at 8 rules; p < 0 sends every firing cell, 50 rows
         # x 2 classes x 2 bounds, through the exact path.
-        assert seen["bounds"] == seen["soundness"] == [6] * 8 + [2]
+        assert seen["distances"] == seen["soundness"] == [6] * 8 + [2]
         assert sum(seen["cells"]) == 200 and max(seen["cells"]) == 6
 
     def test_peak_memory_is_bounded(self):

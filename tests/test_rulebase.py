@@ -255,7 +255,7 @@ class TestBlockedMemberships:
             assert np.array_equal(up, upper[i:i + 1])
 
     def test_one_block_peaks_at_three_arrays_and_a_difference_block(self):
-        # One certainty block of 1472 rows x 178 rules, two rows on a
+        # One classify_batch block of 1472 rows x 178 rules, two rows on a
         # prototype (one on two): the distances turn into the ratios and then
         # a partition in place, and the shares cover those two rows only.
         # With a new array for each and full-size shares there were five.
@@ -339,18 +339,18 @@ class TestBlockedCertainty:
 
     FZ = Fuzzifiers(1.5, 2.5)
 
-    def blocked(self, monkeypatch, budget, ds, protos):
+    def blocked(self, monkeypatch, budget, ds, protos, fz=FZ):
         with monkeypatch.context() as m:
             m.setattr(subclust, "BLOCK_ELEMENTS", budget)
-            return certainty_degrees(ds, protos, self.FZ)
+            return certainty_degrees(ds, protos, fz)
 
-    def check(self, monkeypatch, ds, protos, budgets):
+    def check(self, monkeypatch, ds, protos, budgets, fz=FZ):
         c = len(protos)
         assert len(ds) <= certainty_rows(c)  # one block at the default budget
-        whole = certainty_degrees(ds, protos, self.FZ)
-        assert np.array_equal(whole, one_shot_certainty(ds, protos, self.FZ))
+        whole = certainty_degrees(ds, protos, fz)
+        assert np.array_equal(whole, one_shot_certainty(ds, protos, fz))
         for budget in budgets:
-            assert np.array_equal(self.blocked(monkeypatch, budget, ds, protos), whole), budget
+            assert np.array_equal(self.blocked(monkeypatch, budget, ds, protos, fz), whole), budget
         return whole
 
     def random_set(self, seed, n, N, M, c):
@@ -397,6 +397,17 @@ class TestBlockedCertainty:
         ds = Dataset(X, labels, ("a", "b"))
         self.check(monkeypatch, ds, protos, [1, 5 * 3, 5 * 16])
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    @pytest.mark.parametrize("fz", [FZ, Fuzzifiers(2.0, 2.0)])
+    def test_midpoints_of_rescaled_rows(self, monkeypatch, scale, fz):
+        # Squared distances underflow (1e-170) or overflow (1e200), so every
+        # row is rescaled. one_shot_certainty averages min and max of the two
+        # partitions, certainty_degrees the partitions themselves: the bytes
+        # agree because min(a, b) + max(a, b) is a + b.
+        ds, protos = self.random_set(52, 60, 3, 3, 5)  # every prototype on a row
+        ds = Dataset(ds.features * scale, ds.labels, ds.class_names)
+        self.check(monkeypatch, ds, protos * scale, [1, 7], fz)
+
     def test_matches_reference(self, monkeypatch):
         from frm_reference import certainty as ref_certainty
 
@@ -428,8 +439,9 @@ class TestBlockedCertainty:
     def test_one_block_of_bounds_alive_at_a_time(self):
         # fit_large's certainty at r_a 0.4: 4000 rows x 178 rules, 1472 rows
         # a block, some rows on a prototype. The running-sum buffer and one
-        # block's bounds make four (rows, c) arrays; with the midpoints in a
-        # new array and full-size shares there were about six.
+        # block's two partitions make three (rows, c) arrays, the midpoints
+        # written into the buffer; with the interval's lower bound as a
+        # fourth array this peaked at 4.0, and at about six before that.
         rng = np.random.default_rng(51)
         X = rng.uniform(size=(4000, 9))
         protos = np.vstack([X[rng.choice(4000, 20, replace=False)], rng.uniform(size=(158, 9))])
@@ -441,7 +453,7 @@ class TestBlockedCertainty:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * certainty_rows(178) * 178 * 8
+        assert peak <= 3.5 * certainty_rows(178) * 178 * 8
 
 
 class TestScaledMemberships:
