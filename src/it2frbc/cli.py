@@ -1,10 +1,16 @@
 """Command-line interface: data generation, clustering, training,
 prediction, benchmarking, and rule export.
 
+``train`` and ``eval`` share one set of protocol flags, each defaulting to
+the library field it sets, and check them all as one ExperimentConfig before
+any file is read; ``train`` is one protocol run (train_and_score, with its
+seed as the split seed) that also saves its model.
+
 Exit codes: 0 success; 1 usage error, for a value given on the command line
 that its parameter's rule refuses (a non-finite number, a radius with no
 finite, positive alpha or beta, a negative seed); 2 data error, for a value
-read from a file (a CSV cell, or a model file that fails validation); 3
+read from a file (a CSV cell, or a model file that fails validation) or an
+output file that cannot be written (the message names its path); 3
 internal error.
 """
 from __future__ import annotations
@@ -15,24 +21,13 @@ import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
-from .dataset import (
-    GENERATORS,
-    NormalizationParams,
-    SplitSpec,
-    _read_csv,
-    fit_normalizer,
-    load_csv,
-    load_features_csv,
-    normalize_dataset,
-    save_csv,
-    split,
-)
+from .dataset import (GENERATORS, NormalizationParams, SplitSpec, _read_csv, load_features_csv,
+                      save_csv, split)
 from .errors import ConfigError, DataError
-from .evaluation import ExperimentConfig, accuracy, confusion_matrix, emit_report, run_experiment
+from .evaluation import (ExperimentConfig, accuracy, confusion_matrix, emit_report,
+                         resolve_dataset, run_experiment, train_and_score)
 from .inference import classify_batch
-from .rulebase import Fuzzifiers, build_rulebase, export_rules_text, load_rulebase, save_rulebase
+from .rulebase import Fuzzifiers, export_rules_text, load_rulebase, save_rulebase
 from .subclust import SubclustParams, describe_params, subtractive_cluster
 
 
@@ -71,9 +66,12 @@ def _add_subclust_flags(p: argparse.ArgumentParser, require_choice: bool) -> Non
     else:
         p.add_argument("--ra", type=_finite_float, required=True,
                        help="subtractive-clustering radius")
-    p.add_argument("--rb-ratio", type=_finite_float, default=1.25, help="r_b = rb_ratio * r_a")
-    p.add_argument("--accept", type=_finite_float, default=0.5, help="accept ratio")
-    p.add_argument("--reject", type=_finite_float, default=0.15, help="reject ratio")
+    p.add_argument("--rb-ratio", type=_finite_float, default=SubclustParams.rb_ratio,
+                   help="r_b = rb_ratio * r_a")
+    p.add_argument("--accept", type=_finite_float, default=SubclustParams.accept_ratio,
+                   help="accept ratio")
+    p.add_argument("--reject", type=_finite_float, default=SubclustParams.reject_ratio,
+                   help="reject ratio")
 
 
 def _finite_float(text: str) -> float:
@@ -86,10 +84,37 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m1", type=_finite_float, default=1.5, help="lower fuzzifier")
-    p.add_argument("--m2", type=_finite_float, default=2.5, help="upper fuzzifier")
-    p.add_argument("--p", type=_finite_float, default=2.0, help="aggregation exponent")
+def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
+    """train's and eval's flags; each default is that of the field it sets."""
+    cfg = ExperimentConfig  # its class attributes are the field defaults
+    p.add_argument("--label-col", type=int, default=cfg.label_column)
+    p.add_argument("--missing-policy", choices=("drop_row", "error"), default=cfg.missing_policy)
+    _add_subclust_flags(p, require_choice=True)
+    p.add_argument("--m1", type=_finite_float, default=Fuzzifiers.m1, help="lower fuzzifier")
+    p.add_argument("--m2", type=_finite_float, default=Fuzzifiers.m2, help="upper fuzzifier")
+    p.add_argument("--p", type=_finite_float, default=cfg.aggregation_p,
+                   help="aggregation exponent")
+    p.add_argument("--seed", type=int, default=cfg.master_seed,
+                   help="split seed (eval: master seed of the runs)")
+    p.add_argument("--train-frac", type=_finite_float, default=cfg.train_fraction)
+    p.add_argument("--stratified", action="store_true")
+
+
+def _config_from_args(args) -> ExperimentConfig:
+    """The protocol flags as one validated configuration, before any read."""
+    return ExperimentConfig(
+        generator=args.gen,
+        data_path=args.input,
+        label_column=args.label_col,
+        missing_policy=args.missing_policy,
+        runs=args.runs,
+        train_fraction=args.train_frac,
+        stratified=args.stratified,
+        master_seed=args.seed,
+        subclust=_subclust_from_args(args),
+        fuzzifiers=Fuzzifiers(args.m1, args.m2),
+        aggregation_p=args.p,
+    )
 
 
 def build_parser() -> _Parser:
@@ -108,17 +133,11 @@ def build_parser() -> _Parser:
     c.add_argument("--out", required=True, help="CSV file for the centers (original units)")
     c.set_defaults(func=cmd_cluster)
 
-    t = sub.add_parser("train", help="train a classifier and save the model")
+    t = sub.add_parser("train", help="one protocol run on a CSV; saves its model")
     t.add_argument("--in", dest="input", required=True)
-    t.add_argument("--label-col", type=int, default=-1)
-    t.add_argument("--missing-policy", choices=("drop_row", "error"), default="drop_row")
-    _add_subclust_flags(t, require_choice=True)
-    _add_model_flags(t)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--train-frac", type=_finite_float, default=0.5)
-    t.add_argument("--stratified", action="store_true")
+    _add_protocol_flags(t)
     t.add_argument("--model", required=True, help="output model file (JSON)")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, gen=None, runs=1)
 
     pr = sub.add_parser("predict", help="classify a CSV with a saved model")
     pr.add_argument("--model", required=True)
@@ -133,14 +152,8 @@ def build_parser() -> _Parser:
     src = e.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="input", help="labeled CSV dataset")
     src.add_argument("--gen", choices=sorted(GENERATORS), help="synthetic dataset")
-    e.add_argument("--label-col", type=int, default=-1)
-    e.add_argument("--missing-policy", choices=("drop_row", "error"), default="drop_row")
-    e.add_argument("--runs", type=int, default=32)
-    _add_subclust_flags(e, require_choice=True)
-    _add_model_flags(e)
-    e.add_argument("--seed", type=int, default=0, help="master seed")
-    e.add_argument("--train-frac", type=_finite_float, default=0.5)
-    e.add_argument("--stratified", action="store_true")
+    e.add_argument("--runs", type=int, default=ExperimentConfig.runs)
+    _add_protocol_flags(e)
     e.add_argument("--format", choices=("table", "csv", "json"), default="table")
     e.add_argument("--out", default=None, help="write the report here instead of stdout")
     e.add_argument("--no-timestamp", action="store_true",
@@ -187,36 +200,33 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_train(args) -> int:
-    params = _subclust_from_args(args)
-    fz = Fuzzifiers(args.m1, args.m2)
-    ds = load_csv(args.input, args.label_col, args.missing_policy)
-    train, test = split(ds, SplitSpec(args.train_frac, args.seed, args.stratified))
-    norm = fit_normalizer(train)
-    rb = build_rulebase(normalize_dataset(norm, train), params, fz, args.p, norm)
+    cfg = _config_from_args(args)
+    ds = resolve_dataset(cfg)
+    rb, held_out = train_and_score(ds, cfg, cfg.master_seed)
     save_rulebase(rb, args.model)
 
     _print_config(
         {
-            "in": args.input,
-            "label_col": str(args.label_col),
-            "missing_policy": args.missing_policy,
-            **describe_params(params),
-            "m1": repr(fz.m1),
-            "m2": repr(fz.m2),
-            "aggregation_p": repr(args.p),
-            "seed": str(args.seed),
-            "train_fraction": repr(args.train_frac),
-            "stratified": str(args.stratified).lower(),
+            "in": cfg.data_path,
+            "label_col": str(cfg.label_column),
+            "missing_policy": cfg.missing_policy,
+            **describe_params(cfg.subclust),
+            "m1": repr(cfg.fuzzifiers.m1),
+            "m2": repr(cfg.fuzzifiers.m2),
+            "aggregation_p": repr(cfg.aggregation_p),
+            "seed": str(cfg.master_seed),
+            "train_fraction": repr(cfg.train_fraction),
+            "stratified": str(cfg.stratified).lower(),
             "model": args.model,
         }
     )
+    # split is pure: the same call gives back train_and_score's training half.
+    train, _ = split(ds, SplitSpec(cfg.train_fraction, cfg.master_seed, cfg.stratified))
     train_pred, _ = classify_batch(train.features, rb)
     train_acc = accuracy(confusion_matrix(train.labels, train_pred, ds.num_classes))
-    test_pred, _ = classify_batch(test.features, rb)
-    test_acc = accuracy(confusion_matrix(test.labels, test_pred, ds.num_classes))
     print(f"rules: {rb.num_rules}")
     print(f"train accuracy: {train_acc:.2f}")
-    print(f"held-out accuracy: {test_acc:.2f}")
+    print(f"held-out accuracy: {accuracy(held_out):.2f}")
     print(f"model written to {args.model}")
     return 0
 
@@ -294,26 +304,14 @@ def cmd_predict(args) -> int:
         name_to_idx = {name: i for i, name in enumerate(rb.class_names)}
         known = [i for i, name in enumerate(labels) if name in name_to_idx]
         if known:
-            truth = np.array([name_to_idx[labels[i]] for i in known])
-            acc = 100.0 * float((predictions[known] == truth).mean())
+            truth = [name_to_idx[labels[i]] for i in known]
+            acc = accuracy(confusion_matrix(truth, predictions[known], rb.num_classes))
             print(f"accuracy against provided labels: {acc:.2f} ({len(known)} labeled rows)")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = ExperimentConfig(
-        generator=args.gen,
-        data_path=args.input,
-        label_column=args.label_col,
-        missing_policy=args.missing_policy,
-        runs=args.runs,
-        train_fraction=args.train_frac,
-        stratified=args.stratified,
-        master_seed=args.seed,
-        subclust=_subclust_from_args(args),
-        fuzzifiers=Fuzzifiers(args.m1, args.m2),
-        aggregation_p=args.p,
-    )
+    cfg = _config_from_args(args)
     report = run_experiment(cfg)
     fmt = {"table": "text_table", "csv": "csv", "json": "json"}[args.format]
     stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
@@ -344,7 +342,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2
     except Exception as exc:  # pragma: no cover - last-resort guard

@@ -120,11 +120,11 @@ class RuleBase:
     parameters needed to classify raw patterns (normalization, fuzzifiers,
     aggregation exponent).
 
-    Every field must be finite, and each source class an integer in
-    0..num_classes-1. The soundness kernel's model-only operands
-    (_soundness_constants) are built once here and kept read-only in
-    ``_soundness``; the fields are frozen, so they cannot go stale, and
-    dataclasses.replace rebuilds them.
+    Every field must be finite, the class names distinct, and each source
+    class an integer in 0..num_classes-1. The soundness kernel's
+    model-only operands (_soundness_constants) are built once here and kept
+    read-only in ``_soundness``; the fields are frozen, so they cannot go
+    stale, and dataclasses.replace rebuilds them.
     """
 
     prototypes: np.ndarray
@@ -139,6 +139,9 @@ class RuleBase:
         P = np.asarray(self.prototypes, dtype=float)
         src = np.asarray(self.source_classes)
         R = np.asarray(self.certainty, dtype=float)
+        names = tuple(str(c) for c in self.class_names)
+        if len(set(names)) != len(names):
+            raise DataError(f"class names must be distinct, got {list(names)}")
         if P.ndim != 2 or P.shape[0] < 1:
             raise DataError("prototypes must be a non-empty (c, N) array")
         if src.shape != (P.shape[0],):
@@ -158,7 +161,7 @@ class RuleBase:
         object.__setattr__(self, "prototypes", _freeze(P))
         object.__setattr__(self, "source_classes", _freeze(src.astype(np.int64)))
         object.__setattr__(self, "certainty", _freeze(R))
-        object.__setattr__(self, "class_names", tuple(str(c) for c in self.class_names))
+        object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "_soundness",
                            _soundness_constants(self.certainty, self.aggregation_p))
 
@@ -392,6 +395,8 @@ def load_rulebase(path) -> RuleBase:
         )
     try:
         rules = doc["rules"]
+        if not isinstance(doc["class_names"], list):
+            raise DataError(f"class_names must be a list, got {doc['class_names']!r}")
         norm = NormalizationParams(
             np.array(doc["normalization"]["min"], dtype=float),
             np.array(doc["normalization"]["max"], dtype=float),

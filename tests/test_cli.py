@@ -270,6 +270,51 @@ class TestTrainPredict:
                            "--no-sc", "--model", str(tmp_path / "m.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--p=0", "p=0"),
+        ("--train-frac=1", "train_fraction"),
+        ("--seed=-1", "seed must be a non-negative integer"),
+    ])
+    def test_flags_checked_before_the_input_is_read(self, tmp_path, capsys, flag, message):
+        # The missing file used to exit 2 first; --p 0 was refused only
+        # after the training half had been clustered.
+        model = tmp_path / "m.json"
+        code, out, err = run(capsys, "train", "--in", str(tmp_path / "nope.csv"), "--ra", "0.3",
+                             flag, "--model", str(model))
+        assert code == 1
+        assert message in err and "nope.csv" not in err
+        assert out == "" and not model.exists()
+
+    def test_predict_missing_model_file(self, tmp_path, capsys, circ_file):
+        model = tmp_path / "nope.json"
+        out_file = tmp_path / "o.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(circ_file),
+                           "--out", str(out_file))
+        assert code == 2
+        assert f"cannot read {model}" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("names, message", [
+        ("12", "class_names must be a list, got '12'"),
+        (["a", "a"], "class names must be distinct, got ['a', 'a']"),
+        ([1, "1"], "class names must be distinct, got ['1', '1']"),
+    ], ids=["string", "repeated", "repeated-as-text"])
+    def test_predict_bad_class_names(self, tmp_path, capsys, names, message):
+        # "12" used to load as two classes '1' and '2'; ["a", "a"] loaded
+        # too, and predict wrote the header score_a,score_a with exit 0.
+        doc = two_rule_model()
+        doc["class_names"] = names
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("5e-11,1.0\n")
+        out_file = tmp_path / "o.csv"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                           "--out", str(out_file))
+        assert code == 2
+        assert f"malformed model file {model}: {message}" in err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_p_is_a_usage_error(self, tmp_path, capsys, circ_file, bad):
         # Used to exit 2, refused by the model after the data was read.
@@ -533,6 +578,26 @@ class TestEval:
     def test_ra_and_no_sc_conflict(self, capsys):
         code, _, err = run(capsys, "eval", "--gen", "circular", "--ra", "0.2", "--no-sc")
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["gen-data", "cluster", "train", "predict", "eval"])
+def test_unwritable_output_exits_2(tmp_path, capsys, circ_file, command):
+    # Each used to exit 3 with "internal error: FileNotFoundError".
+    model = tmp_path / "model.json"
+    assert main(["train", "--in", str(circ_file), "--no-sc", "--model", str(model)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out"
+    argv = {
+        "gen-data": ["--which", "circular", "--out", str(out)],
+        "cluster": ["--in", str(circ_file), "--ra", "0.3", "--out", str(out)],
+        "train": ["--in", str(circ_file), "--no-sc", "--model", str(out)],
+        "predict": ["--model", str(model), "--in", str(circ_file), "--out", str(out)],
+        "eval": ["--gen", "circular", "--no-sc", "--runs", "1", "--out", str(out)],
+    }[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
 
 
 class TestUsage:

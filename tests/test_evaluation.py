@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -26,7 +27,7 @@ from it2frbc import (
     train_and_score,
 )
 from it2frbc import cli, evaluation, rulebase
-from it2frbc.evaluation import derive_run_seed
+from it2frbc.evaluation import RunResult, derive_run_seed
 
 
 class TestConfusionMatrix:
@@ -239,6 +240,20 @@ class TestEmitReport:
         lines = body.splitlines()
         assert lines[0] == "# generated: 2020-01-01T00:00:00Z"
         assert emit_report(report, "csv") == "\n".join(lines[1:]) + "\n"
+
+    def test_timestamp_json_field(self, report):
+        doc = json.loads(emit_report(report, "json", timestamp="2020-01-01T00:00:00Z"))
+        assert list(doc)[0] == "generated_at"
+        assert doc.pop("generated_at") == "2020-01-01T00:00:00Z"
+        assert doc == json.loads(emit_report(report, "json"))
+
+    def test_failed_run_row_in_csv(self, report):
+        # The error text goes in the last cell, its commas turned into ';'.
+        failed = RunResult(index=7, seed=11, error="class 'b', then 'c', absent")
+        body = emit_report(dataclasses.replace(report, runs=(failed,), failed_count=1), "csv")
+        rows = [line for line in body.splitlines() if line.startswith("run,")]
+        assert rows == ["run,7,11,failed,,,class 'b'; then 'c'; absent"]
+        assert "aggregate_failed_runs,,,,,1," in body
 
     def test_unknown_format(self, report):
         with pytest.raises(ConfigError):

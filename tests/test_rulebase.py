@@ -806,3 +806,15 @@ class TestRuleBaseType:
                 normalization=identity_norm(1),
                 class_names=("a", "b"),
             )
+
+    @pytest.mark.parametrize("names", [("a", "a"), (1, "1")])
+    def test_class_names_distinct(self, names):
+        with pytest.raises(DataError, match="class names must be distinct"):
+            RuleBase(
+                prototypes=np.array([[0.2], [0.8]]),
+                source_classes=np.array([0, 1]),
+                certainty=np.eye(2),
+                fuzzifiers=Fuzzifiers(),
+                normalization=identity_norm(1),
+                class_names=names,
+            )
