@@ -203,6 +203,11 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     ds = resolve_dataset(cfg)
     rb, held_out = train_and_score(ds, cfg, cfg.master_seed)
+    # split is pure: the same call gives back train_and_score's training half.
+    train, _ = split(ds, SplitSpec(cfg.train_fraction, cfg.master_seed, cfg.stratified))
+    train_pred, _ = classify_batch(train.features, rb)
+    train_acc = accuracy(confusion_matrix(train.labels, train_pred, ds.num_classes))
+    held_out_acc = accuracy(held_out)  # refuses an empty held-out set before any output
     save_rulebase(rb, args.model)
 
     _print_config(
@@ -220,13 +225,9 @@ def cmd_train(args) -> int:
             "model": args.model,
         }
     )
-    # split is pure: the same call gives back train_and_score's training half.
-    train, _ = split(ds, SplitSpec(cfg.train_fraction, cfg.master_seed, cfg.stratified))
-    train_pred, _ = classify_batch(train.features, rb)
-    train_acc = accuracy(confusion_matrix(train.labels, train_pred, ds.num_classes))
     print(f"rules: {rb.num_rules}")
     print(f"train accuracy: {train_acc:.2f}")
-    print(f"held-out accuracy: {accuracy(held_out):.2f}")
+    print(f"held-out accuracy: {held_out_acc:.2f}")
     print(f"model written to {args.model}")
     return 0
 

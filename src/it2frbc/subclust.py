@@ -19,11 +19,24 @@ takes one distance pass per accepted center.
 
 Points are expected in normalized feature space (r_a is relative to it).
 
-The potential field is computed in row blocks, so it needs O(n * block)
-working memory rather than the full n x n x N difference tensor: one
-block's differences, dropped once their squared distances are taken, which
-then take the exponential in place.
-``_row_blocks`` is the one rule for such blocks: the rule base's
+The potential field computes each pair of points once. x_j - x_i is the
+exact negation of x_i - x_j, so both give the same squared distance and the
+same exp, byte for byte. The rows and the columns are cut into tiles at the
+leaves of the pairwise tree by which numpy sums a row of n values
+(``_leaves``: runs of at most 128 values; a longer run splits at half its
+length rounded down to a multiple of 8). No two neighbouring leaves fit in
+128 values, so a tile is one leaf. For each tile pair (a, b >= a) the
+kernel fills the tile's squared distances in row chunks of ``_row_blocks``,
+so no difference block outgrows the budget at any number of features, and
+takes exp in place. The tile's row sums are leaf sums of the rows of a;
+when b > a, the row sums of its C-ordered transpose are leaf sums of the
+rows of b. ``_tree_sum`` adds the (leaves, n) leaf sums up numpy's tree.
+So every potential keeps the bytes of one sum over its whole row, and with
+them every center, certainty degree and report. A set of at most 128
+points is one tile, whose rows are summed whole. One chunk's differences,
+one tile and the leaf sums are alive at a time.
+
+``_row_blocks`` is the one rule for row blocks: the rule base's
 memberships and certainty degrees and the reasoning method's soundness walk
 their rows with it too. ``_differences`` is the one implementation of a
 block's pairwise differences, here and in the rule base's distances: the
@@ -116,12 +129,37 @@ def describe_params(params: SubclustParams | None) -> dict[str, str]:
     }
 
 
+# numpy sums a contiguous run of up to this many values as one leaf of its
+# pairwise tree, with 8 accumulators (PW_BLOCKSIZE in its loops).
+_LEAF = 128
+
+
+def _leaves(n: int, start: int = 0) -> list[slice]:
+    """The leaves of numpy's summation tree over n values, in order."""
+    if n <= _LEAF:
+        return [slice(start, start + n)]
+    half = n // 2 - n // 2 % 8
+    return _leaves(half, start) + _leaves(n - half, start + half)
+
+
+def _tree_sum(parts: np.ndarray, n: int) -> np.ndarray:
+    """Add leaf sums up numpy's tree over n values: parts[k] holds each
+    row's sum over leaf k, and the result has the bytes of the rows' sums."""
+    if n <= _LEAF:
+        return parts[0]
+    half = n // 2 - n // 2 % 8
+    k = len(_leaves(half))
+    return _tree_sum(parts[:k], half) + _tree_sum(parts[k:], n - half)
+
+
 def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     """P_i = sum_j exp(-alpha * ||x_i - x_j||^2), including the j=i term, (n,).
 
-    Each row block's (rows, n, N) differences go through one einsum, the
-    same as the single-shot form, so the result is bitwise independent of
-    the block size and coincident points give exact zeros.
+    Each pair of tiles is computed once and summed for both of its row
+    sets; see the module docstring. Each chunk's (rows, cols, N)
+    differences go through the single-shot form's einsum, and each row
+    sum follows numpy's tree, so the result has the single-shot bytes
+    whatever the chunk size, and coincident points give exact zeros.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
@@ -130,14 +168,22 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
         raise DataError("need at least one point")
     if not np.isfinite(X).all():
         raise DataError("points must be finite (no nan or inf)")
-    P = np.empty(X.shape[0])
-    for s in _row_blocks(X.shape[0], X.size):
-        diff = _differences(X[s], X)
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        del diff  # before the next block's differences are built
-        sq *= -params.alpha
-        P[s] = np.exp(sq, out=sq).sum(axis=1)
-    return P
+    n, N = X.shape
+    leaves = _leaves(n)
+    parts = np.empty((len(leaves), n))  # parts[k, i]: row i's sum over leaf k
+    for a, rows in enumerate(leaves):
+        for b, cols in enumerate(leaves[a:], a):
+            sq = np.empty((rows.stop - rows.start, cols.stop - cols.start))
+            for s in _row_blocks(len(sq), sq.shape[1] * N):
+                diff = _differences(X[rows][s], X[cols])
+                np.einsum("ijk,ijk->ij", diff, diff, out=sq[s])
+                del diff  # before the next chunk's differences are built
+            sq *= -params.alpha
+            np.exp(sq, out=sq)
+            parts[b, rows] = sq.sum(axis=1)
+            if b > a:
+                parts[a, cols] = np.ascontiguousarray(sq.T).sum(axis=1)
+    return _tree_sum(parts, n)
 
 
 def _revised(P: np.ndarray, X: np.ndarray, k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:

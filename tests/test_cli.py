@@ -240,10 +240,13 @@ class TestTrainPredict:
         data = tmp_path / "tiny.csv"
         data.write_text("0.1,0.2,0\n0.2,0.1,0\n0.3,0.3,0\n0.9,0.8,1\n0.8,0.9,1\n0.7,0.7,1\n")
         extra = ["--model", str(tmp_path / "m.json")] if command == "train" else ["--runs", "2"]
-        code, _, err = run(capsys, command, "--in", str(data), "--no-sc", "--stratified",
-                           "--train-frac", "0.9", *extra)
+        code, out, err = run(capsys, command, "--in", str(data), "--no-sc", "--stratified",
+                             "--train-frac", "0.9", *extra)
         assert code == 2
         assert "no observations" in err
+        # train takes both scores before it writes or prints anything.
+        assert not (tmp_path / "m.json").exists()
+        assert command == "eval" or out == ""
 
     def test_predict_label_col_out_of_range(self, tmp_path, capsys, circ_file):
         # Used to write the whole output file and then exit 3 on an IndexError.

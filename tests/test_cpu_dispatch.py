@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 import it2frbc
-from it2frbc import (Fuzzifiers, SplitSpec, SubclustParams, build_rulebase, classify_batch, cli,
-                     fit_normalizer, load_csv, normalize_dataset, split)
+from it2frbc import (Dataset, Fuzzifiers, SplitSpec, SubclustParams, build_rulebase,
+                     classify_batch, cli, fit_normalizer, load_csv, normalize_dataset, split)
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 REPORTS = {
@@ -42,8 +42,9 @@ def _features() -> tuple[dict, list]:
 
 
 def job() -> dict:
-    """Report digests of two eval configurations (--runs 4) and the classes
-    predicted for a fixed batch of WBCD patterns at three scales."""
+    """Report digests of two eval configurations (--runs 4), the classes
+    predicted for a fixed batch of WBCD patterns at three scales, and the
+    digest of the centers clustered from 1500 jittered WBCD patterns."""
     out = {}
     for name, args in REPORTS.items():
         text = io.StringIO()
@@ -60,6 +61,14 @@ def job() -> dict:
     X = test.features[rng.integers(0, len(test), 341)] + rng.normal(0.0, 0.3, (341, 9))
     for scale in (1.0, 1e-170, 1e200):
         out[f"predictions x {scale:g}"] = classify_batch(X * scale, rb)[0].tolist()
+    # Classes of about 1000 and 500 points: each potential field takes many tiles.
+    idx = rng.integers(0, len(wbcd), 1500)
+    jittered = Dataset(wbcd.features[idx] + rng.normal(0.0, 0.3, (1500, 9)), wbcd.labels[idx],
+                       wbcd.class_names)
+    norm = fit_normalizer(jittered)
+    fit = build_rulebase(normalize_dataset(norm, jittered), SubclustParams(0.4), Fuzzifiers(), 2.0,
+                         norm)
+    out["centers of 1500 jittered rows"] = hashlib.sha256(fit.prototypes.tobytes()).hexdigest()
     features, _ = _features()
     out["cpu"] = {name: bool(features.get(name)) for name in ("X86_V3", "X86_V4")}
     return out

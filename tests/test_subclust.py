@@ -285,6 +285,89 @@ class TestBlockedPotentials:
         assert peak < 1.5 * block
 
 
+    @pytest.mark.parametrize("n, N", [(127, 9), (128, 9), (129, 9), (256, 9), (257, 9), (341, 9),
+                                      (1448, 2)])
+    def test_sizes_across_leaf_and_tile_boundaries(self, n, N):
+        X = np.random.default_rng(n).uniform(size=(n, N))
+        params = SubclustParams(0.4)
+        got = initial_potentials(X, params)
+        assert np.array_equal(got, single_shot_potentials(X, params.alpha))
+
+    # A tile row's width * N is about 300 values here: budgets below it take
+    # one row per chunk, the others a few rows.
+    @pytest.mark.parametrize("budget", [1, 50, 1000, 5000])
+    def test_many_tiles_in_row_chunks(self, monkeypatch, budget):
+        X = np.round(np.random.default_rng(18).uniform(size=(600, 3)), 1)  # coincident points
+        X[590] = X[2]  # in the first and the last tile
+        params = SubclustParams(0.3)
+        expected = single_shot_potentials(X, params.alpha)
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
+        assert len(subclust._leaves(600)) == 8  # 36 tile pairs
+        got = initial_potentials(X, params)
+        assert np.array_equal(got, expected)
+        assert got[590] == got[2]
+
+    def test_fortran_ordered_points_across_tiles(self):
+        X = np.random.default_rng(19).uniform(size=(341, 9))
+        params = SubclustParams(0.4)
+        got = initial_potentials(np.asfortranarray(X), params)
+        assert np.array_equal(got, single_shot_potentials(X, params.alpha))
+
+    @pytest.mark.parametrize("n", [1500, 2048])
+    def test_wide_features_keep_each_chunk_within_the_budget(self, n):
+        # At N = 30 a tile's differences built whole would take up to
+        # 128 x 128 x 30 values, 3.9 MB (2048 points make leaves of exactly
+        # 128); the row chunks keep them within BLOCK_ELEMENTS (2 MiB).
+        # tracemalloc read 2.30 and 2.43 MiB here with the chunks, 2.60 and
+        # 4.19 MiB with each tile filled whole, and 1.85 and 2.02 MiB for the
+        # row-block kernel that summed every row whole (numpy 2.4.6). The
+        # bound is one budget-size block and a quarter, for the tile, its
+        # transpose and the (leaves, n) leaf sums.
+        X = np.random.default_rng(20).uniform(size=(n, 30))
+        tracemalloc.start()
+        try:
+            initial_potentials(X, SubclustParams(0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * subclust.BLOCK_ELEMENTS * 8
+
+
+class TestSummationTree:
+    """subclust._leaves and _tree_sum emulate the pairwise tree by which
+    numpy adds a row: leaf sums added up the tree give np.add.reduce's
+    bytes. No tolerance: should a numpy build sum another way, this fails,
+    and so does TestBlockedPotentials."""
+
+    SIZES = [*range(1, 301), 1000, 1448, 2552, 4000]
+
+    @staticmethod
+    def layouts(n, rng):
+        return {
+            "C-ordered rows": rng.uniform(-1.0, 1.0, (3, n)),
+            "column slice of a C-ordered tile": rng.uniform(-1.0, 1.0, (3, n + 13))[:, 5:5 + n],
+            "C copy of a transpose": np.ascontiguousarray(rng.uniform(-1.0, 1.0, (n, 3)).T),
+        }
+
+    def test_leaf_sums_up_the_tree_give_the_row_sums(self):
+        rng = np.random.default_rng(21)
+        for n in self.SIZES:
+            for layout, A in self.layouts(n, rng).items():
+                parts = np.stack([np.add.reduce(A[:, leaf], axis=1)
+                                  for leaf in subclust._leaves(n)])
+                got = subclust._tree_sum(parts, n)
+                assert got.tobytes() == np.add.reduce(A, axis=1).tobytes(), (n, layout)
+
+    def test_leaves_cover_the_row_in_order(self):
+        for n in self.SIZES:
+            leaves = subclust._leaves(n)
+            assert [i for leaf in leaves for i in range(n)[leaf]] == list(range(n))
+            assert all(0 < leaf.stop - leaf.start <= subclust._LEAF for leaf in leaves)
+            # No two neighbouring leaves fit in one: a tile is one leaf.
+            widths = [leaf.stop - leaf.start for leaf in leaves]
+            assert all(a + b > subclust._LEAF for a, b in zip(widths, widths[1:]))
+
+
 def revise(field, pts, k, params):
     """One revision step of the clustering loop, on plain arrays."""
     return subclust._revised(field, pts, k, params.beta)[0]
