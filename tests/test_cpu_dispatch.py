@@ -1,9 +1,10 @@
-"""Reports and predictions do not depend on numpy's SIMD dispatch level.
+"""Reports, predictions and centers do not depend on numpy's SIMD dispatch level.
 
 The transcendental ufuncs (exp, pow, log, expm1, log1p) give other last bits
 under the AVX-512 group (X86_V4) than under AVX2 (X86_V3) or the SSE
 baseline, so scores and potentials differ between such hosts. No decision
-lies that close to a tie: eval reports and predicted classes stay the same.
+lies that close to a tie: eval reports, predicted classes and the centers
+clustered from a large point set stay the same.
 NPY_DISABLE_CPU_FEATURES acts only on the process that imports numpy under
 it, so each cut level runs the job below in a child process of its own and
 compares its digests with this process's. Scores are not compared.

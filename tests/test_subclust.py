@@ -284,7 +284,6 @@ class TestBlockedPotentials:
             tracemalloc.stop()
         assert peak < 1.5 * block
 
-
     @pytest.mark.parametrize("n, N", [(127, 9), (128, 9), (129, 9), (256, 9), (257, 9), (341, 9),
                                       (1448, 2)])
     def test_sizes_across_leaf_and_tile_boundaries(self, n, N):
