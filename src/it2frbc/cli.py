@@ -24,8 +24,8 @@ from datetime import datetime, timezone
 from .dataset import (GENERATORS, NormalizationParams, SplitSpec, _read_csv, load_features_csv,
                       save_csv, split)
 from .errors import ConfigError, DataError
-from .evaluation import (ExperimentConfig, accuracy, confusion_matrix, emit_report,
-                         resolve_dataset, run_experiment, train_and_score)
+from .evaluation import (ExperimentConfig, _config_block, accuracy, confusion_matrix,
+                         emit_report, resolve_dataset, run_experiment, train_and_score)
 from .inference import classify_batch
 from .rulebase import Fuzzifiers, export_rules_text, load_rulebase, save_rulebase
 from .subclust import SubclustParams, describe_params, subtractive_cluster
@@ -38,12 +38,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-
-def _print_config(items: dict[str, str]) -> None:
-    print("configuration:")
-    for key, val in items.items():
-        print(f"  {key}: {val}")
 
 
 def _subclust_from_args(args) -> SubclustParams | None:
@@ -169,7 +163,7 @@ def build_parser() -> _Parser:
 def cmd_gen_data(args) -> int:
     ds = GENERATORS[args.which](args.seed)
     save_csv(ds, args.out)
-    _print_config({"which": args.which, "seed": str(args.seed), "out": args.out})
+    print(_config_block({"which": args.which, "seed": str(args.seed), "out": args.out}), end="")
     counts = ", ".join(
         f"{name}: {cnt}" for name, cnt in zip(ds.class_names, ds.class_counts())
     )
@@ -182,14 +176,12 @@ def cmd_cluster(args) -> int:
     points = load_features_csv(args.input)
     norm = NormalizationParams(points.min(axis=0), points.max(axis=0))
     centers = norm.invert(subtractive_cluster(norm.apply(points), params))
-    _print_config(
-        {
-            "in": args.input,
-            "points": str(points.shape[0]),
-            **describe_params(params),
-            "out": args.out,
-        }
-    )
+    print(_config_block({
+        "in": args.input,
+        "points": str(points.shape[0]),
+        **describe_params(params),
+        "out": args.out,
+    }), end="")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i + 1}" for i in range(centers.shape[1])])
@@ -210,21 +202,19 @@ def cmd_train(args) -> int:
     held_out_acc = accuracy(held_out)  # refuses an empty held-out set before any output
     save_rulebase(rb, args.model)
 
-    _print_config(
-        {
-            "in": cfg.data_path,
-            "label_col": str(cfg.label_column),
-            "missing_policy": cfg.missing_policy,
-            **describe_params(cfg.subclust),
-            "m1": repr(cfg.fuzzifiers.m1),
-            "m2": repr(cfg.fuzzifiers.m2),
-            "aggregation_p": repr(cfg.aggregation_p),
-            "seed": str(cfg.master_seed),
-            "train_fraction": repr(cfg.train_fraction),
-            "stratified": str(cfg.stratified).lower(),
-            "model": args.model,
-        }
-    )
+    print(_config_block({
+        "in": cfg.data_path,
+        "label_col": str(cfg.label_column),
+        "missing_policy": cfg.missing_policy,
+        **describe_params(cfg.subclust),
+        "m1": repr(cfg.fuzzifiers.m1),
+        "m2": repr(cfg.fuzzifiers.m2),
+        "aggregation_p": repr(cfg.aggregation_p),
+        "seed": str(cfg.master_seed),
+        "train_fraction": repr(cfg.train_fraction),
+        "stratified": str(cfg.stratified).lower(),
+        "model": args.model,
+    }), end="")
     print(f"rules: {rb.num_rules}")
     print(f"train accuracy: {train_acc:.2f}")
     print(f"held-out accuracy: {held_out_acc:.2f}")
@@ -282,15 +272,13 @@ def cmd_predict(args) -> int:
     X, labels, label_col, cells = _read_csv(args.input, label_col)
     predictions, scores = classify_batch(X, rb)
 
-    _print_config(
-        {
-            "model": args.model,
-            "in": args.input,
-            "rows": str(len(X)),
-            "label_col": "none" if label_col is None else str(label_col),
-            "out": args.out,
-        }
-    )
+    print(_config_block({
+        "model": args.model,
+        "in": args.input,
+        "rows": str(len(X)),
+        "label_col": "none" if label_col is None else str(label_col),
+        "out": args.out,
+    }), end="")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -181,10 +181,11 @@ def _is_header(cells: list[str]) -> bool:
 def _read_csv(path, label_column=None, keep=None):
     """Read a CSV of numeric feature cells and at most one label column.
 
-    Blank lines are skipped and line numbers kept. The first non-blank row
-    is a header when it passes ``_is_header``; any other row is data, so a
-    first row mixing numbers and text is refused with its line number. Every
-    data row must be as wide as the first row. ``label_column`` is a column
+    The file is UTF-8 text, a leading byte-order mark skipped. Blank lines
+    are skipped and line numbers kept. The first non-blank row is a header
+    when it passes ``_is_header``; any other row is data, so a first row
+    mixing numbers and text is refused with its line number. Every data row
+    must be as wide as the first row. ``label_column`` is a column
     index (negative counts from the end), None for no label, or a function
     of the width giving either. ``keep(lineno, cells)`` may drop a row
     before its cells are converted.
@@ -193,10 +194,12 @@ def _read_csv(path, label_column=None, keep=None):
     resolved label column or None, each data row's feature cells as read).
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise DataError("empty dataset")
     width = len(rows[0][1])

@@ -213,15 +213,18 @@ def emit_report(report: ExperimentReport, format: str, timestamp: str | None = N
     raise ConfigError(f"unknown report format {format!r}")
 
 
+def _config_block(items: dict[str, str]) -> str:
+    """The ``configuration:`` block of text reports and the CLI's stdout."""
+    return "configuration:\n" + "".join(f"  {key}: {val}\n" for key, val in items.items())
+
+
 def _emit_text(report: ExperimentReport, timestamp: str | None) -> str:
     out = io.StringIO()
     if timestamp is not None:
         out.write(f"# generated: {timestamp}\n")
-    out.write("configuration:\n")
-    for key, val in report.config.describe().items():
-        out.write(f"  {key}: {val}\n")
-    out.write("\n")
-    ra = report.config.describe()["r_a"]
+    config = report.config.describe()
+    out.write(_config_block(config) + "\n")
+    ra = config["r_a"]
     header = f"{'r_a':<8}{'clusters/rules':<16}{'best':>8}{'average':>9}{'worst':>8}{'stddev':>8}"
     row = (
         f"{ra:<8}{_rules_interval_text(report):<16}{_fmt(report.best):>8}"

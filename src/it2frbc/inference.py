@@ -11,9 +11,9 @@ recomputes the cells it cannot give exactly, and every cell for p < 0, with
 _power_mean_rows. Its operands that depend on the model alone are built
 once, with the model. Its sums are np.einsum, which makes no BLAS call, so
 a pattern scores the same bytes in any batch and in classify, which is row
-0 of the kernel. classify_batch walks the batch in row blocks, so memory
-stays bounded whatever n is. NormalizationParams.apply refuses non-finite
-input with DataError.
+0 of the kernel. classify_batch cuts the batch into row blocks, the one
+cut: the kernel takes each block whole, so memory stays bounded whatever
+n is. NormalizationParams.apply refuses non-finite input with DataError.
 """
 from __future__ import annotations
 
@@ -120,11 +120,12 @@ def _soundness_bounds(
         can round to 0, since firing is decided on that product.
     The only (n, c) arrays are B, scaled and raised to p in place, and the
     firing mask, built only when some upper bound is 0; the smallest firing
-    upper bound tells whether any firing product can round to 0. n is at
-    most a row block. Without product weights every cell with a firing rule
-    takes the exact path.
+    upper bound tells whether any firing product can round to 0. The exact
+    cells, up to 2M a row, are gathered as one (cells, c) array, which
+    classify_batch's block width counts. Without product weights every cell
+    with a firing rule takes the exact path.
     """
-    n, c, M = lower.shape[0], lower.shape[1], consts.certainty.shape[1]
+    n, M = lower.shape[0], consts.certainty.shape[1]
     p = consts.p
     # Both products are np.einsum sums, which make no BLAS call, so a row's
     # bounds do not depend on the other rows. When every upper bound is
@@ -169,12 +170,10 @@ def _soundness_bounds(
         redo = np.broadcast_to(count > 0.0, out.shape)
     if redo is not None:
         h, i, j = np.nonzero(redo)
-        bounds = np.stack((lower, upper)) if h.size else None
-        # Row blocks of bounded size keep the gathered (cells, c) values small.
-        for cells in _row_blocks(h.size, c):
-            hb, ib, jb = h[cells], i[cells], j[cells]
-            r = consts.certainty[:, jb].T
-            out[hb, ib, jb] = _power_mean_rows(bounds[hb, ib] * r, upper[ib] * r > 0.0, p)
+        if h.size:  # cells that are not fine may fire no rule
+            r = consts.certainty[:, j].T
+            bounds = np.stack((lower, upper))[h, i]
+            out[h, i, j] = _power_mean_rows(bounds * r, upper[i] * r > 0.0, p)
     # The true bounds are ordered, but when m1 and m2 nearly coincide the two
     # rounded ones can differ by an ulp the wrong way; this moves such a
     # lower bound by at most its rounding error.
@@ -193,16 +192,18 @@ def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
 
     Normalization is applied internally; scores are the per-class soundness
     interval midpoints and predictions their row argmax (ties -> lowest
-    class index). Rows go through the kernel in the row blocks of
-    subclust._row_blocks at width c, each writing its midpoints into the
-    (n, M) scores, so the (rows, c) arrays stay bounded whatever n is. A
-    row's scores do not depend on the block it falls in.
+    class index). The rows are cut here, once, in the row blocks of
+    subclust._row_blocks at width c * max(N, 2M): a row adds c * N
+    differences, or up to 2M gathered rows of c values at the exact cells,
+    to the block's largest array. The kernel takes each block whole and
+    writes its midpoints into the (n, M) scores, so memory stays bounded
+    whatever n is. A row's scores do not depend on the block it falls in.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    scores = np.empty((n, rb.num_classes))
+    n, M = X.shape[0], rb.num_classes
+    scores = np.empty((n, M))
     # An empty batch still takes one (empty) block, so its input is checked.
-    for s in _row_blocks(max(n, 1), rb.num_rules):
+    for s in _row_blocks(max(n, 1), rb.num_rules * max(rb.num_features, 2 * M)):
         y_lower, y_upper = _soundness_of(X[s], rb)
         np.add(y_lower, y_upper, out=scores[s])
     scores *= 0.5

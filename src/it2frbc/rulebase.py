@@ -11,16 +11,17 @@ all c prototypes sum to 1. Evaluating with two fuzzifiers m1 and m2 and
 taking the pointwise min/max yields the interval [lower_k, upper_k] —
 the footprint of uncertainty of the rule's antecedent.
 
-The distance matrix (n, c) is computed once per call, over the row
-blocks of subclust._row_blocks, and both fuzzifiers are applied to it.
-Each block's (rows, c, N) differences come from subclust._differences,
-the one implementation, shared with the potential field: repeated rows
-minus the prototypes in one contiguous pass, for the one row of a
-classify() call too. Squared distances past the float range, overflowing
-to inf or rounding into subnormals, are recomputed in their block from
-those differences, scaled per row, so scaling every feature by one factor
-leaves the memberships as they are. Inference and training walk the
-same row blocks, so neither memory grows with the number of patterns.
+The distance matrix (n, c) of a row block is computed once, and both
+fuzzifiers are applied to it. Rows are cut once, by certainty_degrees and
+inference.classify_batch, in the row blocks of subclust._row_blocks, so
+neither memory grows with the number of patterns; the kernels below take
+their block whole. A block's (rows, c, N) differences come from
+subclust._differences, the one implementation, shared with the potential
+field: repeated rows minus the prototypes in one contiguous pass, for the
+one row of a classify() call too. Squared distances past the float range,
+overflowing to inf or rounding into subnormals, are recomputed in their
+block from those differences, scaled per row, so scaling every feature by
+one factor leaves the memberships as they are.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval midpoints, the means of the two partitions.
@@ -181,8 +182,9 @@ class RuleBase:
 def _distances(X, prototypes) -> np.ndarray:
     """Euclidean distances of each row of X to each prototype, (n, c).
 
-    Computed over the row blocks of subclust._row_blocks at width c * N. A
-    row past the float range comes back divided by a per-row scale (below).
+    Takes X whole: its caller hands it one row block of subclust._row_blocks,
+    whose (rows, c, N) differences are the block's largest array. A row past
+    the float range comes back divided by a per-row scale (below).
     """
     X, P = np.asarray(X, dtype=float), np.asarray(prototypes, dtype=float)
     if X.ndim < 2 or P.ndim < 2:
@@ -191,31 +193,27 @@ def _distances(X, prototypes) -> np.ndarray:
         raise DataError(f"input has {X.shape[1]} features but prototypes have {P.shape[1]}")
     if P.shape[0] == 0:
         raise DataError("need at least one prototype")
-    d = np.empty((X.shape[0], P.shape[0]))
-    for s in _row_blocks(X.shape[0], P.size):
-        diff = _differences(X[s], P)
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        # A huge finite pattern overflows its squared distances to inf; tiny
-        # differences underflow them, so a pattern near several prototypes
-        # counts as sitting on them. Such rows are recomputed from
-        # differences divided by the row's largest |difference|: the scale
-        # cancels in the ratios d_k / d_q, and exact zeros stay zeros. A row
-        # whose largest squared distance is at least sqrt(_SMALL) (~1e-146)
-        # is kept: its smallest falls below _SMALL only at distance ratios
-        # past ~1e73, so rows on a prototype of normalized data are not
-        # recomputed, and a block with neither case pays two reductions.
-        if sq.max() == np.inf or sq.min() < _SMALL:
-            top = sq.max(axis=1)  # inf where any entry is
-            flagged = (top == np.inf) | (sq.min(axis=1) < _SMALL) & (top < _SMALL**0.5)
-            if flagged.any():
-                diff = diff[flagged]
-                scale = np.abs(diff).max(axis=(1, 2), initial=0.0)
-                scale[scale == 0.0] = 1.0  # a row on every prototype keeps its zeros
-                diff /= scale[:, None, None]
-                sq[flagged] = np.einsum("ijk,ijk->ij", diff, diff)
-        np.sqrt(sq, out=d[s])
-        del diff  # before the next block's differences are built
-    return d
+    diff = _differences(X, P)
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    # A huge finite pattern overflows its squared distances to inf; tiny
+    # differences underflow them, so a pattern near several prototypes
+    # counts as sitting on them. Such rows are recomputed from differences
+    # divided by the row's largest |difference|: the scale cancels in the
+    # ratios d_k / d_q, and exact zeros stay zeros. A row whose largest
+    # squared distance is at least sqrt(_SMALL) (~1e-146) is kept: its
+    # smallest falls below _SMALL only at distance ratios past ~1e73, so
+    # rows on a prototype of normalized data are not recomputed, and a block
+    # with neither case pays two reductions (an empty one passes).
+    if sq.max(initial=0.0) == np.inf or sq.min(initial=np.inf) < _SMALL:
+        top = sq.max(axis=1)  # inf where any entry is
+        flagged = (top == np.inf) | (sq.min(axis=1) < _SMALL) & (top < _SMALL**0.5)
+        if flagged.any():
+            diff = diff[flagged]
+            scale = np.abs(diff).max(axis=(1, 2), initial=0.0)
+            scale[scale == 0.0] = 1.0  # a row on every prototype keeps its zeros
+            diff /= scale[:, None, None]
+            sq[flagged] = np.einsum("ijk,ijk->ij", diff, diff)
+    return np.sqrt(sq, out=sq)
 
 
 def _partitions(d: np.ndarray, m1: float, m2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -252,11 +250,11 @@ def membership_bounds(
     both applied to one distance matrix.
 
     Inference is its only caller and hands it one row block of
-    subclust._row_blocks at width c. It does not split n itself, so its memory is
-    linear in n x c: at most three (n, c) arrays (the distances, which
-    _partitions turns into the second partition and then the upper bound;
-    the first partition; the lower bound), the shares of rows on a
-    prototype, and one difference block while the distances are built.
+    inference.classify_batch. It does not split n itself: its memory is one
+    (n, c, N) difference block while the distances are built, then at most
+    three (n, c) arrays (the distances, which _partitions turns into the
+    second partition and then the upper bound; the first partition; the
+    lower bound) and the shares of rows on a prototype.
     """
     mu1, mu2 = _partitions(_distances(X, prototypes), fz.m1, fz.m2)
     return np.minimum(mu1, mu2), np.maximum(mu1, mu2, out=mu2)
@@ -268,8 +266,9 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
 
     min(a, b) + max(a, b) is a + b bit for bit, so the interval's midpoints
     are the means (mu1 + mu2) / 2 of the two partitions, taken in the row
-    blocks of subclust._row_blocks at width c: whatever n is, at most three
-    (rows, c) arrays are alive, one block's partitions and the buffer below.
+    blocks of subclust._row_blocks at width c * N, the block's difference
+    array: whatever n is, one block's differences are alive, and after them
+    at most three (rows, c) arrays, its partitions and the buffer below.
     The midpoints are written into it under a leading row holding the
     running sum. A class's sum reduces it along axis 0 where the running
     sum and the class's rows are, the totals all of it; numpy adds row by
@@ -283,7 +282,7 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     M = train.num_classes
     per_class = np.zeros((M, c))
     totals = np.zeros(c)
-    for s in _row_blocks(len(train), c):
+    for s in _row_blocks(len(train), P.size):
         mu1, mu2 = _partitions(_distances(train.features[s], P), fz.m1, fz.m2)
         k = len(mu1)
         if s.start == 0:  # the first block is the longest
@@ -384,6 +383,8 @@ def load_rulebase(path) -> RuleBase:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "it2frbc-model":

@@ -36,12 +36,12 @@ them every center, certainty degree and report. A set of at most 128
 points is one tile, whose rows are summed whole. One chunk's differences,
 one tile and the leaf sums are alive at a time.
 
-``_row_blocks`` is the one rule for row blocks: the rule base's
-memberships and certainty degrees and the reasoning method's soundness walk
-their rows with it too. ``_differences`` is the one implementation of a
-block's pairwise differences, here and in the rule base's distances: the
-rows repeated, minus the other operand in one contiguous pass, C-ordered
-whatever the input's layout, one row included.
+``_row_blocks`` is the one rule for row blocks, at one level: besides the
+tile chunks here, only certainty_degrees and classify_batch cut rows with
+it, and the kernels they call take each block whole. ``_differences`` is
+the one implementation of a block's pairwise differences, here and in the
+rule base's distances: the rows repeated, minus the other operand in one
+contiguous pass, C-ordered whatever the input's layout, one row included.
 
 Termination: every candidate, accepted or discarded, leaves the search at
 potential -inf. Once all n points have left, the maximum is -inf, which lies

@@ -583,6 +583,25 @@ class TestEval:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["cluster", "eval", "export-rules"])
+def test_input_not_utf8_exits_2(tmp_path, capsys, command):
+    # A Latin-1 'café' (byte 0xe9) used to exit 3 with
+    # "internal error: UnicodeDecodeError".
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"x,y,label\n0.1,0.2,caf\xe9\n0.3,0.4,tea\n0.5,0.1,caf\xe9\n")
+    model = tmp_path / "model.json"
+    model.write_bytes(json.dumps(two_rule_model()).encode().replace(b'"a"', b'"caf\xe9"'))
+    path, argv = {
+        "cluster": (data, ["--in", str(data), "--ra", "0.5", "--out", str(tmp_path / "c.csv")]),
+        "eval": (data, ["--in", str(data), "--no-sc", "--runs", "1"]),
+        "export-rules": (model, ["--model", str(model)]),
+    }[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert err == f"error: cannot read {path}: not UTF-8 text (invalid continuation byte)\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["gen-data", "cluster", "train", "predict", "eval"])
 def test_unwritable_output_exits_2(tmp_path, capsys, circ_file, command):
     # Each used to exit 3 with "internal error: FileNotFoundError".

@@ -22,8 +22,9 @@ from it2frbc import (
 from it2frbc.cli import main
 
 # (id, file text, outcome for load_csv, outcome for the other entry points).
-# An int is the number of data rows read; a string is the start of the
-# DataError message (exit 2 in predict). A first row of missing marks is
+# Text is written as UTF-8. An int is the number of data rows read; a
+# string is the start of the DataError message (exit 2 in predict), {path}
+# the file's. A first row of missing marks is
 # data: load_csv drops it as a row with missing values, the others refuse it.
 CASES = [
     ("text-header", "x,y,label\n1,2,1\n3,4,2\n", 2, 2),
@@ -37,6 +38,13 @@ CASES = [
     ("empty-file", "", "empty dataset", "empty dataset"),
     ("nan-cell", "1,2,1\n\nnan,4,2\n", "line 3: non-finite", "line 3: non-finite"),
     ("inf-cell", "1,2,1\n3,-inf,2\n", "line 2: non-finite", "line 2: non-finite"),
+    # A leading byte-order mark is not part of the first cell: '\ufeff1' was
+    # refused as non-numeric.
+    ("byte-order-mark", "\ufeff1,2,1\n3,4,2\n", 2, 2),
+    ("byte-order-mark-header", "\ufeffx,y,label\n1,2,1\n", 1, 1),
+    # A Latin-1 'café' ended the CLI with exit 3 (UnicodeDecodeError).
+    ("latin-1", b"x,y,label\n1,2,caf\xe9\n", "cannot read {path}: not UTF-8 text",
+     "cannot read {path}: not UTF-8 text"),
 ]
 
 
@@ -79,11 +87,11 @@ def rows_read(entry, path, model, capsys):
 def test_header_rule_and_input_checks(tmp_path, capsys, model, entry, text, labelled,
                                       unlabelled):
     path = tmp_path / "in.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     want = labelled if entry == "load_csv" else unlabelled
     if isinstance(want, int):
         assert rows_read(entry, path, model, capsys) == want
     else:
         with pytest.raises(DataError) as exc:
             rows_read(entry, path, model, capsys)
-        assert str(exc.value).startswith(want)
+        assert str(exc.value).startswith(want.format(path=path))

@@ -656,8 +656,24 @@ class TestClassify:
         assert res.scores == pytest.approx([0.6, 0.4], abs=1e-15)
 
 
+def batch_rows(c, N, M):
+    """Rows per block of classify_batch at c rules, N features and M classes."""
+    return max(1, subclust.BLOCK_ELEMENTS // (c * max(N, 2 * M)))
+
+
+def working_peak(run):
+    """tracemalloc peak of run() past the arrays it returns."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return tracemalloc.get_traced_memory()[1] - sum(a.nbytes for a in out)
+    finally:
+        tracemalloc.stop()
+
+
 class TestRowBlocks:
-    """classify_batch runs the kernel over blocks of BLOCK_ELEMENTS // c rows."""
+    """classify_batch cuts the rows once, in blocks of
+    BLOCK_ELEMENTS // (c * max(N, 2M)) rows, and the kernel takes each whole."""
 
     @pytest.mark.parametrize("n, c", [(0, 128), (1, 128), (2048, 128), (2049, 128),
                                       (10_000, 128), (7001, 128), (5000, 10**6)])
@@ -669,8 +685,11 @@ class TestRowBlocks:
             return np.zeros((len(X), 2)), np.zeros((len(X), 2))
 
         monkeypatch.setattr(inference, "_soundness_of", recorded)
-        classify_batch(np.zeros((n, 3)), SimpleNamespace(num_rules=c, num_classes=2))
-        step = max(1, subclust.BLOCK_ELEMENTS // c)
+        # 3 features and 2 classes: a row adds 4c values, the exact cells'.
+        classify_batch(np.zeros((n, 3)), SimpleNamespace(num_rules=c, num_features=3,
+                                                         num_classes=2))
+        step = batch_rows(c, 3, 2)
+        assert step == (512 if c == 128 else 1)
         full, rest = divmod(n, step)
         # An empty batch still takes one block, which checks its input.
         assert blocks == [step] * full + ([rest] if rest or not n else [])
@@ -682,7 +701,7 @@ class TestRowBlocks:
         X = rng.random((7001, 9))
         X[-3:-1] = rb.prototypes[[5, 77]]  # rows on a prototype
         X[-5, 2] = 1e200  # squared distances overflow
-        assert len(X) > 3 * (subclust.BLOCK_ELEMENTS // rb.num_rules)  # four blocks
+        assert len(X) > 3 * batch_rows(128, 9, 2)  # more than four blocks
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             preds, scores = classify_batch(X, rb)
@@ -693,10 +712,11 @@ class TestRowBlocks:
 
     def test_one_budget_bounds_every_block(self, monkeypatch):
         # subclust.BLOCK_ELEMENTS alone sets the blocks of training
-        # (certainty), of classify_batch and of the kernel's exact cells.
-        # Training's blocks are seen at rulebase._distances, recorded during
-        # certainty_degrees alone: classify_batch reaches it too, through
-        # membership_bounds.
+        # (certainty, at width c * N) and of classify_batch (at width
+        # c * max(N, 2M)); the kernel's distances and exact cells take their
+        # block whole. Training's blocks are seen at rulebase._distances,
+        # recorded during certainty_degrees alone: classify_batch reaches it
+        # too, through membership_bounds.
         rng = np.random.default_rng(23)
         rb = make_rulebase(rng.random((8, 3)), rng.random((8, 2)), p=-1.5)
         X = rng.random((50, 3))
@@ -713,18 +733,26 @@ class TestRowBlocks:
 
         recorder(inference, "_soundness_of", "soundness")
         recorder(inference, "_power_mean_rows", "cells")
-        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 8 * 6)
+        budget = 8 * 4 * 6
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
         with monkeypatch.context() as m:
             recorder(rulebase, "_distances", "distances", m)
             certainty_degrees(train, rb.prototypes, rb.fuzzifiers)
         classify_batch(X, rb)
-        # Six rows a block at 8 rules; p < 0 sends every firing cell, 50 rows
-        # x 2 classes x 2 bounds, through the exact path.
-        assert seen["distances"] == seen["soundness"] == [6] * 8 + [2]
-        assert sum(seen["cells"]) == 200 and max(seen["cells"]) == 6
+        # Eight rows a block at 8 rules x 3 features in training, six at
+        # 8 rules x 2 bounds x 2 classes in classify_batch. p < 0 sends every
+        # firing cell, 50 rows x 2 classes x 2 bounds, through the exact
+        # path, one call per block, whose gathered (cells, 8) values fill
+        # the budget.
+        assert seen["distances"] == [8] * 6 + [2]
+        assert seen["soundness"] == [6] * 8 + [2]
+        assert seen["cells"] == [24] * 8 + [8]
+        assert max(seen["cells"]) * 8 == budget
 
     def test_peak_memory_is_bounded(self):
         # Unblocked, the (n, c) arrays of 10k rows x 128 rules peak at 43.7 MB.
+        # Cut at width c and again at c * N inside, 8.5 MiB; cut once at
+        # c * max(N, 2M), 2.4 MiB (numpy 2.4.6).
         rng = np.random.default_rng(22)
         rb = make_rulebase(rng.random((128, 9)), rng.random((128, 2)))
         X = rng.random((10_000, 9))
@@ -734,7 +762,28 @@ class TestRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2 * subclust.BLOCK_ELEMENTS * 8
+
+    # N = 30: a block's largest array is its (rows, c, N) differences.
+    # M = 10, p < 0: it is the exact path's (2M rows, c) gathered values,
+    # of which _power_mean_rows keeps several alive. tracemalloc read
+    # 2.1 and 1.9 MiB (N = 30) and 14.7 and 14.5 MiB (M = 10) at 1x and
+    # 10x the rows, and 6.2 and 8.4 MiB, 17.5 and 23.4 MiB when the kernel
+    # cut the rows again inside blocks of width c (numpy 2.4.6).
+    @pytest.mark.parametrize("N, M, p, n, budgets", [(30, 2, 2.0, 3000, 1.25),
+                                                     (3, 10, -1.5, 2000, 8)])
+    def test_peak_is_one_block_at_any_width(self, N, M, p, n, budgets):
+        rng = np.random.default_rng(24)
+        rb = make_rulebase(rng.random((64, N)), rng.random((64, M)), p=p)
+        assert n > 8 * batch_rows(64, N, M)  # several blocks at 1x
+
+        def peak(rows):
+            X = rng.random((rows, N))
+            return working_peak(lambda: classify_batch(X, rb))
+
+        one, ten = peak(n), peak(10 * n)
+        assert ten <= 1.1 * one
+        assert max(one, ten) < budgets * subclust.BLOCK_ELEMENTS * 8
 
 
 class TestFiringCount:
@@ -758,7 +807,8 @@ class TestFiringCount:
         assert np.array_equal((upper == 0.0).any(axis=1), on)
         # Three rows a block: the two rows on a prototype fall in different
         # blocks, each with ordinary rows, and one block has none of them.
-        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 3 * rb.num_rules)
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 3 * rb.num_rules * 2 * 3)
+        assert batch_rows(6, 2, 3) == 3
         preds, scores = classify_batch(X, rb)
         for x, pred, row in zip(X, preds, scores):
             res = classify(x, rb)

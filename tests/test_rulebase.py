@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from it2frbc import rulebase, subclust
+from it2frbc import inference, rulebase, subclust
 from it2frbc import (
     ConfigError,
     DataError,
@@ -184,44 +184,82 @@ def single_shot_memberships(X, protos, m):
     return out
 
 
-def assert_bounds_match_single_shot(X, protos, fz):
-    lower, upper = rulebase.membership_bounds(X, protos, fz)
+def block_rows(c, N):
+    """Rows per block of classify_batch at c rules of N features, two classes."""
+    return max(1, subclust.BLOCK_ELEMENTS // (c * max(N, 4)))
+
+
+def batch_model(protos, fz=Fuzzifiers()):
+    """A two-class model whose normalization leaves every value as it is."""
+    c, N = protos.shape
+    return RuleBase(protos, np.zeros(c, dtype=int), np.full((c, 2), 0.5), fz, identity_norm(N),
+                    ("a", "b"))
+
+
+def batch_bounds(monkeypatch, X, protos, fz):
+    """The membership bounds classify_batch computes, joined over its
+    blocks, and each block's rows."""
+    seen = []
+
+    def recorded(*args):
+        seen.append(rulebase.membership_bounds(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(inference, "membership_bounds", recorded)
+    classify_batch(X, batch_model(protos, fz))
+    lower, upper = (np.concatenate(b) for b in zip(*seen))
+    return lower, upper, [len(lo) for lo, _ in seen]
+
+
+def working_peak(run):
+    """tracemalloc peak of run() past the arrays it returns."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return tracemalloc.get_traced_memory()[1] - sum(a.nbytes for a in out)
+    finally:
+        tracemalloc.stop()
+
+
+def assert_bounds_match_single_shot(monkeypatch, X, protos, fz):
+    lower, upper, blocks = batch_bounds(monkeypatch, X, protos, fz)
+    step = block_rows(*protos.shape)
+    assert blocks == [min(step, len(X) - i) for i in range(0, len(X), step)]
     mu1 = single_shot_memberships(X, protos, fz.m1)
     mu2 = single_shot_memberships(X, protos, fz.m2)
     assert np.array_equal(lower, np.minimum(mu1, mu2))
     assert np.array_equal(upper, np.maximum(mu1, mu2))
 
 
-def block_rows(c, N):
-    return max(1, subclust.BLOCK_ELEMENTS // (c * N))
-
-
 class TestBlockedMemberships:
-    def test_several_blocks_with_partial_last_block(self):
+    """The memberships classify_batch computes in its row blocks are the
+    single-shot ones; the kernel takes each block whole."""
+
+    def test_several_blocks_with_partial_last_block(self, monkeypatch):
         rng = np.random.default_rng(30)
         X = rng.uniform(size=(1000, 9))
         protos = X[rng.choice(1000, size=128, replace=False)]
         rows = block_rows(128, 9)
         assert 1 < rows < 1000 and 1000 % rows != 0
-        assert_bounds_match_single_shot(X, protos, Fuzzifiers(1.5, 2.5))
+        assert_bounds_match_single_shot(monkeypatch, X, protos, Fuzzifiers(1.5, 2.5))
 
-    def test_one_row_per_block_when_a_row_exceeds_the_budget(self):
+    def test_one_row_per_block_when_a_row_exceeds_the_budget(self, monkeypatch):
         rng = np.random.default_rng(31)
         protos = rng.uniform(size=(30000, 9))
         assert block_rows(30000, 9) == 1
         X = np.vstack([rng.uniform(size=(4, 9)), protos[17]])
-        assert_bounds_match_single_shot(X, protos, Fuzzifiers(1.2, 4.0))
+        assert_bounds_match_single_shot(monkeypatch, X, protos, Fuzzifiers(1.2, 4.0))
 
     @pytest.mark.parametrize("budget", [1, 5, 64])
     def test_independent_of_block_size(self, monkeypatch, budget):
         rng = np.random.default_rng(32)
         X = np.round(rng.uniform(size=(23, 3)), 1)
         protos = X[[0, 4, 4, 9, 15]]
-        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
-        assert_bounds_match_single_shot(X, protos, Fuzzifiers(1.5, 2.5))
-        assert_bounds_match_single_shot(X, protos, Fuzzifiers(2.0, 2.0))
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget * 4)  # budget // 5 rows
+        assert_bounds_match_single_shot(monkeypatch, X, protos, Fuzzifiers(1.5, 2.5))
+        assert_bounds_match_single_shot(monkeypatch, X, protos, Fuzzifiers(2.0, 2.0))
 
-    def test_exact_zeros_in_a_later_block(self):
+    def test_exact_zeros_in_a_later_block(self, monkeypatch):
         rng = np.random.default_rng(33)
         X = rng.uniform(size=(1000, 9))
         protos = rng.uniform(size=(128, 9))
@@ -229,7 +267,8 @@ class TestBlockedMemberships:
         assert 0 < last < 990
         protos[[5, 40, 100]] = X[995]  # t = 3 prototypes coincide with row 995
         protos[70] = X[last - 1]  # t = 1, last row of a full block
-        lower, upper = rulebase.membership_bounds(X, protos, Fuzzifiers(1.5, 2.5))
+        lower, upper, blocks = batch_bounds(monkeypatch, X, protos, Fuzzifiers(1.5, 2.5))
+        assert len(blocks) > 2
         for mu in (lower, upper):
             expect = np.zeros(128)
             expect[[5, 40, 100]] = 1.0 / 3.0
@@ -255,23 +294,22 @@ class TestBlockedMemberships:
             assert np.array_equal(up, upper[i:i + 1])
 
     def test_one_block_peaks_at_three_arrays_and_a_difference_block(self):
-        # One classify_batch block of 1472 rows x 178 rules, two rows on a
-        # prototype (one on two): the distances turn into the ratios and then
-        # a partition in place, and the shares cover those two rows only.
-        # With a new array for each and full-size shares there were five.
+        # classify_batch over 1000 rows x 178 rules, six blocks of 163 rows,
+        # two rows on a prototype (one on two): the distances turn into the
+        # ratios and then a partition in place, and the shares cover those
+        # two rows only. With a new array for each and full-size shares there
+        # were five (rows, c) arrays; with the rows cut again inside blocks
+        # of width c, three of 1000 rows.
         rng = np.random.default_rng(35)
         c, N = 178, 9
-        rows = certainty_rows(c)
-        X = rng.uniform(size=(rows, N))
+        rows = block_rows(c, N)
+        X = rng.uniform(size=(1000, N))
         protos = rng.uniform(size=(c, N))
-        protos[[3, 90, 91]] = X[[10, 1000, 1000]]
-        tracemalloc.start()
-        try:
-            rulebase.membership_bounds(X, protos, Fuzzifiers(1.5, 2.5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * rows * c * 8 + block_rows(c, N) * c * N * 8
+        protos[[3, 90, 91]] = X[[10, 900, 900]]
+        rb = batch_model(protos, Fuzzifiers(1.5, 2.5))
+        assert 1000 > 6 * rows
+        peak = working_peak(lambda: classify_batch(X, rb))
+        assert peak <= 3.5 * rows * c * 8 + rows * c * N * 8
 
 
 class TestCertaintyDegrees:
@@ -328,14 +366,14 @@ def one_shot_certainty(ds, protos, fz):
     return R
 
 
-def certainty_rows(c):
-    """Rows per block of certainty_degrees at c rules."""
-    return max(1, subclust.BLOCK_ELEMENTS // c)
+def certainty_rows(c, N):
+    """Rows per block of certainty_degrees at c rules of N features."""
+    return max(1, subclust.BLOCK_ELEMENTS // (c * N))
 
 
 class TestBlockedCertainty:
     """certainty_degrees walks the training set in blocks of
-    BLOCK_ELEMENTS // c rows; its sums keep the bytes of one sum."""
+    BLOCK_ELEMENTS // (c * N) rows; its sums keep the bytes of one sum."""
 
     FZ = Fuzzifiers(1.5, 2.5)
 
@@ -345,8 +383,7 @@ class TestBlockedCertainty:
             return certainty_degrees(ds, protos, fz)
 
     def check(self, monkeypatch, ds, protos, budgets, fz=FZ):
-        c = len(protos)
-        assert len(ds) <= certainty_rows(c)  # one block at the default budget
+        assert len(ds) <= certainty_rows(*protos.shape)  # one block at the default budget
         whole = certainty_degrees(ds, protos, fz)
         assert np.array_equal(whole, one_shot_certainty(ds, protos, fz))
         for budget in budgets:
@@ -366,8 +403,9 @@ class TestBlockedCertainty:
 
     def test_uneven_last_block(self, monkeypatch):
         ds, protos = self.random_set(41, 1000, 4, 2, 7)
-        assert [1000 % (b // 7) for b in (63, 2000)] == [1, 145]  # 9 and 285 rows a block
-        self.check(monkeypatch, ds, protos, [63, 2000])
+        budgets = [28 * 9, 28 * 285]  # 9 and 285 rows a block at 7 rules x 4 features
+        assert [1000 % (b // 28) for b in budgets] == [1, 145]
+        self.check(monkeypatch, ds, protos, budgets)
 
     def test_block_without_rows_of_a_class(self, monkeypatch):
         # Sorted labels: at 10 rows per block, blocks hold one class only,
@@ -376,16 +414,16 @@ class TestBlockedCertainty:
         X = rng.uniform(size=(45, 2))
         labels = np.repeat([0, 1, 2], [20, 15, 10])
         ds = Dataset(X, labels, ("a", "b", "c"))
-        self.check(monkeypatch, ds, X[[3, 22, 40, 41]], [4 * 10, 4 * 7])
+        self.check(monkeypatch, ds, X[[3, 22, 40, 41]], [8 * 10, 8 * 7])
 
     def test_one_rule(self, monkeypatch):
         ds, protos = self.random_set(43, 90, 2, 3, 1)
-        R = self.check(monkeypatch, ds, protos, [1, 7])
+        R = self.check(monkeypatch, ds, protos, [1, 2 * 7])
         assert np.array_equal(R[0], ds.class_counts() / len(ds))
 
     def test_one_class(self, monkeypatch):
         ds, protos = self.random_set(44, 90, 2, 1, 5)
-        R = self.check(monkeypatch, ds, protos, [5, 64])
+        R = self.check(monkeypatch, ds, protos, [5, 10 * 12])
         assert np.array_equal(R, np.ones((5, 1)))
 
     def test_duplicate_and_on_prototype_rows(self, monkeypatch):
@@ -395,7 +433,7 @@ class TestBlockedCertainty:
         labels = rng.integers(0, 2, 80)
         protos = X[[0, 5, 5, 33, 61]]  # every prototype sits on rows; two coincide
         ds = Dataset(X, labels, ("a", "b"))
-        self.check(monkeypatch, ds, protos, [1, 5 * 3, 5 * 16])
+        self.check(monkeypatch, ds, protos, [1, 10 * 3, 10 * 16])
 
     @pytest.mark.parametrize("scale", [1e-170, 1e200])
     @pytest.mark.parametrize("fz", [FZ, Fuzzifiers(2.0, 2.0)])
@@ -414,16 +452,17 @@ class TestBlockedCertainty:
         ds, protos = self.random_set(46, 70, 3, 3, 4)
         want = ref_certainty(ds.features.tolist(), ds.labels.tolist(), protos.tolist(),
                              1.5, 2.5, 3)
-        for budget in (1, 4 * 9, subclust.BLOCK_ELEMENTS):
+        for budget in (1, 12 * 9, subclust.BLOCK_ELEMENTS):
             got = self.blocked(monkeypatch, budget, ds, protos)
             assert got == pytest.approx(np.array(want), abs=1e-12)
 
     def test_memory_does_not_grow_with_the_training_set(self):
-        # At 128 rules a block is 2048 rows, so 5 000 rows already take
-        # full blocks; the peak at 20 000 rows must stay that of a block.
+        # At 128 rules x 4 features a block is 512 rows, so 5 000 rows
+        # already take full blocks; the peak at 20 000 rows must stay that
+        # of a block.
         rng = np.random.default_rng(47)
         protos = rng.uniform(size=(128, 4))
-        assert certainty_rows(128) * 2 < 5000
+        assert certainty_rows(128, 4) * 2 < 5000
 
         def peak(n):
             ds = Dataset(rng.uniform(size=(n, 4)), rng.integers(0, 2, n), ("a", "b"))
@@ -437,23 +476,27 @@ class TestBlockedCertainty:
         assert peak(20000) <= 1.5 * peak(5000)
 
     def test_one_block_of_bounds_alive_at_a_time(self):
-        # fit_large's certainty at r_a 0.4: 4000 rows x 178 rules, 1472 rows
-        # a block, some rows on a prototype. The running-sum buffer and one
-        # block's two partitions make three (rows, c) arrays, the midpoints
-        # written into the buffer; with the interval's lower bound as a
-        # fourth array this peaked at 4.0, and at about six before that.
+        # fit_large's certainty at r_a 0.4: 4000 rows x 178 rules x 9
+        # features, 163 rows a block, some rows on a prototype. A block's
+        # differences are alive while its distances are built; after them,
+        # the running-sum buffer and its two partitions make three
+        # (rows, c) arrays, the midpoints written into the buffer. Cut at
+        # width c, with the distances cut again inside, three arrays of
+        # 1472 rows peaked at 6.4 MiB; with the interval's lower bound as a
+        # fourth array at 8.4, and at about 12.9 before that.
         rng = np.random.default_rng(51)
         X = rng.uniform(size=(4000, 9))
         protos = np.vstack([X[rng.choice(4000, 20, replace=False)], rng.uniform(size=(158, 9))])
         ds = Dataset(X, rng.integers(0, 2, 4000), ("a", "b"))
-        assert 2 < 4000 / certainty_rows(178) < 3
+        rows = certainty_rows(178, 9)
+        assert 4000 / rows > 20
         tracemalloc.start()
         try:
             certainty_degrees(ds, protos, self.FZ)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * certainty_rows(178) * 178 * 8
+        assert peak <= rows * 178 * 9 * 8 + 3.5 * rows * 178 * 8
 
 
 class TestScaledMemberships:
@@ -499,22 +542,19 @@ class TestScaledMemberships:
         assert lower.tolist() == upper.tolist() == [[1 / 3] * 3]
 
     def test_rescale_memory_does_not_grow_with_the_rows(self):
-        # Every row overflows, so every row is rescaled. The (n, c) distances
-        # are the output; the working memory past them must stay that of a
+        # Every row overflows, so every row of every classify_batch block is
+        # rescaled. Past the scores, the working memory must stay that of a
         # block. It was 10.2 MiB at 5 000 rows and 40.3 MiB at 20 000 when
-        # the flagged rows were found over the whole matrix.
+        # the flagged rows were found over the whole distance matrix.
         rng = np.random.default_rng(49)
         protos = rng.uniform(size=(128, 4))
+        rb = batch_model(protos)
+        assert 5000 > 4 * block_rows(128, 4)
 
         def working(n):
             X = rng.uniform(size=(n, 4))
             X[:, 1] = 1e200
-            tracemalloc.start()
-            try:
-                d = rulebase._distances(X, protos)
-                return tracemalloc.get_traced_memory()[1] - d.nbytes
-            finally:
-                tracemalloc.stop()
+            return working_peak(lambda: classify_batch(X, rb))
 
         assert working(20000) <= 1.5 * working(5000)
 

@@ -219,7 +219,7 @@ class TestSharedDifferences:
 
     def test_classify_equals_its_row_of_a_multi_block_batch(self, wbcd, wbcd_model):
         rb = wbcd_model
-        rows = max(1, subclust.BLOCK_ELEMENTS // rb.num_rules)
+        rows = max(1, subclust.BLOCK_ELEMENTS // (rb.num_rules * max(rb.num_features, 4)))
         rng = np.random.default_rng(16)
         X = wbcd.features[rng.integers(0, len(wbcd), rows + 300)]
         X = X + rng.normal(0.0, 0.3, size=X.shape)
