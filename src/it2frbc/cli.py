@@ -6,23 +6,25 @@ the library field it sets, and check them all as one ExperimentConfig before
 any file is read; ``train`` is one protocol run (train_and_score, with its
 seed as the split seed) that also saves its model.
 
+Every output file is UTF-8 (stdout keeps Python's encoding), its text built
+whole before the file is opened, so a refusal leaves the target as it was.
+
 Exit codes: 0 success; 1 usage error, for a value given on the command line
 that its parameter's rule refuses (a non-finite number, a radius with no
 finite, positive alpha or beta, a negative seed); 2 data error, for a value
 read from a file (a CSV cell, or a model file that fails validation) or an
-output file that cannot be written (the message names its path); 3
-internal error.
+output file that cannot be written, such as text that UTF-8 cannot encode
+(the message names its path); 3 internal error.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from datetime import datetime, timezone
 
-from .dataset import (GENERATORS, NormalizationParams, SplitSpec, _read_csv, load_features_csv,
-                      save_csv, split)
+from .dataset import (GENERATORS, NormalizationParams, SplitSpec, _csv_cell, _csv_text, _read_csv,
+                      _write_text, load_features_csv, save_csv, split)
 from .errors import ConfigError, DataError
 from .evaluation import (ExperimentConfig, _config_block, accuracy, confusion_matrix,
                          emit_report, resolve_dataset, run_experiment, train_and_score)
@@ -182,11 +184,8 @@ def cmd_cluster(args) -> int:
         **describe_params(params),
         "out": args.out,
     }), end="")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i + 1}" for i in range(centers.shape[1])])
-        for row in centers:
-            writer.writerow([repr(float(v)) for v in row])
+    header = [f"f{i + 1}" for i in range(centers.shape[1])]
+    _write_text(args.out, _csv_text(header, [list(map(repr, row)) for row in centers.tolist()]))
     print(f"found {centers.shape[0]} centers, wrote {args.out}")
     return 0
 
@@ -222,40 +221,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-_QUOTE = csv.excel.quotechar
-# The characters that make csv.writer quote a cell: ',', '"', '\r', '\n'.
-_SPECIAL = csv.excel.delimiter + _QUOTE + csv.excel.lineterminator
-
-
-def _csv_cell(cell: str) -> str:
-    """``cell`` as csv.writer (excel dialect, minimal quoting) writes it in a row."""
-    if any(ch in cell for ch in _SPECIAL):
-        return _QUOTE + cell.replace(_QUOTE, _QUOTE + _QUOTE) + _QUOTE
-    return cell
-
-
-def _predict_body(cells, width, class_names, predictions, scores) -> str:
-    """predict's data rows, byte for byte as csv.writer would write them.
-
-    The feature cells are echoed as read; only the scores are formatted
-    (``repr``). A cell ``float()`` accepts holds no ',' or '"', but it may
-    hold a line break from a quoted input cell. Counting the special
-    characters of all cells at once finds those, and only then is each cell
-    quoted on its own.
-    """
-    feats = list(map(",".join, cells))
-    joined = "".join(feats)
-    if [joined.count(ch) for ch in _SPECIAL] != [len(feats) * (width - 1), 0, 0, 0]:
-        feats = [",".join(map(_csv_cell, row)) for row in cells]
-    names = list(map(_csv_cell, class_names))
-    score_cells = iter(map(repr, scores.ravel().tolist()))
-    lines = list(map(",".join, zip(
-        feats, map(names.__getitem__, predictions.tolist()), *[score_cells] * scores.shape[1]
-    )))
-    lines.append("")  # so the join ends the last row with a line terminator too
-    return "\r\n".join(lines)
-
-
 def cmd_predict(args) -> int:
     rb = load_rulebase(args.model)
     n = rb.num_features
@@ -279,14 +244,12 @@ def cmd_predict(args) -> int:
         "label_col": "none" if label_col is None else str(label_col),
         "out": args.out,
     }), end="")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"f{i + 1}" for i in range(n)]
-            + ["predicted"]
-            + [f"score_{name}" for name in rb.class_names]
-        )
-        fh.write(_predict_body(cells, n, rb.class_names, predictions, scores))
+    header = [f"f{i + 1}" for i in range(n)] + ["predicted"]
+    header += ["score_" + name for name in rb.class_names]
+    names = list(map(_csv_cell, rb.class_names))
+    score_cells = iter(map(repr, scores.ravel().tolist()))
+    _write_text(args.out, _csv_text(header, cells, map(names.__getitem__, predictions.tolist()),
+                                    *[score_cells] * scores.shape[1]))
     print(f"wrote predictions for {len(X)} rows to {args.out}")
 
     if labels is not None:
@@ -308,8 +271,7 @@ def cmd_eval(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"report written to {args.out}")
     if report.failed_count == len(report.runs):
         raise DataError(f"all {report.failed_count} runs failed")

@@ -234,6 +234,45 @@ def _read_csv(path, label_column=None, keep=None):
     return X, labels, label_idx, [row for _, row in rows]
 
 
+_QUOTE = csv.excel.quotechar
+# The characters that make csv.writer quote a cell: ',', '"', '\r', '\n'.
+_SPECIAL = csv.excel.delimiter + _QUOTE + csv.excel.lineterminator
+
+
+def _csv_cell(cell: str) -> str:
+    """``cell`` as csv.writer (excel dialect, minimal quoting) writes it in a row."""
+    if any(ch in cell for ch in _SPECIAL):
+        return _QUOTE + cell.replace(_QUOTE, _QUOTE + _QUOTE) + _QUOTE
+    return cell
+
+
+def _csv_text(header, cells, *columns) -> str:
+    """``header``, then each row of ``cells`` followed by the next cell of every
+    column (an iterable, an iterator too, of cells needing no quoting: repr
+    floats, or _csv_cell's), as csv.writer's excel dialect writes them. Each cell
+    is quoted on its own only when a count over all rows finds a special one."""
+    width = len(header) - len(columns)
+    rows = list(map(",".join, cells))
+    joined = "".join(rows)
+    if [joined.count(ch) for ch in _SPECIAL] != [len(rows) * (width - 1), 0, 0, 0]:
+        rows = [",".join(map(_csv_cell, row)) for row in cells]
+    # The last, empty line makes the join end the last row with a terminator too.
+    return "\r\n".join([",".join(map(_csv_cell, header)), *map(",".join, zip(rows, *columns)), ""])
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 in one call, the one writer of every
+    output file. The text is encoded before the file is opened, so a refusal
+    (DataError: a lone surrogate) leaves the target as it was."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise DataError(f"cannot write {path}: {bad!r} is not UTF-8 text ({exc.reason})") from None
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Dataset:
     """Load a delimiter-separated file into a Dataset.
 
@@ -270,11 +309,9 @@ def load_features_csv(path) -> np.ndarray:
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the same CSV shape load_csv accepts (label last)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i + 1}" for i in range(ds.num_features)] + ["label"])
-        for x, y in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in x] + [ds.class_names[y]])
+    rows = [[*map(repr, x), ds.class_names[y]]
+            for x, y in zip(ds.features.tolist(), ds.labels.tolist())]
+    _write_text(path, _csv_text([f"f{i + 1}" for i in range(ds.num_features)] + ["label"], rows))
 
 
 def fit_normalizer(ds: Dataset) -> NormalizationParams:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, NormalizationParams, _freeze
+from .dataset import Dataset, NormalizationParams, _freeze, _write_text
 from .errors import ConfigError, DataError
 from .subclust import SubclustParams, _differences, _row_blocks, subtractive_cluster
 
@@ -143,6 +143,8 @@ class RuleBase:
         names = tuple(str(c) for c in self.class_names)
         if len(set(names)) != len(names):
             raise DataError(f"class names must be distinct, got {list(names)}")
+        if any("\ud800" <= ch <= "\udfff" for ch in "".join(names)):  # UTF-8 cannot hold it
+            raise DataError(f"class names must be UTF-8 text, got {list(names)}")
         if P.ndim != 2 or P.shape[0] < 1:
             raise DataError("prototypes must be a non-empty (c, N) array")
         if src.shape != (P.shape[0],):
@@ -371,9 +373,7 @@ def save_rulebase(rb: RuleBase, path) -> None:
             for k in range(rb.num_rules)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
 def load_rulebase(path) -> RuleBase:

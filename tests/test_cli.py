@@ -602,6 +602,28 @@ def test_input_not_utf8_exits_2(tmp_path, capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["predict", "export-rules"])
+def test_lone_surrogate_class_name_exits_2(tmp_path, capsys, command):
+    # A class name UTF-8 cannot encode used to exit 3 with "internal error:
+    # UnicodeEncodeError", and predict left an empty output file.
+    doc = two_rule_model()
+    doc["class_names"] = ["\ud800", "b"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    plain = tmp_path / "plain.csv"
+    plain.write_text("5e-11,1.0\n")
+    out_file = tmp_path / "o.csv"
+    argv = ["--model", str(model)]
+    if command == "predict":
+        argv += ["--in", str(plain), "--out", str(out_file)]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert err == (f"error: malformed model file {model}: "
+                   "class names must be UTF-8 text, got ['\\ud800', 'b']\n")
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "plain.csv"]
+
+
 @pytest.mark.parametrize("command", ["gen-data", "cluster", "train", "predict", "eval"])
 def test_unwritable_output_exits_2(tmp_path, capsys, circ_file, command):
     # Each used to exit 3 with "internal error: FileNotFoundError".

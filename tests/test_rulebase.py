@@ -858,3 +858,28 @@ class TestRuleBaseType:
                 normalization=identity_norm(1),
                 class_names=names,
             )
+
+    @pytest.mark.parametrize("names", [("\ud800", "b"), ("a", "x\udfff")])
+    def test_class_names_utf8(self, names):
+        # UTF-8 cannot encode a lone surrogate, so no output file could hold it.
+        with pytest.raises(DataError, match="class names must be UTF-8 text"):
+            RuleBase(
+                prototypes=np.array([[0.2], [0.8]]),
+                source_classes=np.array([0, 1]),
+                certainty=np.eye(2),
+                fuzzifiers=Fuzzifiers(),
+                normalization=identity_norm(1),
+                class_names=names,
+            )
+
+    def test_lone_surrogate_class_name_in_a_model_file(self, tmp_path):
+        # JSON's "\ud800" loads as a lone surrogate; the refusal names the file.
+        path = tmp_path / "model.json"
+        save_rulebase(TestPersistence().make_rulebase(), path)
+        doc = json.loads(path.read_text())
+        doc["class_names"][0] = "\ud800"
+        path.write_text(json.dumps(doc))
+        assert '"\\ud800"' in path.read_text()
+        message = f"malformed model file {path}: class names must be UTF-8 text"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_rulebase(path)
