@@ -1,5 +1,5 @@
-"""Dataset representation, CSV ingestion, normalization, splitting, and the
-two synthetic non-linear benchmark generators.
+"""Dataset representation, the one CSV reader, the one UTF-8 writer of every
+output file, normalization, splitting, and two synthetic benchmark generators.
 
 Feature matrices are float64 numpy arrays of shape ``(n, num_features)``.
 Labels are integer class indices ``0..num_classes-1``. NormalizationParams
