@@ -247,10 +247,11 @@ def _csv_cell(cell: str) -> str:
 
 
 def _csv_text(header, cells, *columns) -> str:
-    """``header``, then each row of ``cells`` followed by the next cell of every
-    column (an iterable, an iterator too, of cells needing no quoting: repr
-    floats, or _csv_cell's), as csv.writer's excel dialect writes them. Each cell
-    is quoted on its own only when a count over all rows finds a special one."""
+    """``header``, then each row of ``cells`` and the next cell of each column,
+    in csv.writer's excel dialect. A column is any iterable, an iterator too,
+    of cells that need no quoting (repr floats, or _csv_cell's results). The
+    cells of ``cells`` are quoted one by one only if a count over all rows
+    finds a special character."""
     width = len(header) - len(columns)
     rows = list(map(",".join, cells))
     joined = "".join(rows)
