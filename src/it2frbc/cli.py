@@ -6,15 +6,18 @@ the library field it sets, and check them all as one ExperimentConfig before
 any file is read; ``train`` is one protocol run (train_and_score, with its
 seed as the split seed) that also saves its model.
 
-Every output file is UTF-8 (stdout keeps Python's encoding), its text built
-whole before the file is opened, so a refusal leaves the target as it was.
+Every output file is UTF-8, its text built whole before the file is opened,
+so a refusal leaves the target as it was. Standard output keeps Python's
+encoding, and a text it cannot encode is refused whole.
 
 Exit codes: 0 success; 1 usage error, for a value given on the command line
 that its parameter's rule refuses (a non-finite number, a radius with no
 finite, positive alpha or beta, a negative seed); 2 data error, for a value
 read from a file (a CSV cell, or a model file that fails validation) or an
 output file that cannot be written, such as text that UTF-8 cannot encode
-(the message names its path); 3 internal error.
+(the message names its path), or text that standard output's encoding cannot
+encode (the message names standard output and its encoding); 3 internal
+error.
 """
 from __future__ import annotations
 
@@ -198,7 +201,6 @@ def cmd_train(args) -> int:
     train, _ = split(ds, SplitSpec(cfg.train_fraction, cfg.master_seed, cfg.stratified))
     train_pred, _ = classify_batch(train.features, rb)
     train_acc = accuracy(confusion_matrix(train.labels, train_pred, ds.num_classes))
-    held_out_acc = accuracy(held_out)  # refuses an empty held-out set before any output
     save_rulebase(rb, args.model)
 
     print(_config_block({
@@ -216,7 +218,7 @@ def cmd_train(args) -> int:
     }), end="")
     print(f"rules: {rb.num_rules}")
     print(f"train accuracy: {train_acc:.2f}")
-    print(f"held-out accuracy: {held_out_acc:.2f}")
+    print(f"held-out accuracy: {accuracy(held_out):.2f}")
     print(f"model written to {args.model}")
     return 0
 
@@ -296,6 +298,11 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2
+    except UnicodeEncodeError as exc:  # files are UTF-8 (_write_text); stdout is not
+        bad = exc.object[exc.start:exc.end]
+        print(f"error: cannot write standard output: {bad!r} is not {sys.stdout.encoding} text "
+              f"({exc.reason})", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - last-resort guard
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

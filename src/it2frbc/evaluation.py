@@ -4,15 +4,18 @@ best/average/worst/stddev aggregates in the three report formats.
 Each run derives its own split seed from the master seed, fits the
 normalizer on its training half only, builds a rule base, and classifies
 the held-out half. Runs are independent and execute one after another in
-index order, so a report is a function of the configuration alone. Failed
-runs (e.g. a class missing from a training half) are recorded and excluded
-from the aggregates; `it2frbc eval` exits 2 when no run succeeded.
+index order, so a report is a function of the configuration alone. A report
+holds its runs, and its aggregates are derived from them. Failed runs (e.g.
+a class missing from a training half, or an empty held-out half) are
+recorded and excluded from the aggregates; `it2frbc eval` exits 2 when no
+run succeeded. One record (_document) carries every run field and every
+aggregate; the json report prints it, and the text table and the CSV
+report render it.
 """
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,9 +82,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run as measured: its held-out confusion matrix and rule count, or
+    the error that stopped it."""
+
     index: int
     seed: int
-    accuracy: float | None = None
     rule_count: int | None = None
     confusion: np.ndarray | None = None
     error: str | None = None
@@ -90,19 +95,37 @@ class RunResult:
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def accuracy(self) -> float | None:
+        return None if self.confusion is None else accuracy(self.confusion)
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """The runs of one configuration. Only they are given: the aggregates
+    are derived from the runs that succeeded when the report is built (None
+    when none did), so replacing the runs re-derives them."""
+
     config: ExperimentConfig
     class_names: tuple[str, ...]
     runs: tuple[RunResult, ...]
-    best: float | None
-    average: float | None
-    worst: float | None
-    stddev: float | None
-    rules_min: int | None
-    rules_max: int | None
-    failed_count: int
+    best: float | None = field(init=False)
+    average: float | None = field(init=False)
+    worst: float | None = field(init=False)
+    stddev: float | None = field(init=False)
+    rules_min: int | None = field(init=False)
+    rules_max: int | None = field(init=False)
+    failed_count: int = field(init=False)
+
+    def __post_init__(self):
+        ok = [r for r in self.runs if r.ok]
+        accs = np.array([r.accuracy for r in ok])
+        counts = [r.rule_count for r in ok]
+        values = (float(accs.max()), float(accs.mean()), float(accs.min()), float(accs.std()),
+                  min(counts), max(counts)) if ok else (None,) * 6
+        # The derived fields, in declaration order after the three given ones.
+        for f, value in zip(fields(self)[3:], (*values, len(self.runs) - len(ok))):
+            object.__setattr__(self, f.name, value)
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> np.ndarray:
@@ -136,10 +159,13 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
 def train_and_score(ds: Dataset, cfg: ExperimentConfig, seed: int) -> tuple[RuleBase, np.ndarray]:
     """One protocol run: split, fit normalizer on train only, build, score.
 
-    Returns the rule base and the test confusion matrix. Raises DataError
-    for untrainable splits.
+    Returns the rule base and the test confusion matrix, which has
+    observations. Raises DataError for untrainable splits and for an empty
+    held-out half, before any clustering.
     """
     train, test = split(ds, SplitSpec(cfg.train_fraction, seed, cfg.stratified))
+    if len(test) == 0:
+        raise DataError("the held-out half of the split is empty")
     norm = fit_normalizer(train)
     rb = build_rulebase(
         normalize_dataset(norm, train), cfg.subclust, cfg.fuzzifiers, cfg.aggregation_p, norm
@@ -158,119 +184,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             rb, conf = train_and_score(ds, cfg, seed)
         except DataError as exc:
             return RunResult(index=i, seed=seed, error=str(exc))
-        return RunResult(
-            index=i,
-            seed=seed,
-            accuracy=accuracy(conf),
-            rule_count=rb.num_rules,
-            confusion=conf,
-        )
+        return RunResult(index=i, seed=seed, rule_count=rb.num_rules, confusion=conf)
 
-    results = [one(i) for i in range(cfg.runs)]
-
-    ok = [r for r in results if r.ok]
-    accs = np.array([r.accuracy for r in ok]) if ok else None
-    counts = [r.rule_count for r in ok]
-    return ExperimentReport(
-        config=cfg,
-        class_names=ds.class_names,
-        runs=tuple(results),
-        best=float(accs.max()) if ok else None,
-        average=float(accs.mean()) if ok else None,
-        worst=float(accs.min()) if ok else None,
-        stddev=float(accs.std()) if ok else None,
-        rules_min=min(counts) if ok else None,
-        rules_max=max(counts) if ok else None,
-        failed_count=len(results) - len(ok),
-    )
-
-
-def _rules_interval_text(report: ExperimentReport) -> str:
-    if report.rules_min is None:
-        return "n/a"
-    if report.rules_min == report.rules_max:
-        return str(report.rules_min)
-    return f"[{report.rules_min},{report.rules_max}]"
-
-
-def _fmt(v: float | None, digits: int = 2) -> str:
-    return "n/a" if v is None else f"{v:.{digits}f}"
+    return ExperimentReport(cfg, ds.class_names, tuple(one(i) for i in range(cfg.runs)))
 
 
 def emit_report(report: ExperimentReport, format: str, timestamp: str | None = None) -> str:
     """Render a report as 'text_table', 'csv', or 'json'.
 
+    All three render one record, _document's, which json prints as it is.
     csv and json carry full-precision numbers; the text table shows them at
     display precision in the benchmark-table layout. A timestamp, when
     given, occupies a single header line (or one JSON field).
     """
-    if format == "text_table":
-        return _emit_text(report, timestamp)
-    if format == "csv":
-        return _emit_csv(report, timestamp)
-    if format == "json":
-        return _emit_json(report, timestamp)
-    raise ConfigError(f"unknown report format {format!r}")
+    render = {"text_table": _text_table, "csv": _csv_report,
+              "json": lambda doc: json.dumps(doc, indent=1) + "\n"}.get(format)
+    if render is None:
+        raise ConfigError(f"unknown report format {format!r}")
+    return render(_document(report, timestamp))
 
 
-def _config_block(items: dict[str, str]) -> str:
-    """The ``configuration:`` block of text reports and the CLI's stdout."""
-    return "configuration:\n" + "".join(f"  {key}: {val}\n" for key, val in items.items())
-
-
-def _emit_text(report: ExperimentReport, timestamp: str | None) -> str:
-    out = io.StringIO()
-    if timestamp is not None:
-        out.write(f"# generated: {timestamp}\n")
-    config = report.config.describe()
-    out.write(_config_block(config) + "\n")
-    ra = config["r_a"]
-    header = f"{'r_a':<8}{'clusters/rules':<16}{'best':>8}{'average':>9}{'worst':>8}{'stddev':>8}"
-    row = (
-        f"{ra:<8}{_rules_interval_text(report):<16}{_fmt(report.best):>8}"
-        f"{_fmt(report.average):>9}{_fmt(report.worst):>8}{_fmt(report.stddev):>8}"
-    )
-    out.write(header + "\n" + row + "\n\n")
-    out.write(f"{'run':>4} {'seed':>11} {'status':<8}{'accuracy':>9} {'rules':>6}\n")
-    for r in report.runs:
-        if r.ok:
-            out.write(f"{r.index:>4} {r.seed:>11} {'ok':<8}{r.accuracy:>9.2f} {r.rule_count:>6}\n")
-        else:
-            out.write(f"{r.index:>4} {r.seed:>11} {'failed':<8} {r.error}\n")
-    out.write(f"\nfailed runs: {report.failed_count}\n")
-    return out.getvalue()
-
-
-def _emit_csv(report: ExperimentReport, timestamp: str | None) -> str:
-    out = io.StringIO()
-    if timestamp is not None:
-        out.write(f"# generated: {timestamp}\n")
-    for key, val in report.config.describe().items():
-        out.write(f"# {key}={val}\n")
-    out.write("record,run,seed,status,accuracy_pct,rule_count,detail\n")
-    for r in report.runs:
-        if r.ok:
-            out.write(f"run,{r.index},{r.seed},ok,{r.accuracy!r},{r.rule_count},\n")
-        else:
-            detail = (r.error or "").replace(",", ";")
-            out.write(f"run,{r.index},{r.seed},failed,,,{detail}\n")
-    for name, value in (
-        ("best", report.best),
-        ("average", report.average),
-        ("worst", report.worst),
-        ("stddev", report.stddev),
-    ):
-        out.write(f"aggregate_{name},,,,{'' if value is None else repr(value)},,\n")
-    out.write(f"aggregate_rules_min,,,,,{'' if report.rules_min is None else report.rules_min},\n")
-    out.write(f"aggregate_rules_max,,,,,{'' if report.rules_max is None else report.rules_max},\n")
-    out.write(f"aggregate_failed_runs,,,,,{report.failed_count},\n")
-    return out.getvalue()
-
-
-def _emit_json(report: ExperimentReport, timestamp: str | None) -> str:
-    doc: dict = {}
-    if timestamp is not None:
-        doc["generated_at"] = timestamp
+def _document(report: ExperimentReport, timestamp: str | None) -> dict:
+    """The report as one record: each per-run field and each aggregate is
+    named here and only here, in the order every format shows them."""
+    doc: dict = {} if timestamp is None else {"generated_at": timestamp}
     doc["config"] = report.config.describe()
     doc["class_names"] = list(report.class_names)
     doc["runs"] = [
@@ -294,4 +231,48 @@ def _emit_json(report: ExperimentReport, timestamp: str | None) -> str:
         "rules_max": report.rules_max,
         "failed_runs": report.failed_count,
     }
-    return json.dumps(doc, indent=1) + "\n"
+    return doc
+
+
+def _config_block(items: dict[str, str]) -> str:
+    """The ``configuration:`` block of text reports and the CLI's stdout."""
+    return "configuration:\n" + "".join(f"  {key}: {val}\n" for key, val in items.items())
+
+
+def _text_table(doc: dict) -> str:
+    lines = [] if "generated_at" not in doc else [f"# generated: {doc['generated_at']}"]
+    lines.append(_config_block(doc["config"]))
+    agg = doc["aggregate"]
+    lo, hi = agg["rules_min"], agg["rules_max"]
+    rules = "n/a" if lo is None else str(lo) if lo == hi else f"[{lo},{hi}]"
+    # The four accuracy statistics lead the aggregate: its columns, and their widths.
+    stats = list(zip(agg.items(), (8, 9, 8, 8)))
+    head = "".join(f"{name:>{w}}" for (name, _), w in stats)
+    row = "".join(f"{'n/a' if v is None else format(v, '.2f'):>{w}}" for (_, v), w in stats)
+    lines.append(f"{'r_a':<8}{'clusters/rules':<16}{head}")
+    lines.append(f"{doc['config']['r_a']:<8}{rules:<16}{row}")
+    lines.append(f"\n{'run':>4} {'seed':>11} {'status':<8}{'accuracy':>9} {'rules':>6}")
+    for r in doc["runs"]:
+        lead = f"{r['run']:>4} {r['seed']:>11} {r['status']:<8}"
+        lines.append(lead + (f" {r['error']}" if r["error"] is not None
+                             else f"{r['accuracy_pct']:>9.2f} {r['rule_count']:>6}"))
+    lines.append(f"\nfailed runs: {agg['failed_runs']}\n")
+    return "\n".join(lines)
+
+
+def _csv_report(doc: dict) -> str:
+    """The eval CSV: ``# key=value`` header lines, then one row per run and
+    one per aggregate under one header, each line ended by ``\\n``."""
+    lines = [] if "generated_at" not in doc else [f"# generated: {doc['generated_at']}"]
+    lines += [f"# {key}={val}" for key, val in doc["config"].items()]
+    lines.append("record,run,seed,status,accuracy_pct,rule_count,detail")
+    cell = lambda v: "" if v is None else repr(v)
+    for r in doc["runs"]:
+        detail = (r["error"] or "").replace(",", ";")  # the one cell that may hold text
+        lines.append(f"run,{r['run']},{r['seed']},{r['status']},{cell(r['accuracy_pct'])},"
+                     f"{cell(r['rule_count'])},{detail}")
+    for name, value in doc["aggregate"].items():
+        # Accuracies go in the accuracy_pct column, counts in rule_count.
+        cells = (cell(value), "") if isinstance(value, float) else ("", cell(value))
+        lines.append(f"aggregate_{name},,,,{cells[0]},{cells[1]},")
+    return "\n".join(lines) + "\n"

@@ -76,17 +76,22 @@ def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray
         # (their ratio is about exp(p * var(log d) / 2), and |log d| < 746),
         # so p is held there, which keeps p * log d clear of subnormals.
         q = np.copysign(max(abs(p), 1e-30), p)
-        s, v = scale[live], vals[live]
+        if not live.all():
+            vals, mask, scale, count = vals[live], mask[live], scale[live], count[live]
         # A zero ratio (p > 0) has log -inf and d^p = 0, its limit; q * log d
-        # past the float range gives the same limits.
+        # past the float range gives the same limits. One array holds the
+        # ratios, their logs and the terms.
         with np.errstate(divide="ignore", over="ignore"):
-            log_d = np.log(np.where(mask[live], v / s[:, None], 1.0))
+            log_d = vals / scale[:, None]
+            np.copyto(log_d, 1.0, where=~mask)
+            np.log(log_d, out=log_d)
             # A ratio past the float range (p < 0) takes a difference of logs.
             r, k = np.nonzero(np.isposinf(log_d))
-            log_d[r, k] = np.log(v[r, k]) - np.log(s[r])
-            mean = np.expm1(q * log_d).sum(axis=1) / count[live]
+            log_d[r, k] = np.log(vals[r, k]) - np.log(scale[r])
+            log_d *= q
+            mean = np.expm1(log_d, out=log_d).sum(axis=1) / count
         # In logs, since the mean over a subnormal scale can pass the float range.
-        out[live] = np.exp(np.log(s) + np.log1p(mean) / q)
+        out[live] = np.exp(np.log(scale) + np.log1p(mean) / q)
     return out
 
 
@@ -171,9 +176,17 @@ def _soundness_bounds(
     if redo is not None:
         h, i, j = np.nonzero(redo)
         if h.size:  # cells that are not fine may fire no rule
+            # Firing is decided on upper * R; then the lower-bound cells,
+            # which come first (h is sorted), take lower * R in their place.
             r = consts.certainty[:, j].T
-            bounds = np.stack((lower, upper))[h, i]
-            out[h, i, j] = _power_mean_rows(bounds * r, upper[i] * r > 0.0, p)
+            vals = upper[i]
+            vals *= r
+            fires = vals > 0.0
+            k = np.searchsorted(h, 1)
+            vals[:k] = lower[i[:k]]
+            vals[:k] *= r[:k]
+            del r  # before _power_mean_rows builds its array
+            out[h, i, j] = _power_mean_rows(vals, fires, p)
     # The true bounds are ordered, but when m1 and m2 nearly coincide the two
     # rounded ones can differ by an ulp the wrong way; this moves such a
     # lower bound by at most its rounding error.

@@ -189,8 +189,6 @@ def _distances(X, prototypes) -> np.ndarray:
     the float range comes back divided by a per-row scale (below).
     """
     X, P = np.asarray(X, dtype=float), np.asarray(prototypes, dtype=float)
-    if X.ndim < 2 or P.ndim < 2:
-        X, P = np.atleast_2d(X, P)
     if X.shape[1] != P.shape[1]:
         raise DataError(f"input has {X.shape[1]} features but prototypes have {P.shape[1]}")
     if P.shape[0] == 0:

@@ -235,18 +235,29 @@ class TestTrainPredict:
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_empty_held_out_set(self, tmp_path, capsys, command):
-        # A stratified 0.9 split of classes of 3 rows leaves no test rows:
-        # refused as a data error, not an internal one.
+        # A stratified 0.9 split of classes of 3 rows leaves no test rows in
+        # any run: each run is refused, before clustering, as a data error
+        # that names the held-out half. train writes and prints nothing; eval
+        # records every run as failed, still writes its report, and exits 2.
+        # Both used to end on "confusion matrix has no observations", eval
+        # without a report.
         data = tmp_path / "tiny.csv"
         data.write_text("0.1,0.2,0\n0.2,0.1,0\n0.3,0.3,0\n0.9,0.8,1\n0.8,0.9,1\n0.7,0.7,1\n")
-        extra = ["--model", str(tmp_path / "m.json")] if command == "train" else ["--runs", "2"]
+        report = tmp_path / "report.txt"
+        extra = {"train": ["--model", str(tmp_path / "m.json")],
+                 "eval": ["--runs", "3", "--no-timestamp", "--out", str(report)]}[command]
         code, out, err = run(capsys, command, "--in", str(data), "--no-sc", "--stratified",
                              "--train-frac", "0.9", *extra)
         assert code == 2
-        assert "no observations" in err
-        # train takes both scores before it writes or prints anything.
         assert not (tmp_path / "m.json").exists()
-        assert command == "eval" or out == ""
+        if command == "train":
+            assert err == "error: the held-out half of the split is empty\n"
+            assert out == ""
+        else:
+            assert err == "error: all 3 runs failed\n"
+            text = report.read_text()
+            assert text.count("failed   the held-out half of the split is empty\n") == 3
+            assert "failed runs: 3" in text
 
     def test_predict_label_col_out_of_range(self, tmp_path, capsys, circ_file):
         # Used to write the whole output file and then exit 3 on an IndexError.
@@ -454,6 +465,21 @@ class TestPredictEcho:
         assert got.endswith(b"\r\n")
 
 
+def test_normalization_wider_than_centers_exits_2(tmp_path, capsys):
+    doc = two_rule_model()
+    doc["normalization"] = {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    plain = tmp_path / "plain.csv"
+    plain.write_text("0.5,0.5\n")
+    code, out, err = run(capsys, "predict", "--model", str(model), "--in", str(plain),
+                         "--out", str(tmp_path / "o.csv"))
+    assert (code, out) == (2, "")
+    assert err == (f"error: malformed model file {model}: "
+                   "prototype dimensionality must match normalization\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 class TestExportRules:
     def test_lines(self, tmp_path, capsys, circ_file):
         model = tmp_path / "model.json"
@@ -577,6 +603,15 @@ class TestEval:
         assert code == 1
         assert f"argument {flag}: must be a finite number" in err
         assert out == ""
+
+    def test_zero_runs_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--gen", "circular", "--runs", "0", "--no-sc")
+        assert (code, out, err) == (1, "", "error: runs must be at least 1\n")
+
+    def test_ra_not_a_number_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--gen", "circular", "--runs", "1", "--ra", "abc")
+        assert (code, out) == (1, "")
+        assert "argument --ra: invalid float value: 'abc'" in err
 
     def test_ra_and_no_sc_conflict(self, capsys):
         code, _, err = run(capsys, "eval", "--gen", "circular", "--ra", "0.2", "--no-sc")

@@ -65,6 +65,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 2"):
             load_csv(write(tmp_path, "1,2,a\nx,4,b\n"), -1)
 
+    def test_unknown_missing_policy(self, tmp_path):
+        path = write(tmp_path, "1.0,a\n")
+        with pytest.raises(ConfigError, match="unknown missing_policy 'impute'"):
+            load_csv(path, -1, "impute")
+
+    def test_label_only_file(self, tmp_path):
+        path = write(tmp_path, "label\na\nb\n")
+        with pytest.raises(DataError, match="need at least one feature column"):
+            load_csv(path, -1)
+
     def test_label_column_out_of_range(self, tmp_path):
         with pytest.raises(ConfigError, match="label column"):
             load_csv(write(tmp_path, "1,2,a\n"), 5)
@@ -326,6 +336,23 @@ class TestInvariantsOfTypes:
     def test_dataset_rejects_bad_label(self):
         with pytest.raises(DataError):
             Dataset(np.array([[1.0]]), np.array([2]), ("a", "b"))
+
+    @pytest.mark.parametrize("X, y, names, message", [
+        (np.zeros(3), np.zeros(3), ("a",), "features must be a 2-D array"),
+        (np.zeros((3, 1)), np.zeros(2), ("a",), "labels must be one per pattern"),
+        (np.zeros((1, 1)), np.zeros(1), (), "at least one class name required"),
+    ], ids=["1-D features", "labels mismatch", "no class names"])
+    def test_dataset_refusals(self, X, y, names, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(X, y, names)
+
+    def test_normalization_rejects_unequal_shapes(self):
+        with pytest.raises(DataError, match="min/max must be 1-D vectors of equal length"):
+            NormalizationParams(np.zeros(2), np.ones(3))
+
+    def test_fit_normalizer_rejects_empty_set(self):
+        with pytest.raises(DataError, match="cannot fit normalizer on an empty dataset"):
+            fit_normalizer(Dataset(np.zeros((0, 2)), np.zeros(0), ("a",)))
 
     def test_normalization_rejects_inverted_range(self):
         with pytest.raises(DataError):

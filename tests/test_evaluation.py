@@ -56,6 +56,10 @@ class TestAccuracy:
         with pytest.raises(DataError):
             accuracy(np.zeros((2, 2), dtype=int))
 
+    def test_no_cells_rejected(self):
+        with pytest.raises(DataError, match="empty confusion matrix"):
+            accuracy(np.zeros((0, 0), dtype=int))
+
 
 class TestConfig:
     def test_exactly_one_source(self):
@@ -63,6 +67,10 @@ class TestConfig:
             ExperimentConfig()
         with pytest.raises(ConfigError):
             ExperimentConfig(generator="circular", data_path="x.csv")
+
+    def test_runs_at_least_one(self):
+        with pytest.raises(ConfigError, match="runs must be at least 1"):
+            ExperimentConfig(generator="circular", runs=0)
 
     def test_unknown_generator(self):
         with pytest.raises(ConfigError):
@@ -142,6 +150,29 @@ class TestRunExperiment:
         assert report.stddev == pytest.approx(accs.std(), abs=1e-12)
         assert report.rules_min == min(r.rule_count for r in report.runs if r.ok)
         assert report.rules_max == max(r.rule_count for r in report.runs if r.ok)
+
+    def test_aggregates_follow_the_runs(self, report):
+        # The aggregates are derived from the runs, so a report cannot
+        # disagree with its own runs, and replacing them re-derives every one.
+        assert len(report.runs) == 4 and report.failed_count == 0
+        kept = report.runs[1:3]
+        failed = RunResult(index=9, seed=5, error="class 'b' has no training patterns")
+        fewer = dataclasses.replace(report, runs=(*kept, failed))
+        accs = [r.accuracy for r in kept]
+        assert (fewer.best, fewer.worst) == (max(accs), min(accs))
+        assert fewer.average == float(np.mean(accs))
+        assert fewer.stddev == float(np.std(accs))
+        rules = [r.rule_count for r in kept]
+        assert (fewer.rules_min, fewer.rules_max) == (min(rules), max(rules))
+        assert fewer.failed_count == 1
+        none_ok = dataclasses.replace(report, runs=(failed,))
+        assert [none_ok.best, none_ok.average, none_ok.worst, none_ok.stddev,
+                none_ok.rules_min, none_ok.rules_max, none_ok.failed_count] == [None] * 6 + [1]
+        with pytest.raises(TypeError):
+            evaluation.ExperimentReport(report.config, report.class_names, report.runs,
+                                        best=100.0)
+        # A run's accuracy is that of its confusion matrix.
+        assert all(r.accuracy == accuracy(r.confusion) for r in report.runs)
 
     def test_normalizer_fit_on_train_only(self):
         cfg = small_cfg(runs=1)
@@ -250,7 +281,7 @@ class TestEmitReport:
     def test_failed_run_row_in_csv(self, report):
         # The error text goes in the last cell, its commas turned into ';'.
         failed = RunResult(index=7, seed=11, error="class 'b', then 'c', absent")
-        body = emit_report(dataclasses.replace(report, runs=(failed,), failed_count=1), "csv")
+        body = emit_report(dataclasses.replace(report, runs=(failed,)), "csv")
         rows = [line for line in body.splitlines() if line.startswith("run,")]
         assert rows == ["run,7,11,failed,,,class 'b'; then 'c'; absent"]
         assert "aggregate_failed_runs,,,,,1," in body

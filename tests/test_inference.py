@@ -503,6 +503,11 @@ class TestClassify:
         with pytest.raises(DataError, match=rf"invalid soundness interval \[{lower}, {upper}\]"):
             classify(np.array([0.5, 0.5]), rb)
 
+    def test_classify_takes_one_pattern(self):
+        rb = make_rulebase([[0.4, 0.4]], [[1.0, 0.0]])
+        with pytest.raises(DataError, match="classify expects a single feature vector"):
+            classify(np.zeros((2, 2)), rb)
+
     def test_dimension_mismatch_names_both(self):
         rb = make_rulebase([[0.4, 0.4]], [[1.0, 0.0]])
         with pytest.raises(DataError, match=r"3.*2|2.*3"):
@@ -765,13 +770,15 @@ class TestRowBlocks:
         assert peak < 2 * subclust.BLOCK_ELEMENTS * 8
 
     # N = 30: a block's largest array is its (rows, c, N) differences.
-    # M = 10, p < 0: it is the exact path's (2M rows, c) gathered values,
-    # of which _power_mean_rows keeps several alive. tracemalloc read
-    # 2.1 and 1.9 MiB (N = 30) and 14.7 and 14.5 MiB (M = 10) at 1x and
-    # 10x the rows, and 6.2 and 8.4 MiB, 17.5 and 23.4 MiB when the kernel
-    # cut the rows again inside blocks of width c (numpy 2.4.6).
+    # M = 10, p < 0: it is the exact path's (2M rows, c) gathered values:
+    # the gathered certainty and bounds, then the one array in which
+    # _power_mean_rows takes its terms. tracemalloc read 2.1 and 1.9 MiB
+    # (N = 30) and 5.6 and 5.4 MiB (M = 10) at 1x and 10x the rows; 14.7
+    # and 14.5 MiB when the exact path kept about seven (cells, c) arrays
+    # alive, and 17.5 and 23.4 MiB when the kernel also cut the rows again
+    # inside blocks of width c (numpy 2.4.6).
     @pytest.mark.parametrize("N, M, p, n, budgets", [(30, 2, 2.0, 3000, 1.25),
-                                                     (3, 10, -1.5, 2000, 8)])
+                                                     (3, 10, -1.5, 2000, 4)])
     def test_peak_is_one_block_at_any_width(self, N, M, p, n, budgets):
         rng = np.random.default_rng(24)
         rb = make_rulebase(rng.random((64, N)), rng.random((64, M)), p=p)

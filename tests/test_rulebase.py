@@ -338,6 +338,16 @@ class TestCertaintyDegrees:
         want = ref_certainty(X.tolist(), y.tolist(), protos.tolist(), 1.5, 2.5, 2)
         assert got == pytest.approx(np.array(want), abs=1e-12)
 
+    def test_empty_training_set_refused(self):
+        ds = Dataset(np.zeros((0, 2)), np.zeros(0), ("a",))
+        with pytest.raises(DataError, match="certainty degrees need a non-empty training set"):
+            certainty_degrees(ds, np.zeros((1, 2)), Fuzzifiers())
+
+    def test_prototype_width_checked(self):
+        ds = Dataset(np.zeros((3, 2)), np.zeros(3), ("a",))
+        with pytest.raises(DataError, match="input has 2 features but prototypes have 3"):
+            certainty_degrees(ds, np.zeros((1, 3)), Fuzzifiers())
+
     def test_requires_labels(self):
         # certainty_degrees takes a Dataset, and Dataset is the one place that
         # refuses a pattern without a class (a label below 0).
@@ -835,6 +845,17 @@ class TestRuleBaseType:
         assert np.array_equal(rb.prototypes, fields[0])
         assert np.array_equal(rb.certainty, fields[1])
         assert np.array_equal(classify_batch(X, rb)[1], expected)
+
+    def test_one_source_class_per_prototype(self):
+        with pytest.raises(DataError, match="one source class per prototype required"):
+            RuleBase(
+                prototypes=np.array([[0.2], [0.8]]),
+                source_classes=np.array([0]),
+                certainty=np.eye(2),
+                fuzzifiers=Fuzzifiers(),
+                normalization=identity_norm(1),
+                class_names=("a", "b"),
+            )
 
     def test_certainty_shape_checked(self):
         with pytest.raises(DataError):

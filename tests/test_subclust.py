@@ -91,6 +91,10 @@ class TestInitialPotentials:
         with pytest.raises(DataError):
             initial_potentials(np.zeros(3), SubclustParams(1.0))
 
+    def test_no_points_refused(self):
+        with pytest.raises(DataError, match="need at least one point"):
+            initial_potentials(np.zeros((0, 2)), SubclustParams(1.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_refused(self, bad):
         # A nan column made every potential nan and the loop returned nan centers.

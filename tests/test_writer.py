@@ -91,6 +91,31 @@ class TestCsvWriterBytes:
         assert b'"score_a,b","score_c""d",score_caf\xc3\xa9\r\n' in got
 
 
+def ascii_locale_env() -> dict:
+    """The environment of a child Python under the C locale (ASCII)."""
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.pop("PYTHONIOENCODING", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_stdout_refuses_text_its_encoding_cannot_hold(tmp_path):
+    # Standard output keeps the locale's encoding. export-rules on the class
+    # 'café' under the C locale used to exit 3 with "internal error:
+    # UnicodeEncodeError"; it is refused as files are, and nothing is printed.
+    data = tmp_path / "data.csv"
+    data.write_text("x,label\n0.1,café\n0.2,café\n0.8,tea\n0.9,tea\n", encoding="utf-8")
+    assert main(["train", "--in", str(data), "--no-sc", "--train-frac", "0.5", "--stratified",
+                 "--model", str(tmp_path / "m.json")]) == 0
+    proc = subprocess.run([sys.executable, "-m", "it2frbc.cli", "export-rules", "--model",
+                           "m.json"], env=ascii_locale_env(), capture_output=True, timeout=120,
+                          cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr == (b"error: cannot write standard output: '\\xe9' is not ascii text "
+                           b"(ordinal not in range(128))\n")
+
+
 def test_utf8_under_an_ascii_locale(tmp_path):
     # Under the C locale Python's default encoding is ASCII; predict used to
     # exit 3 with "internal error: UnicodeEncodeError" on the class 'café'.
@@ -100,9 +125,7 @@ def test_utf8_under_an_ascii_locale(tmp_path):
     labels = ["café"] * 12 + ["tea"] * 12
     data.write_text("x,y,label\n" + "".join(f"{a!r},{b!r},{n}\n" for (a, b), n in
                                             zip(X.tolist(), labels)), encoding="utf-8")
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-    env.pop("PYTHONIOENCODING", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    env = ascii_locale_env()
 
     def child(*argv):
         proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
