@@ -6,9 +6,10 @@ the library field it sets, and check them all as one ExperimentConfig before
 any file is read; ``train`` is one protocol run (train_and_score, with its
 seed as the split seed) that also saves its model.
 
-Every output file is UTF-8, its text built whole before the file is opened,
-so a refusal leaves the target as it was. Standard output keeps Python's
-encoding, and a text it cannot encode is refused whole.
+Every output file is UTF-8, its text built and encoded before the file is
+opened (``predict`` encodes its rows block by block and opens the file after
+the last row), so a refusal leaves the target as it was. Standard output
+keeps Python's encoding, and a text it cannot encode is refused whole.
 
 Exit codes: 0 success; 1 usage error, for a value given on the command line
 that its parameter's rule refuses (a non-finite number, a radius with no
@@ -26,12 +27,15 @@ import math
 import sys
 from datetime import datetime, timezone
 
-from .dataset import (GENERATORS, NormalizationParams, SplitSpec, _csv_cell, _csv_text, _read_csv,
-                      _write_text, load_features_csv, save_csv, split)
+import numpy as np
+
+from .dataset import (GENERATORS, NormalizationParams, SplitSpec, _csv_cell, _csv_text,
+                      _has_missing, _read_csv, _utf8, _write_text, load_features_csv, save_csv,
+                      split)
 from .errors import ConfigError, DataError
 from .evaluation import (ExperimentConfig, _config_block, accuracy, confusion_matrix,
                          emit_report, resolve_dataset, run_experiment, train_and_score)
-from .inference import classify_batch
+from .inference import _block_width, classify_batch
 from .rulebase import Fuzzifiers, export_rules_text, load_rulebase, save_rulebase
 from .subclust import SubclustParams, describe_params, subtractive_cluster
 
@@ -145,6 +149,10 @@ def build_parser() -> _Parser:
     pr.add_argument("--label-col", type=int, default=None,
                     help="label column to score against (default: auto-detect a "
                          "trailing label when the file has one extra column)")
+    pr.add_argument("--missing-policy", choices=("drop_row", "error"), default="error",
+                    help="drop_row: skip a row with an empty or '?' cell, its label "
+                         "included, and print how many; error (default): refuse such a "
+                         "feature cell")
     pr.set_defaults(func=cmd_predict)
 
     e = sub.add_parser("eval", help="repeated-split benchmark (the experiment protocol)")
@@ -224,8 +232,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Classify the input one row block at a time (subclust._row_blocks at
+    classify_batch's width, so each block read is one kernel block). Each
+    block's output rows are rendered and encoded as UTF-8, and only those
+    bytes are kept; labelled rows are added into confusion counts. Nothing
+    is printed, and the target is not opened, until the last row has been
+    classified, so a refusal anywhere in the input prints nothing and
+    leaves the target as it was. Memory holds one block and the encoded
+    output."""
     rb = load_rulebase(args.model)
-    n = rb.num_features
+    n, M = rb.num_features, rb.num_classes
 
     def trailing_label(width: int) -> int | None:
         if width not in (n, n + 1):
@@ -235,32 +251,47 @@ def cmd_predict(args) -> int:
             )
         return -1 if width == n + 1 else None
 
-    label_col = trailing_label if args.label_col is None else args.label_col
-    X, labels, label_col, cells = _read_csv(args.input, label_col)
-    predictions, scores = classify_batch(X, rb)
+    dropped = 0
+
+    def keep(lineno: int, cells: list[str]) -> bool:
+        nonlocal dropped
+        missing = _has_missing(cells)
+        dropped += missing
+        return not missing
+
+    blocks = _read_csv(args.input, trailing_label if args.label_col is None else args.label_col,
+                       keep if args.missing_policy == "drop_row" else None, _block_width(rb))
+    names = list(map(_csv_cell, rb.class_names))
+    name_to_idx = {name: i for i, name in enumerate(rb.class_names)}
+    confusion = np.zeros((M, M), dtype=np.int64)
+    chunks, rows = [], 0
+    for X, labels, label_col, cells in blocks:
+        predictions, scores = classify_batch(X, rb)
+        predicted = map(names.__getitem__, predictions.tolist())
+        score_cells = iter(map(repr, scores.ravel().tolist()))
+        chunks.append(_utf8(args.out, _csv_text(None, cells, predicted, *[score_cells] * M)))
+        rows += len(X)
+        if labels is not None:
+            truth = np.array([name_to_idx.get(name, -1) for name in labels], dtype=np.int64)
+            known = truth >= 0
+            confusion += confusion_matrix(truth[known], predictions[known], M)
 
     print(_config_block({
         "model": args.model,
         "in": args.input,
-        "rows": str(len(X)),
+        "rows": str(rows),
         "label_col": "none" if label_col is None else str(label_col),
         "out": args.out,
     }), end="")
     header = [f"f{i + 1}" for i in range(n)] + ["predicted"]
     header += ["score_" + name for name in rb.class_names]
-    names = list(map(_csv_cell, rb.class_names))
-    score_cells = iter(map(repr, scores.ravel().tolist()))
-    _write_text(args.out, _csv_text(header, cells, map(names.__getitem__, predictions.tolist()),
-                                    *[score_cells] * scores.shape[1]))
-    print(f"wrote predictions for {len(X)} rows to {args.out}")
-
-    if labels is not None:
-        name_to_idx = {name: i for i, name in enumerate(rb.class_names)}
-        known = [i for i, name in enumerate(labels) if name in name_to_idx]
-        if known:
-            truth = [name_to_idx[labels[i]] for i in known]
-            acc = accuracy(confusion_matrix(truth, predictions[known], rb.num_classes))
-            print(f"accuracy against provided labels: {acc:.2f} ({len(known)} labeled rows)")
+    _write_text(args.out, _csv_text(header, []), chunks)
+    print(f"wrote predictions for {rows} rows to {args.out}")
+    if args.missing_policy == "drop_row":
+        print(f"dropped {dropped} rows with a missing value")
+    if confusion.any():
+        print(f"accuracy against provided labels: {accuracy(confusion):.2f} "
+              f"({confusion.sum()} labeled rows)")
     return 0
 
 

@@ -8,11 +8,14 @@ builds its per-column divisors once, when it is constructed.
 from __future__ import annotations
 
 import csv
+import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .subclust import _row_blocks
 
 MISSING_MARKS = ("", "?")
 
@@ -173,13 +176,19 @@ def _is_number(cell: str) -> bool:
         return False
 
 
+def _has_missing(cells: list[str]) -> bool:
+    """Whether a row holds a missing mark (an empty cell or "?")."""
+    return any(c.strip() in MISSING_MARKS for c in cells)
+
+
 def _is_header(cells: list[str]) -> bool:
     """The header rule: no cell is a number or a missing mark."""
-    return not any(_is_number(c) or c.strip() in MISSING_MARKS for c in cells)
+    return not (_has_missing(cells) or any(map(_is_number, cells)))
 
 
-def _read_csv(path, label_column=None, keep=None):
-    """Read a CSV of numeric feature cells and at most one label column.
+def _read_csv(path, label_column=None, keep=None, block_width=None):
+    """Read a CSV of numeric feature cells and at most one label column, in
+    row blocks.
 
     The file is UTF-8 text, a leading byte-order mark skipped. Blank lines
     are skipped and line numbers kept. The first non-blank row is a header
@@ -190,39 +199,68 @@ def _read_csv(path, label_column=None, keep=None):
     of the width giving either. ``keep(lineno, cells)`` may drop a row
     before its cells are converted.
 
-    Returns (features (n, num_features), stripped label cells or None,
-    resolved label column or None, each data row's feature cells as read).
+    A generator: the file is read as the blocks are taken, and only one
+    block's rows are held. The rows come in blocks of at most one slice of
+    subclust._row_blocks at ``block_width`` values a row (default: the
+    file's column count, so a block's features are one budget); blank and
+    dropped rows count toward their block. Each block with a kept row is
+    (features (rows, num_features), stripped label cells or None, resolved
+    label column or None, each kept row's feature cells as read). A block
+    is checked in three passes: every width, then ``keep``, then the cells.
+    So a file with several defects is refused at its first block that has
+    one, and within that block a width comes before a missing value and
+    both before a cell. Every refusal is a DataError (a
+    ConfigError for a label column out of range) raised by the block that
+    reaches it; "empty dataset" when no row is kept.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+            records = enumerate(csv.reader(fh), start=1)
+            first = next(((lineno, row) for lineno, row in records if row), None)
+            if first is None:
+                raise DataError("empty dataset")
+            width = len(first[1])
+            block = [] if _is_header(first[1]) else [first]
+            if callable(label_column):
+                label_column = label_column(width)
+            label_idx = label_column
+            if label_column is not None:
+                label_idx = label_column if label_column >= 0 else width + label_column
+                if not 0 <= label_idx < width:
+                    raise ConfigError(
+                        f"label column {label_column} out of range for {width} columns")
+            empty = True
+            # The blocks of an unbounded row count; the file's end ends them.
+            for s in _row_blocks(sys.maxsize, block_width or width):
+                read = list(itertools.islice(records, s.stop - s.start - len(block)))
+                if not read and not block:
+                    break
+                block += [(lineno, row) for lineno, row in read if row]
+                for lineno, row in block:
+                    if len(row) != width:
+                        raise DataError(f"line {lineno}: expected {width} fields, found {len(row)}")
+                if keep is not None:
+                    block = [(lineno, row) for lineno, row in block if keep(lineno, row)]
+                if block:
+                    empty = False
+                    yield (*_convert(block, label_idx), label_idx, [row for _, row in block])
+                block = []
+            if empty:
+                raise DataError("empty dataset")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
-    if not rows:
-        raise DataError("empty dataset")
-    width = len(rows[0][1])
-    if _is_header(rows[0][1]):
-        rows = rows[1:]
-    if callable(label_column):
-        label_column = label_column(width)
-    label_idx = label_column
-    if label_column is not None:
-        label_idx = label_column if label_column >= 0 else width + label_column
-        if not 0 <= label_idx < width:
-            raise ConfigError(f"label column {label_column} out of range for {width} columns")
-    for lineno, row in rows:
-        if len(row) != width:
-            raise DataError(f"line {lineno}: expected {width} fields, found {len(row)}")
-    if keep is not None:
-        rows = [(lineno, row) for lineno, row in rows if keep(lineno, row)]
-    if not rows:
-        raise DataError("empty dataset")
 
+
+def _convert(rows, label_idx):
+    """(features, stripped label cells or None) of a block's (lineno, cells)
+    rows of equal width; pops the label cell from each row."""
     labels = None if label_idx is None else [row.pop(label_idx).strip() for _, row in rows]
+    shape = (len(rows), len(rows[0][1]))
+    cells = itertools.chain.from_iterable(row for _, row in rows)
     try:
-        X = np.array([[float(cell) for cell in row] for _, row in rows], dtype=float)
+        X = np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
     except ValueError:
         lineno, cell = next((n, c) for n, row in rows for c in row if not _is_number(c))
         raise DataError(f"line {lineno}: non-numeric feature value {cell!r}") from None
@@ -231,7 +269,7 @@ def _read_csv(path, label_column=None, keep=None):
         # Refused here, before normalization turns inf into nan with a warning.
         lineno = rows[int(np.argmin(finite))][0]
         raise DataError(f"line {lineno}: non-finite value (nan or inf)")
-    return X, labels, label_idx, [row for _, row in rows]
+    return X, labels
 
 
 _QUOTE = csv.excel.quotechar
@@ -247,31 +285,40 @@ def _csv_cell(cell: str) -> str:
 
 
 def _csv_text(header, cells, *columns) -> str:
-    """``header``, then each row of ``cells`` and the next cell of each column,
-    in csv.writer's excel dialect. A column is any iterable, an iterator too,
-    of cells that need no quoting (repr floats, or _csv_cell's results). The
-    cells of ``cells`` are quoted one by one only if a count over all rows
-    finds a special character."""
-    width = len(header) - len(columns)
+    """``header`` (None for no header line), then each row of ``cells`` and
+    the next cell of each column, in csv.writer's excel dialect. A column is
+    any iterable, an iterator too, of cells that need no quoting (repr
+    floats, or _csv_cell's results). The cells of ``cells``, rows of equal
+    width, are quoted one by one only if a count over all rows finds a
+    special character."""
     rows = list(map(",".join, cells))
     joined = "".join(rows)
-    if [joined.count(ch) for ch in _SPECIAL] != [len(rows) * (width - 1), 0, 0, 0]:
+    commas = len(rows) * (len(cells[0]) - 1) if rows else 0
+    if [joined.count(ch) for ch in _SPECIAL] != [commas, 0, 0, 0]:
         rows = [",".join(map(_csv_cell, row)) for row in cells]
+    head = [] if header is None else [",".join(map(_csv_cell, header))]
     # The last, empty line makes the join end the last row with a terminator too.
-    return "\r\n".join([",".join(map(_csv_cell, header)), *map(",".join, zip(rows, *columns)), ""])
+    return "\r\n".join([*head, *map(",".join, zip(rows, *columns)), ""])
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 in one call, the one writer of every
-    output file. The text is encoded before the file is opened, so a refusal
-    (DataError: a lone surrogate) leaves the target as it was."""
+def _utf8(path, text: str) -> bytes:
+    """``text`` as UTF-8. Text that UTF-8 cannot encode (a lone surrogate) is
+    refused with a DataError that names ``path``, the file it is meant for."""
     try:
-        data = text.encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start:exc.end]
         raise DataError(f"cannot write {path}: {bad!r} is not UTF-8 text ({exc.reason})") from None
+
+
+def _write_text(path, text: str, chunks=()) -> None:
+    """Write ``text`` as UTF-8, then the bytes ``chunks`` (each from _utf8),
+    to ``path``: the one writer of every output file. Everything is encoded
+    before the file is opened, so a refusal leaves the target as it was."""
+    data = _utf8(path, text)
     with open(path, "wb") as fh:
         fh.write(data)
+        fh.writelines(chunks)
 
 
 def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Dataset:
@@ -286,13 +333,17 @@ def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Datas
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
 
     def keep(lineno: int, cells: list[str]) -> bool:
-        if not any(c.strip() in MISSING_MARKS for c in cells):
+        if not _has_missing(cells):
             return True
         if missing_policy == "error":
             raise DataError(f"line {lineno}: missing value")
         return False
 
-    X, raw_labels, _, _ = _read_csv(path, label_column, keep)
+    blocks, raw_labels = [], []
+    for X, labels, _, _ in _read_csv(path, label_column, keep):
+        blocks.append(X)
+        raw_labels += labels
+    X = np.concatenate(blocks)
     if X.shape[1] == 0:
         raise DataError("need at least one feature column and one label column")
     name_to_idx: dict[str, int] = {}
@@ -305,7 +356,7 @@ def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Datas
 
 def load_features_csv(path) -> np.ndarray:
     """Load an unlabeled CSV (all columns numeric features)."""
-    return _read_csv(path)[0]
+    return np.concatenate([X for X, *_ in _read_csv(path)])
 
 
 def save_csv(ds: Dataset, path) -> None:

@@ -80,10 +80,12 @@ class ExperimentConfig:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """One run as measured: its held-out confusion matrix and rule count, or
-    the error that stopped it."""
+    the error that stopped it. Runs, like reports, compare by identity (the
+    confusion matrix is an array); compare reports through
+    ``emit_report(report, "json")``."""
 
     index: int
     seed: int
@@ -100,11 +102,13 @@ class RunResult:
         return None if self.confusion is None else accuracy(self.confusion)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
     """The runs of one configuration. Only they are given: the aggregates
     are derived from the runs that succeeded when the report is built (None
-    when none did), so replacing the runs re-derives them."""
+    when none did), so replacing the runs re-derives them. ``==`` is
+    identity: two reports compare through ``emit_report(report, "json")``,
+    which holds every run field and aggregate."""
 
     config: ExperimentConfig
     class_names: tuple[str, ...]

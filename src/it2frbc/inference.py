@@ -200,23 +200,29 @@ def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     return _soundness_bounds(lower, upper, rb._soundness)
 
 
+def _block_width(rb: RuleBase) -> int:
+    """The width c * max(N, 2M) at which classify_batch cuts its rows: a row
+    adds c * N differences, or up to 2M gathered rows of c values at the
+    exact cells, to the block's largest array."""
+    return rb.num_rules * max(rb.num_features, 2 * rb.num_classes)
+
+
 def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     """Classify raw-unit patterns (n, N); returns (predictions, scores).
 
     Normalization is applied internally; scores are the per-class soundness
     interval midpoints and predictions their row argmax (ties -> lowest
     class index). The rows are cut here, once, in the row blocks of
-    subclust._row_blocks at width c * max(N, 2M): a row adds c * N
-    differences, or up to 2M gathered rows of c values at the exact cells,
-    to the block's largest array. The kernel takes each block whole and
-    writes its midpoints into the (n, M) scores, so memory stays bounded
-    whatever n is. A row's scores do not depend on the block it falls in.
+    subclust._row_blocks at _block_width(rb). The kernel takes each block
+    whole and writes its midpoints into the (n, M) scores, so memory stays
+    bounded whatever n is. A row's scores do not depend on the block it
+    falls in.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, M = X.shape[0], rb.num_classes
     scores = np.empty((n, M))
     # An empty batch still takes one (empty) block, so its input is checked.
-    for s in _row_blocks(max(n, 1), rb.num_rules * max(rb.num_features, 2 * M)):
+    for s in _row_blocks(max(n, 1), _block_width(rb)):
         y_lower, y_upper = _soundness_of(X[s], rb)
         np.add(y_lower, y_upper, out=scores[s])
     scores *= 0.5

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import it2frbc
-from it2frbc import Dataset, classify_batch, load_csv, load_rulebase, save_csv
+from it2frbc import Dataset, classify_batch, load_csv, load_rulebase, save_csv, subclust
 from it2frbc.cli import main
+from it2frbc.evaluation import accuracy, confusion_matrix
+from it2frbc.inference import _block_width
 
 
 def run(capsys, *argv):
@@ -463,6 +466,137 @@ class TestPredictEcho:
         got = self.predict_bytes(capsys, tmp_path, model, circ_file)
         assert got == self.reference_bytes(model, circ_file, header=True, label_col=2)
         assert got.endswith(b"\r\n")
+
+
+class TestPredictStream:
+    """predict reads, classifies and renders one row block at a time, and
+    writes the output only after the last row. Here the blocks are 1000
+    rows of the two-rule model, so line 5000 lies in the fifth block read."""
+
+    ROWS = 6000
+
+    @pytest.fixture()
+    def model(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(two_rule_model()))
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 1000 * _block_width(load_rulebase(path)))
+        return path
+
+    @staticmethod
+    def lines(rows: int) -> list[bytes]:
+        """Data rows (no header) inside the model's spans, labelled a, b and
+        c in turn; c is no class of the model."""
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1e-10, rows).tolist()
+        y = rng.uniform(0.0, 2.0, rows).tolist()
+        return [f"{a!r},{b!r},{'abc'[i % 3]}".encode() for i, (a, b) in enumerate(zip(x, y))]
+
+    def predict(self, capsys, tmp_path, model, lines):
+        data = tmp_path / "in.csv"
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        return run(capsys, "predict", "--model", str(model), "--in", str(data),
+                   "--out", str(tmp_path / "pred.csv"))
+
+    def test_blocks_give_the_bytes_of_one_batch(self, tmp_path, capsys, model):
+        code, out, err = self.predict(capsys, tmp_path, model, self.lines(self.ROWS))
+        assert code == 0, err
+        data = tmp_path / "in.csv"
+        want = TestPredictEcho.reference_bytes(model, data, label_col=2)
+        assert (tmp_path / "pred.csv").read_bytes() == want
+        # The labelled rows' confusion counts, summed over the blocks.
+        rb = load_rulebase(model)
+        ds = load_csv(data, -1)
+        keep = ds.labels < 2  # "c" is no class of the model
+        preds, _ = classify_batch(ds.features[keep], rb)
+        acc = accuracy(confusion_matrix(ds.labels[keep], preds, 2))
+        assert out.splitlines()[-2:] == [
+            f"wrote predictions for {self.ROWS} rows to {tmp_path / 'pred.csv'}",
+            f"accuracy against provided labels: {acc:.2f} ({keep.sum()} labeled rows)"]
+
+    @pytest.mark.parametrize("line, message", [
+        (b"1e-11", "line 5000: expected 3 fields, found 1"),
+        (b"1e-11,abc,a", "line 5000: non-numeric feature value 'abc'"),
+        (b"nan,1.0,a", "line 5000: non-finite value (nan or inf)"),
+        (b"1e-11,1.0,caf\xe9", "cannot read {path}: not UTF-8 text (invalid continuation byte)"),
+        (b"1e300,1.0,a", "feature 1: value does not normalize to a finite number "
+                         "(fitted min 0.0, max 1e-10)"),
+    ], ids=["ragged", "non-numeric", "nan", "latin-1", "normalization-overflow"])
+    def test_refusal_past_the_first_block(self, tmp_path, capsys, model, line, message):
+        # The same message, line number and exit code as reading the file
+        # whole; nothing printed, and the target untouched.
+        lines = self.lines(self.ROWS)
+        lines[4999] = line
+        target = tmp_path / "pred.csv"
+        want = f"error: {message.format(path=tmp_path / 'in.csv')}\n"
+        assert self.predict(capsys, tmp_path, model, lines) == (2, "", want)
+        assert not target.exists()
+        target.write_bytes(b"old bytes\n")
+        assert self.predict(capsys, tmp_path, model, lines) == (2, "", want)
+        assert target.read_bytes() == b"old bytes\n"
+
+    def test_first_defect_in_file_order(self, tmp_path, capsys, model):
+        # A missing mark at line 11 and a ragged row at line 5000: reading
+        # the file whole checked every width first and named line 5000. The
+        # blocks are checked as they are read, so line 11, in the first
+        # block, is named. Within one block widths still come first.
+        lines = self.lines(self.ROWS)
+        lines[10] = b"?,1.0,a"
+        lines[4999] = b"1e-11"
+        code, _, err = self.predict(capsys, tmp_path, model, lines)
+        assert (code, err) == (2, "error: line 11: non-numeric feature value '?'\n")
+        lines[19] = b"1e-11"
+        code, _, err = self.predict(capsys, tmp_path, model, lines)
+        assert (code, err) == (2, "error: line 20: expected 3 fields, found 1\n")
+
+    def test_peak_grows_by_the_output_bytes_alone(self, tmp_path, capsys, model):
+        # Reading the whole file held every row's cells (about 0.6 kB a row
+        # here); the stream holds one block and the encoded output, so at
+        # ten times the rows only the output bytes add to the peak.
+        peaks, sizes = [], []
+        for rows in (self.ROWS // 3, 10 * self.ROWS // 3):
+            lines = self.lines(rows)
+            tracemalloc.start()
+            try:
+                code, _, err = self.predict(capsys, tmp_path, model, lines)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+            sizes.append((tmp_path / "pred.csv").stat().st_size)
+        assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 64 * 1024, (peaks, sizes)
+
+
+def test_predict_missing_policy_on_wbcd(tmp_path, capsys, data_dir):
+    # A model trained on data/wbcd.csv (rows with '?' dropped) could not
+    # score that file: predict refused line 25's '?'. That stays the
+    # default; --missing-policy drop_row drops the rows train drops, and
+    # says how many.
+    wbcd = data_dir / "wbcd.csv"
+    model = tmp_path / "model.json"
+    assert main(["train", "--in", str(wbcd), "--no-sc", "--model", str(model)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "pred.csv"
+    argv = ["predict", "--model", str(model), "--in", str(wbcd), "--out", str(out)]
+    refused = (2, "", "error: line 25: non-numeric feature value '?'\n")
+    assert run(capsys, *argv) == refused
+    assert run(capsys, *argv, "--missing-policy", "error") == refused
+    assert not out.exists()
+    code, stdout, err = run(capsys, *argv, "--missing-policy", "drop_row")
+    assert code == 0, err
+    ds = load_csv(wbcd, -1)
+    rb = load_rulebase(model)
+    preds, scores = classify_batch(ds.features, rb)
+    acc = accuracy(confusion_matrix(ds.labels, preds, ds.num_classes))
+    assert stdout.splitlines()[3:] == [
+        f"  rows: {len(ds)}", "  label_col: 9", f"  out: {out}",
+        f"wrote predictions for {len(ds)} rows to {out}",
+        "dropped 16 rows with a missing value",
+        f"accuracy against provided labels: {acc:.2f} ({len(ds)} labeled rows)"]
+    with open(out, newline="") as fh:
+        body = list(csv.reader(fh))[1:]
+    assert [[float(c) for c in row[:9]] for row in body] == ds.features.tolist()
+    assert [row[9] for row in body] == [rb.class_names[k] for k in preds]
+    assert [row[10:] for row in body] == [[repr(v) for v in s] for s in scores.tolist()]
 
 
 def test_normalization_wider_than_centers_exits_2(tmp_path, capsys):

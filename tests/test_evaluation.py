@@ -120,6 +120,16 @@ class TestRunExperiment:
         b = run_experiment(small_cfg())
         assert emit_report(a, "json") == emit_report(b, "json")
 
+    def test_reports_compare_by_identity(self):
+        # The generated __eq__ compared the runs' confusion arrays and raised
+        # "The truth value of an array ... is ambiguous"; reports and runs
+        # compare by identity, and their content through the json report.
+        a = run_experiment(small_cfg(runs=2))
+        b = run_experiment(small_cfg(runs=2))
+        assert a == a and a.runs[0] == a.runs[0]
+        assert a != b and a.runs[0] != b.runs[0]
+        assert emit_report(a, "json") == emit_report(b, "json")
+
     def test_run_prefix_stable(self):
         short = run_experiment(small_cfg(runs=2))
         longer = run_experiment(small_cfg(runs=4))
