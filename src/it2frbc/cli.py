@@ -7,9 +7,10 @@ any file is read; ``train`` is one protocol run (train_and_score, with its
 seed as the split seed) that also saves its model.
 
 Every output file is UTF-8, its text built and encoded before the file is
-opened (``predict`` encodes its rows block by block and opens the file after
-the last row), so a refusal leaves the target as it was. Standard output
-keeps Python's encoding, and a text it cannot encode is refused whole.
+opened (``predict`` encodes its rows block by block into an unnamed temporary
+file and opens the target after the last row), so a refusal leaves the target
+as it was. Standard output keeps Python's encoding, and a text it cannot
+encode is refused whole.
 
 Exit codes: 0 success; 1 usage error, for a value given on the command line
 that its parameter's rule refuses (a non-finite number, a radius with no
@@ -30,8 +31,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .dataset import (GENERATORS, NormalizationParams, SplitSpec, _csv_cell, _csv_text,
-                      _has_missing, _read_csv, _utf8, _write_text, load_features_csv, save_csv,
-                      split)
+                      _has_missing, _read_csv, _spool, _utf8, _write_text, load_features_csv,
+                      save_csv, split)
 from .errors import ConfigError, DataError
 from .evaluation import (ExperimentConfig, _config_block, accuracy, confusion_matrix,
                          emit_report, resolve_dataset, run_experiment, train_and_score)
@@ -234,12 +235,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     """Classify the input one row block at a time (subclust._row_blocks at
     classify_batch's width, so each block read is one kernel block). Each
-    block's output rows are rendered and encoded as UTF-8, and only those
-    bytes are kept; labelled rows are added into confusion counts. Nothing
-    is printed, and the target is not opened, until the last row has been
-    classified, so a refusal anywhere in the input prints nothing and
-    leaves the target as it was. Memory holds one block and the encoded
-    output."""
+    block's output rows are rendered, encoded as UTF-8 and spooled to an
+    unnamed temporary file (dataset._spool); labelled rows are added into
+    confusion counts. Nothing is printed, and the target is not opened,
+    until the last row has been classified; then the header is written and
+    the spool copied in after it. So a refusal anywhere in the input prints
+    nothing and leaves the target as it was, and memory holds one block."""
     rb = load_rulebase(args.model)
     n, M = rb.num_features, rb.num_classes
 
@@ -264,28 +265,29 @@ def cmd_predict(args) -> int:
     names = list(map(_csv_cell, rb.class_names))
     name_to_idx = {name: i for i, name in enumerate(rb.class_names)}
     confusion = np.zeros((M, M), dtype=np.int64)
-    chunks, rows = [], 0
-    for X, labels, label_col, cells in blocks:
-        predictions, scores = classify_batch(X, rb)
-        predicted = map(names.__getitem__, predictions.tolist())
-        score_cells = iter(map(repr, scores.ravel().tolist()))
-        chunks.append(_utf8(args.out, _csv_text(None, cells, predicted, *[score_cells] * M)))
-        rows += len(X)
-        if labels is not None:
-            truth = np.array([name_to_idx.get(name, -1) for name in labels], dtype=np.int64)
-            known = truth >= 0
-            confusion += confusion_matrix(truth[known], predictions[known], M)
+    rows = 0
+    with _spool(args.out) as (write, spool):
+        for X, labels, label_col, cells in blocks:
+            predictions, scores = classify_batch(X, rb)
+            predicted = map(names.__getitem__, predictions.tolist())
+            score_cells = iter(map(repr, scores.ravel().tolist()))
+            write(_utf8(args.out, _csv_text(None, cells, predicted, *[score_cells] * M)))
+            rows += len(X)
+            if labels is not None:
+                truth = np.array([name_to_idx.get(name, -1) for name in labels], dtype=np.int64)
+                known = truth >= 0
+                confusion += confusion_matrix(truth[known], predictions[known], M)
 
-    print(_config_block({
-        "model": args.model,
-        "in": args.input,
-        "rows": str(rows),
-        "label_col": "none" if label_col is None else str(label_col),
-        "out": args.out,
-    }), end="")
-    header = [f"f{i + 1}" for i in range(n)] + ["predicted"]
-    header += ["score_" + name for name in rb.class_names]
-    _write_text(args.out, _csv_text(header, []), chunks)
+        print(_config_block({
+            "model": args.model,
+            "in": args.input,
+            "rows": str(rows),
+            "label_col": "none" if label_col is None else str(label_col),
+            "out": args.out,
+        }), end="")
+        header = [f"f{i + 1}" for i in range(n)] + ["predicted"]
+        header += ["score_" + name for name in rb.class_names]
+        _write_text(args.out, _csv_text(header, []), spool)
     print(f"wrote predictions for {rows} rows to {args.out}")
     if args.missing_policy == "drop_row":
         print(f"dropped {dropped} rows with a missing value")

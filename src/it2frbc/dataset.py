@@ -1,5 +1,7 @@
 """Dataset representation, the one CSV reader, the one UTF-8 writer of every
-output file, normalization, splitting, and two synthetic benchmark generators.
+output file (with the unnamed temporary file that holds predict's encoded
+rows until it writes them), normalization, splitting, and two synthetic
+benchmark generators.
 
 Feature matrices are float64 numpy arrays of shape ``(n, num_features)``.
 Labels are integer class indices ``0..num_classes-1``. NormalizationParams
@@ -7,9 +9,13 @@ builds its per-column divisors once, when it is constructed.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
+import operator
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,13 +197,14 @@ def _read_csv(path, label_column=None, keep=None, block_width=None):
     row blocks.
 
     The file is UTF-8 text, a leading byte-order mark skipped. Blank lines
-    are skipped and line numbers kept. The first non-blank row is a header
-    when it passes ``_is_header``; any other row is data, so a first row
-    mixing numbers and text is refused with its line number. Every data row
-    must be as wide as the first row. ``label_column`` is a column
-    index (negative counts from the end), None for no label, or a function
-    of the width giving either. ``keep(lineno, cells)`` may drop a row
-    before its cells are converted.
+    are skipped. A row's line number is the physical line its record starts
+    on, so the lines of a quoted cell that holds a line break count. The
+    first non-blank row is a header when it passes ``_is_header``; any other
+    row is data, so a first row mixing numbers and text is refused with its
+    line number. Every data row must be as wide as the first row.
+    ``label_column`` is a column index (negative counts from the end), None
+    for no label, or a function of the width giving either.
+    ``keep(lineno, cells)`` may drop a row before its cells are converted.
 
     A generator: the file is read as the blocks are taken, and only one
     block's rows are held. The rows come in blocks of at most one slice of
@@ -215,7 +222,11 @@ def _read_csv(path, label_column=None, keep=None, block_width=None):
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            records = enumerate(csv.reader(fh), start=1)
+            reader = csv.reader(fh)
+            # line_num counts the lines read so far; zip reads it before it
+            # fetches each record, so one more is the record's first line.
+            starts = map(operator.attrgetter("line_num"), itertools.repeat(reader))
+            records = zip(map((1).__add__, starts), reader)
             first = next(((lineno, row) for lineno, row in records if row), None)
             if first is None:
                 raise DataError("empty dataset")
@@ -311,14 +322,45 @@ def _utf8(path, text: str) -> bytes:
         raise DataError(f"cannot write {path}: {bad!r} is not UTF-8 text ({exc.reason})") from None
 
 
-def _write_text(path, text: str, chunks=()) -> None:
-    """Write ``text`` as UTF-8, then the bytes ``chunks`` (each from _utf8),
-    to ``path``: the one writer of every output file. Everything is encoded
-    before the file is opened, so a refusal leaves the target as it was."""
+@contextlib.contextmanager
+def _spool(path):
+    """Hold bytes meant for ``path`` (each from _utf8) in an unnamed temporary
+    file until _write_text copies them in after its text; yields (write,
+    file). The file is made in the system temp dir (TMPDIR), with O_TMPFILE
+    on Linux, so it never has a name and nothing is left behind, a crash
+    included. A file that cannot be made (no usable temp dir) or written (a
+    full disk) is refused with a DataError that names ``path``, which is not
+    touched. Each write is flushed, so the file holds every byte written."""
+    def refused(exc):
+        return DataError(f"cannot write {path}: {exc}")
+
+    try:
+        spool = tempfile.TemporaryFile()
+    except OSError as exc:
+        raise refused(exc) from exc
+
+    def write(data: bytes) -> None:
+        try:
+            spool.write(data)
+            spool.flush()
+        except OSError as exc:
+            raise refused(exc) from exc
+
+    with spool:
+        yield write, spool
+
+
+def _write_text(path, text: str, spool=None) -> None:
+    """Write ``text`` as UTF-8, then the bytes held in ``spool`` (from
+    _spool), to ``path``: the one writer of every output file. The text is
+    encoded and the spool is written before the file is opened, so a
+    refusal leaves the target as it was."""
     data = _utf8(path, text)
     with open(path, "wb") as fh:
         fh.write(data)
-        fh.writelines(chunks)
+        if spool is not None:
+            spool.seek(0)
+            shutil.copyfileobj(spool, fh)
 
 
 def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Dataset:

@@ -491,11 +491,20 @@ class TestPredictStream:
         y = rng.uniform(0.0, 2.0, rows).tolist()
         return [f"{a!r},{b!r},{'abc'[i % 3]}".encode() for i, (a, b) in enumerate(zip(x, y))]
 
-    def predict(self, capsys, tmp_path, model, lines):
+    @staticmethod
+    def write_input(tmp_path, lines) -> pathlib.Path:
         data = tmp_path / "in.csv"
         data.write_bytes(b"\n".join(lines) + b"\n")
-        return run(capsys, "predict", "--model", str(model), "--in", str(data),
+        return data
+
+    @staticmethod
+    def run_predict(capsys, tmp_path, model):
+        return run(capsys, "predict", "--model", str(model), "--in", str(tmp_path / "in.csv"),
                    "--out", str(tmp_path / "pred.csv"))
+
+    def predict(self, capsys, tmp_path, model, lines):
+        self.write_input(tmp_path, lines)
+        return self.run_predict(capsys, tmp_path, model)
 
     def test_blocks_give_the_bytes_of_one_batch(self, tmp_path, capsys, model):
         code, out, err = self.predict(capsys, tmp_path, model, self.lines(self.ROWS))
@@ -548,22 +557,78 @@ class TestPredictStream:
         code, _, err = self.predict(capsys, tmp_path, model, lines)
         assert (code, err) == (2, "error: line 20: expected 3 fields, found 1\n")
 
-    def test_peak_grows_by_the_output_bytes_alone(self, tmp_path, capsys, model):
-        # Reading the whole file held every row's cells (about 0.6 kB a row
-        # here); the stream holds one block and the encoded output, so at
-        # ten times the rows only the output bytes add to the peak.
-        peaks, sizes = [], []
-        for rows in (self.ROWS // 3, 10 * self.ROWS // 3):
-            lines = self.lines(rows)
+    def test_line_numbers_count_quoted_line_breaks(self, tmp_path, capsys, model):
+        # A feature cell holding a line break at line 11 moves every later
+        # row down one physical line; counting records named line 5000.
+        lines = self.lines(self.ROWS)
+        lines[10] = b'"1e-11\n",1.0,a'
+        lines[4999] = b"1e-11,abc,a"
+        assert self.predict(capsys, tmp_path, model, lines) == (
+            2, "", "error: line 5001: non-numeric feature value 'abc'\n")
+
+    def test_peak_holds_one_block(self, tmp_path, capsys, model):
+        # The encoded output rows go to an unnamed temporary file, so at ten
+        # times the rows the peak stays that of one block. Held in memory,
+        # they grew it by the output's size (1.5 MB here). The first run
+        # warms one-time allocations and is not compared.
+        peaks = []
+        for rows in (self.ROWS // 3, self.ROWS // 3, 10 * self.ROWS // 3):
+            self.write_input(tmp_path, self.lines(rows))
             tracemalloc.start()
             try:
-                code, _, err = self.predict(capsys, tmp_path, model, lines)
+                code, _, err = self.run_predict(capsys, tmp_path, model)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert code == 0, err
-            sizes.append((tmp_path / "pred.csv").stat().st_size)
-        assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 64 * 1024, (peaks, sizes)
+        assert peaks[2] - peaks[1] <= 64 * 1024, peaks
+
+    @pytest.fixture()
+    def temp_dir(self, tmp_path, monkeypatch):
+        """An empty directory that TMPDIR names, for the spool."""
+        path = tmp_path / "tmp"
+        path.mkdir()
+        monkeypatch.setenv("TMPDIR", str(path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+        return path
+
+    def test_spool_leaves_no_file(self, tmp_path, capsys, model, temp_dir):
+        lines = self.lines(self.ROWS)
+        code, _, err = self.predict(capsys, tmp_path, model, lines)
+        assert code == 0, err
+        assert tempfile.gettempdir() == str(temp_dir)
+        assert list(temp_dir.iterdir()) == []
+        lines[4999] = b"1e-11,abc,a"
+        assert self.predict(capsys, tmp_path, model, lines) == (
+            2, "", "error: line 5000: non-numeric feature value 'abc'\n")
+        assert list(temp_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("fails", ["make", "write"])
+    def test_spool_failure_keeps_the_target(self, tmp_path, capsys, model, monkeypatch, fails):
+        # No usable temp dir, or a disk that fills in the third block: exit
+        # 2 naming the output, nothing printed, the target untouched.
+        class FullDisk(io.BytesIO):
+            blocks = 0
+
+            def write(self, data):
+                self.blocks += 1
+                if self.blocks == 3:
+                    raise OSError(28, "No space left on device")
+                return super().write(data)
+
+        def temporary_file():
+            if fails == "make":
+                raise FileNotFoundError(2, "No usable temporary directory found")
+            return FullDisk()
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        target = tmp_path / "pred.csv"
+        target.write_bytes(b"old bytes\n")
+        code, out, err = self.predict(capsys, tmp_path, model, self.lines(self.ROWS))
+        reason = {"make": "[Errno 2] No usable temporary directory found",
+                  "write": "[Errno 28] No space left on device"}[fails]
+        assert (code, out, err) == (2, "", f"error: cannot write {target}: {reason}\n")
+        assert target.read_bytes() == b"old bytes\n"
 
 
 def test_predict_missing_policy_on_wbcd(tmp_path, capsys, data_dir):

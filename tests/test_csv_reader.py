@@ -42,6 +42,14 @@ CASES = [
     # refused as non-numeric.
     ("byte-order-mark", "\ufeff1,2,1\n3,4,2\n", 2, 2),
     ("byte-order-mark-header", "\ufeffx,y,label\n1,2,1\n", 1, 1),
+    # A quoted cell may hold line breaks; a row is named by the physical
+    # line its record starts on. Records were counted: lines 3, 3 and 4.
+    ("line-break-in-header", '"x\n",y,label\r\n1,2,1\r\n3,abc,2\r\n',
+     "line 4: non-numeric feature value 'abc'", "line 4: non-numeric feature value 'abc'"),
+    ("line-break-in-feature", 'x,y,label\r\n"0.1\n\n",0.5,1\r\n1e3,abc,2\r\n',
+     "line 5: non-numeric feature value 'abc'", "line 5: non-numeric feature value 'abc'"),
+    ("line-break-in-label", 'x,y,label\r\n0.1,0.5,"1\n"\r\n\r\n3,4\r\n',
+     "line 5: expected 3 fields, found 2", "line 5: expected 3 fields, found 2"),
     # A Latin-1 'café' ended the CLI with exit 3 (UnicodeDecodeError).
     ("latin-1", b"x,y,label\n1,2,caf\xe9\n", "cannot read {path}: not UTF-8 text",
      "cannot read {path}: not UTF-8 text"),

@@ -168,14 +168,20 @@ class TestRefusalKeepsTheTarget:
         assert out.read_bytes() == b"old report\n"
 
 
+# The calls that make a temporary file, which the one writer's spool does.
+TEMPORARY_FILES = ("TemporaryFile", "NamedTemporaryFile", "SpooledTemporaryFile", "mkstemp")
+
+
 def test_one_writer():
     """No open() in a write mode (nor a Path.write_*) in the package but the
-    one in _write_text; a mode that is not a literal counts as a write."""
-    writes, writer = [], None
+    one in _write_text, and no temporary file but predict's spool, made in
+    _spool; both in dataset.py. A mode that is not a literal counts as a
+    write."""
+    writes, temporary, helpers = [], [], {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and node.name == "_write_text":
-                writer = (path.name, range(node.lineno, node.end_lineno + 1))
+            if isinstance(node, ast.FunctionDef) and node.name in ("_write_text", "_spool"):
+                helpers[node.name] = (path.name, range(node.lineno, node.end_lineno + 1))
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -186,5 +192,9 @@ def test_one_writer():
                     writes.append((path.name, node.lineno))
             elif name in ("write_text", "write_bytes"):
                 writes.append((path.name, node.lineno))
-    assert writer is not None
-    assert len(writes) == 1 and writes[0][0] == writer[0] and writes[0][1] in writer[1], writes
+            elif name in TEMPORARY_FILES:
+                temporary.append((path.name, node.lineno))
+    for calls, helper in ((writes, "_write_text"), (temporary, "_spool")):
+        module, lines = helpers[helper]
+        assert module == "dataset.py"
+        assert len(calls) == 1 and calls[0][0] == module and calls[0][1] in lines, (helper, calls)
