@@ -223,11 +223,10 @@ def _read_csv(path, label_column=None, keep=None, block_width=None):
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            # line_num counts the lines read so far; zip reads it before it
-            # fetches each record, so one more is the record's first line.
-            starts = map(operator.attrgetter("line_num"), itertools.repeat(reader))
-            records = zip(map((1).__add__, starts), reader)
-            first = next(((lineno, row) for lineno, row in records if row), None)
+            # line_num counts the lines read so far, and zip reads it before
+            # it fetches each record: one more is the record's first line.
+            records = zip(map(operator.attrgetter("line_num"), itertools.repeat(reader)), reader)
+            first = next(((before + 1, row) for before, row in records if row), None)
             if first is None:
                 raise DataError("empty dataset")
             width = len(first[1])
@@ -246,7 +245,7 @@ def _read_csv(path, label_column=None, keep=None, block_width=None):
                 read = list(itertools.islice(records, s.stop - s.start - len(block)))
                 if not read and not block:
                     break
-                block += [(lineno, row) for lineno, row in read if row]
+                block += [(before + 1, row) for before, row in read if row]
                 for lineno, row in block:
                     if len(row) != width:
                         raise DataError(f"line {lineno}: expected {width} fields, found {len(row)}")
