@@ -253,7 +253,8 @@ def _read_csv(path, label_column=None, keep=None, block_width=None):
                     block = [(lineno, row) for lineno, row in block if keep(lineno, row)]
                 if block:
                     empty = False
-                    yield (*_convert(block, label_idx), label_idx, [row for _, row in block])
+                    rows = [row for _, row in block]
+                    yield (*_convert(block, rows, label_idx), label_idx, rows)
                 block = []
             if empty:
                 raise DataError("empty dataset")
@@ -263,21 +264,22 @@ def _read_csv(path, label_column=None, keep=None, block_width=None):
         raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _convert(rows, label_idx):
+def _convert(block, rows, label_idx):
     """(features, stripped label cells or None) of a block's (lineno, cells)
-    rows of equal width; pops the label cell from each row."""
-    labels = None if label_idx is None else [row.pop(label_idx).strip() for _, row in rows]
-    shape = (len(rows), len(rows[0][1]))
-    cells = itertools.chain.from_iterable(row for _, row in rows)
+    rows of equal width, ``rows`` their cells; pops the label cell from each
+    row."""
+    labels = None if label_idx is None else [row.pop(label_idx).strip() for row in rows]
+    shape = (len(rows), len(rows[0]))
     try:
-        X = np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
+        X = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
+                        shape[0] * shape[1]).reshape(shape)
     except ValueError:
-        lineno, cell = next((n, c) for n, row in rows for c in row if not _is_number(c))
+        lineno, cell = next((n, c) for n, row in block for c in row if not _is_number(c))
         raise DataError(f"line {lineno}: non-numeric feature value {cell!r}") from None
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         # Refused here, before normalization turns inf into nan with a warning.
-        lineno = rows[int(np.argmin(finite))][0]
+        lineno = block[int(np.argmin(finite))][0]
         raise DataError(f"line {lineno}: non-finite value (nan or inf)")
     return X, labels
 
