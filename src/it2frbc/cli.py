@@ -6,18 +6,20 @@ the library field it sets, and check them all as one ExperimentConfig before
 any file is read; ``train`` is one protocol run (train_and_score, with its
 seed as the split seed) that also saves its model.
 
-Every output file is UTF-8, its text built and encoded before the file is
-opened (``predict`` encodes its rows block by block into an unnamed temporary
-file and opens the target after the last row), so a refusal leaves the target
-as it was. Standard output keeps Python's encoding, and a text it cannot
-encode is refused whole.
+Every output file is written by dataset._spool, the one writer: its text,
+encoded as UTF-8, goes to an unnamed temporary file in TMPDIR (``predict``'s
+block by block), and the target is opened only when the last text is in, so
+a refusal leaves the target as it was. Each command prints after its file is
+written, so a refusal prints nothing to standard output. Standard output
+keeps Python's encoding, and a text it cannot encode is refused whole.
 
 Exit codes: 0 success; 1 usage error, for a value given on the command line
 that its parameter's rule refuses (a non-finite number, a radius with no
 finite, positive alpha or beta, a negative seed); 2 data error, for a value
 read from a file (a CSV cell, or a model file that fails validation) or an
-output file that cannot be written, such as text that UTF-8 cannot encode
-(the message names its path), or text that standard output's encoding cannot
+output file that cannot be written (a target in a missing directory, no
+usable temp dir, text that UTF-8 cannot encode; the message names its
+path), or text that standard output's encoding cannot
 encode (the message names standard output and its encoding); 3 internal
 error.
 """
@@ -30,8 +32,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .dataset import (GENERATORS, NormalizationParams, SplitSpec, _csv_cell, _csv_text,
-                      _has_missing, _read_csv, _spool, _utf8, _write_text, load_features_csv,
+from .dataset import (GENERATORS, MISSING_POLICIES, NormalizationParams, SplitSpec, _csv_cell,
+                      _csv_text, _has_missing, _read_csv, _spool, _write_text, load_features_csv,
                       save_csv, split)
 from .errors import ConfigError, DataError
 from .evaluation import (ExperimentConfig, _config_block, accuracy, confusion_matrix,
@@ -92,7 +94,7 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     """train's and eval's flags; each default is that of the field it sets."""
     cfg = ExperimentConfig  # its class attributes are the field defaults
     p.add_argument("--label-col", type=int, default=cfg.label_column)
-    p.add_argument("--missing-policy", choices=("drop_row", "error"), default=cfg.missing_policy)
+    p.add_argument("--missing-policy", choices=MISSING_POLICIES, default=cfg.missing_policy)
     _add_subclust_flags(p, require_choice=True)
     p.add_argument("--m1", type=_finite_float, default=Fuzzifiers.m1, help="lower fuzzifier")
     p.add_argument("--m2", type=_finite_float, default=Fuzzifiers.m2, help="upper fuzzifier")
@@ -150,7 +152,7 @@ def build_parser() -> _Parser:
     pr.add_argument("--label-col", type=int, default=None,
                     help="label column to score against (default: auto-detect a "
                          "trailing label when the file has one extra column)")
-    pr.add_argument("--missing-policy", choices=("drop_row", "error"), default="error",
+    pr.add_argument("--missing-policy", choices=MISSING_POLICIES, default="error",
                     help="drop_row: skip a row with an empty or '?' cell, its label "
                          "included, and print how many; error (default): refuse such a "
                          "feature cell")
@@ -190,14 +192,14 @@ def cmd_cluster(args) -> int:
     points = load_features_csv(args.input)
     norm = NormalizationParams(points.min(axis=0), points.max(axis=0))
     centers = norm.invert(subtractive_cluster(norm.apply(points), params))
+    header = [f"f{i + 1}" for i in range(centers.shape[1])]
+    _write_text(args.out, _csv_text([header, *(list(map(repr, row)) for row in centers.tolist())]))
     print(_config_block({
         "in": args.input,
         "points": str(points.shape[0]),
         **describe_params(params),
         "out": args.out,
     }), end="")
-    header = [f"f{i + 1}" for i in range(centers.shape[1])]
-    _write_text(args.out, _csv_text(header, [list(map(repr, row)) for row in centers.tolist()]))
     print(f"found {centers.shape[0]} centers, wrote {args.out}")
     return 0
 
@@ -234,12 +236,11 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     """Classify the input one row block at a time (subclust._row_blocks at
-    classify_batch's width, so each block read is one kernel block). Each
-    block's output rows are rendered, encoded as UTF-8 and spooled to an
-    unnamed temporary file (dataset._spool); labelled rows are added into
-    confusion counts. Nothing is printed, and the target is not opened,
-    until the last row has been classified; then the header is written and
-    the spool copied in after it. So a refusal anywhere in the input prints
+    classify_batch's width, so each block read is one kernel block). The
+    header, then each block's output rows, go to the one writer
+    (dataset._spool); labelled rows are added into confusion counts. The
+    target is written, and then the configuration printed, only after the
+    last row has been classified. So a refusal anywhere in the input prints
     nothing and leaves the target as it was, and memory holds one block."""
     rb = load_rulebase(args.model)
     n, M = rb.num_features, rb.num_classes
@@ -266,28 +267,27 @@ def cmd_predict(args) -> int:
     name_to_idx = {name: i for i, name in enumerate(rb.class_names)}
     confusion = np.zeros((M, M), dtype=np.int64)
     rows = 0
-    with _spool(args.out) as (write, spool):
+    header = [f"f{i + 1}" for i in range(n)] + ["predicted"]
+    header += ["score_" + name for name in rb.class_names]
+    with _spool(args.out) as write:
+        write(_csv_text([header]))
         for X, labels, label_col, cells in blocks:
             predictions, scores = classify_batch(X, rb)
             predicted = map(names.__getitem__, predictions.tolist())
             score_cells = iter(map(repr, scores.ravel().tolist()))
-            write(_utf8(args.out, _csv_text(None, cells, predicted, *[score_cells] * M)))
+            write(_csv_text(cells, predicted, *[score_cells] * M))
             rows += len(X)
             if labels is not None:
                 truth = np.array([name_to_idx.get(name, -1) for name in labels], dtype=np.int64)
                 known = truth >= 0
                 confusion += confusion_matrix(truth[known], predictions[known], M)
-
-        print(_config_block({
-            "model": args.model,
-            "in": args.input,
-            "rows": str(rows),
-            "label_col": "none" if label_col is None else str(label_col),
-            "out": args.out,
-        }), end="")
-        header = [f"f{i + 1}" for i in range(n)] + ["predicted"]
-        header += ["score_" + name for name in rb.class_names]
-        _write_text(args.out, _csv_text(header, []), spool)
+    print(_config_block({
+        "model": args.model,
+        "in": args.input,
+        "rows": str(rows),
+        "label_col": "none" if label_col is None else str(label_col),
+        "out": args.out,
+    }), end="")
     print(f"wrote predictions for {rows} rows to {args.out}")
     if args.missing_policy == "drop_row":
         print(f"dropped {dropped} rows with a missing value")
@@ -331,12 +331,12 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2
-    except UnicodeEncodeError as exc:  # files are UTF-8 (_write_text); stdout is not
+    except UnicodeEncodeError as exc:  # files are UTF-8 (_spool); stdout is not
         bad = exc.object[exc.start:exc.end]
         print(f"error: cannot write standard output: {bad!r} is not {sys.stdout.encoding} text "
               f"({exc.reason})", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except Exception as exc:  # last-resort guard
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

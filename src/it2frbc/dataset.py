@@ -1,7 +1,7 @@
 """Dataset representation, the one CSV reader, the one UTF-8 writer of every
-output file (with the unnamed temporary file that holds predict's encoded
-rows until it writes them), normalization, splitting, and two synthetic
-benchmark generators.
+output file (_spool, which holds the bytes in an unnamed temporary file in
+TMPDIR until the target is written whole), normalization, splitting, and two
+synthetic benchmark generators.
 
 Feature matrices are float64 numpy arrays of shape ``(n, num_features)``.
 Labels are integer class indices ``0..num_classes-1``. NormalizationParams
@@ -24,6 +24,7 @@ from .errors import ConfigError, DataError
 from .subclust import _row_blocks
 
 MISSING_MARKS = ("", "?")
+MISSING_POLICIES = ("drop_row", "error")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -168,10 +169,14 @@ class SplitSpec:
 
 
 def _check_seed(seed: int) -> int:
-    """The seed rule, for splits and generators alike; returns ``seed``."""
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    return seed
+    """The seed rule, for splits and generators alike: an integer (numpy's
+    too, through operator.index) of at least 0; returns ``seed``."""
+    try:
+        if operator.index(seed) >= 0:
+            return seed
+    except TypeError:
+        pass
+    raise ConfigError("seed must be a non-negative integer")
 
 
 def _is_number(cell: str) -> bool:
@@ -296,21 +301,20 @@ def _csv_cell(cell: str) -> str:
     return cell
 
 
-def _csv_text(header, cells, *columns) -> str:
-    """``header`` (None for no header line), then each row of ``cells`` and
-    the next cell of each column, in csv.writer's excel dialect. A column is
-    any iterable, an iterator too, of cells that need no quoting (repr
-    floats, or _csv_cell's results). The cells of ``cells``, rows of equal
-    width, are quoted one by one only if a count over all rows finds a
-    special character."""
+def _csv_text(cells, *columns) -> str:
+    """Each row of ``cells`` and the next cell of each column, in
+    csv.writer's excel dialect; a header is the first row. A column is any
+    iterable, an iterator too, of cells that need no quoting (repr floats,
+    or _csv_cell's results). The cells of ``cells``, rows of equal width,
+    are quoted one by one only if a count over all rows finds a special
+    character."""
     rows = list(map(",".join, cells))
     joined = "".join(rows)
     commas = len(rows) * (len(cells[0]) - 1) if rows else 0
     if [joined.count(ch) for ch in _SPECIAL] != [commas, 0, 0, 0]:
         rows = [",".join(map(_csv_cell, row)) for row in cells]
-    head = [] if header is None else [",".join(map(_csv_cell, header))]
     # The last, empty line makes the join end the last row with a terminator too.
-    return "\r\n".join([*head, *map(",".join, zip(rows, *columns)), ""])
+    return "\r\n".join([*map(",".join, zip(rows, *columns)), ""])
 
 
 def _utf8(path, text: str) -> bytes:
@@ -325,43 +329,43 @@ def _utf8(path, text: str) -> bytes:
 
 @contextlib.contextmanager
 def _spool(path):
-    """Hold bytes meant for ``path`` (each from _utf8) in an unnamed temporary
-    file until _write_text copies them in after its text; yields (write,
-    file). The file is made in the system temp dir (TMPDIR), with O_TMPFILE
-    on Linux, so it never has a name and nothing is left behind, a crash
-    included. A file that cannot be made (no usable temp dir) or written (a
-    full disk) is refused with a DataError that names ``path``, which is not
-    touched. Each write is flushed, so the file holds every byte written."""
-    def refused(exc):
-        return DataError(f"cannot write {path}: {exc}")
-
+    """The one writer of every output file. Yields ``write(text)``, which
+    encodes ``text`` as UTF-8 (_utf8) and appends it, flushed, to an unnamed
+    temporary file; when the block exits without an exception, ``path`` is
+    opened and the bytes are copied in. So a refusal before then (text
+    that UTF-8 cannot encode, a bad input row, a full disk) leaves the
+    target as it was, and memory holds no more than one write's text. The
+    file is made in the system temp dir (TMPDIR), with O_TMPFILE on Linux,
+    so it never has a name and nothing is left behind, a crash included. A
+    file that cannot be made (no usable temp dir) or written, or a target
+    that cannot be opened or written, is refused with a DataError: cannot
+    write ``path``: the OSError."""
     try:
         spool = tempfile.TemporaryFile()
     except OSError as exc:
-        raise refused(exc) from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
-    def write(data: bytes) -> None:
+    def write(text: str) -> None:
         try:
-            spool.write(data)
+            spool.write(_utf8(path, text))
             spool.flush()
         except OSError as exc:
-            raise refused(exc) from exc
+            raise DataError(f"cannot write {path}: {exc}") from exc
 
     with spool:
-        yield write, spool
+        yield write
+        spool.seek(0)
+        try:
+            with open(path, "wb") as fh:
+                shutil.copyfileobj(spool, fh)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_text(path, text: str, spool=None) -> None:
-    """Write ``text`` as UTF-8, then the bytes held in ``spool`` (from
-    _spool), to ``path``: the one writer of every output file. The text is
-    encoded and the spool is written before the file is opened, so a
-    refusal leaves the target as it was."""
-    data = _utf8(path, text)
-    with open(path, "wb") as fh:
-        fh.write(data)
-        if spool is not None:
-            spool.seek(0)
-            shutil.copyfileobj(spool, fh)
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, through _spool."""
+    with _spool(path) as write:
+        write(text)
 
 
 def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Dataset:
@@ -372,7 +376,7 @@ def load_csv(path, label_column: int, missing_policy: str = "drop_row") -> Datas
     header. Missing values (empty field or "?") are handled per
     ``missing_policy``: "drop_row" removes the row, "error" raises.
     """
-    if missing_policy not in ("drop_row", "error"):
+    if missing_policy not in MISSING_POLICIES:
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
 
     def keep(lineno: int, cells: list[str]) -> bool:
@@ -406,7 +410,7 @@ def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the same CSV shape load_csv accepts (label last)."""
     rows = [[*map(repr, x), ds.class_names[y]]
             for x, y in zip(ds.features.tolist(), ds.labels.tolist())]
-    _write_text(path, _csv_text([f"f{i + 1}" for i in range(ds.num_features)] + ["label"], rows))
+    _write_text(path, _csv_text([[f"f{i + 1}" for i in range(ds.num_features)] + ["label"], *rows]))
 
 
 def fit_normalizer(ds: Dataset) -> NormalizationParams:

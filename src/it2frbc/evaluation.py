@@ -15,6 +15,7 @@ report render it.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from .dataset import (
     Dataset,
     GENERATORS,
+    MISSING_POLICIES,
     SplitSpec,
     fit_normalizer,
     load_csv,
@@ -55,6 +57,12 @@ class ExperimentConfig:
             raise ConfigError("exactly one of generator/data_path must be set")
         if self.generator is not None and self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r}")
+        if self.missing_policy not in MISSING_POLICIES:
+            raise ConfigError(f"unknown missing_policy {self.missing_policy!r}")
+        try:
+            operator.index(self.runs)
+        except TypeError:
+            raise ConfigError(f"runs must be an integer, got {self.runs!r}") from None
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         SplitSpec(self.train_fraction, self.master_seed, self.stratified)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import it2frbc
-from it2frbc import Dataset, classify_batch, load_csv, load_rulebase, save_csv, subclust
+from it2frbc import Dataset, classify_batch, cli, load_csv, load_rulebase, save_csv, subclust
 from it2frbc.cli import main
 from it2frbc.evaluation import accuracy, confusion_matrix
 from it2frbc.inference import _block_width
@@ -605,8 +605,9 @@ class TestPredictStream:
 
     @pytest.mark.parametrize("fails", ["make", "write"])
     def test_spool_failure_keeps_the_target(self, tmp_path, capsys, model, monkeypatch, fails):
-        # No usable temp dir, or a disk that fills in the third block: exit
-        # 2 naming the output, nothing printed, the target untouched.
+        # No usable temp dir, or a disk that fills on the third write (the
+        # header, then the first two blocks): exit 2 naming the output,
+        # nothing printed, the target untouched.
         class FullDisk(io.BytesIO):
             blocks = 0
 
@@ -860,7 +861,9 @@ def test_lone_surrogate_class_name_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["gen-data", "cluster", "train", "predict", "eval"])
 def test_unwritable_output_exits_2(tmp_path, capsys, circ_file, command):
-    # Each used to exit 3 with "internal error: FileNotFoundError".
+    # Each used to exit 3 with "internal error: FileNotFoundError"; then
+    # cluster and predict printed their configuration before Python's raw
+    # message. Every command prints after its file is written.
     model = tmp_path / "model.json"
     assert main(["train", "--in", str(circ_file), "--no-sc", "--model", str(model)]) == 0
     capsys.readouterr()
@@ -872,10 +875,19 @@ def test_unwritable_output_exits_2(tmp_path, capsys, circ_file, command):
         "predict": ["--model", str(model), "--in", str(circ_file), "--out", str(out)],
         "eval": ["--gen", "circular", "--no-sc", "--runs", "1", "--out", str(out)],
     }[command]
-    code, _, err = run(capsys, command, *argv)
-    assert code == 2
-    assert err.startswith("error: ") and str(out) in err
-    assert not out.parent.exists()
+    before = sorted(tmp_path.iterdir())
+    assert run(capsys, command, *argv) == (
+        2, "", f"error: cannot write {out}: [Errno 2] No such file or directory: {str(out)!r}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def fails(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_export_rules", fails)
+    assert run(capsys, "export-rules", "--model", "m.json") == (
+        3, "", "internal error: RuntimeError: boom\n")
 
 
 class TestUsage:

@@ -316,6 +316,23 @@ class TestSeedRule:
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             make(-1)
 
+    # A split seed of 1.5 used to pass, then raise numpy's TypeError in split.
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    @pytest.mark.parametrize("make", [
+        gen_circular,
+        gen_irregular,
+        lambda seed: SplitSpec(0.5, seed),
+    ], ids=["gen_circular", "gen_irregular", "SplitSpec"])
+    def test_non_integer_seed_refused(self, make, seed):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            make(seed)
+
+    def test_numpy_integer_seeds_pass(self):
+        assert np.array_equal(gen_circular(np.uint8(7)).features, gen_circular(7).features)
+        ds = gen_circular(1)
+        a, b = split(ds, SplitSpec(0.5, np.int64(3))), split(ds, SplitSpec(0.5, 3))
+        assert np.array_equal(a[0].features, b[0].features)
+
 
 class TestCsvRoundTrip:
     def test_generated_dataset(self, tmp_path):

@@ -72,6 +72,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="runs must be at least 1"):
             ExperimentConfig(generator="circular", runs=0)
 
+    @pytest.mark.parametrize("runs", [2.5, "2", None])
+    def test_runs_must_be_an_integer(self, runs):
+        # 2.5 used to pass, then raise TypeError in run_experiment.
+        with pytest.raises(ConfigError, match="runs must be an integer"):
+            ExperimentConfig(generator="circular", runs=runs)
+
+    @pytest.mark.parametrize("source", [{"generator": "circular"}, {"data_path": "x.csv"}],
+                             ids=["generator", "data_path"])
+    def test_unknown_missing_policy(self, source):
+        # Used to pass: a data_path config was refused only when load_csv
+        # ran, and a generator config never.
+        with pytest.raises(ConfigError, match="unknown missing_policy 'bogus'"):
+            ExperimentConfig(**source, missing_policy="bogus")
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_master_seed_must_be_an_integer(self, seed):
+        # 1.5 used to pass, then raise TypeError in run_experiment.
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            ExperimentConfig(generator="circular", master_seed=seed)
+
+    def test_numpy_integers_pass(self):
+        cfg = ExperimentConfig(generator="circular", runs=np.int64(2), master_seed=np.uint32(7))
+        want = ExperimentConfig(generator="circular", runs=2, master_seed=7)
+        assert (emit_report(run_experiment(cfg), "json")
+                == emit_report(run_experiment(want), "json"))
+
     def test_unknown_generator(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(generator="wavy")

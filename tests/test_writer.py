@@ -1,6 +1,8 @@
-"""Every output file goes through one writer, dataset._write_text: UTF-8
-whatever the locale, built whole before the file is opened, so a refusal
-leaves the target as it was. Its CSV rows are csv.writer's (excel dialect)."""
+"""Every output file goes through one writer, dataset._spool: UTF-8 whatever
+the locale, held in an unnamed temporary file in TMPDIR and copied to the
+target only when its text is complete, so a refusal leaves the target as it
+was. A command prints after its file is written. Its CSV rows are
+csv.writer's (excel dialect)."""
 import ast
 import csv
 import io
@@ -168,20 +170,19 @@ class TestRefusalKeepsTheTarget:
         assert out.read_bytes() == b"old report\n"
 
 
-# The calls that make a temporary file, which the one writer's spool does.
+# The calls that make a temporary file, which the one writer does.
 TEMPORARY_FILES = ("TemporaryFile", "NamedTemporaryFile", "SpooledTemporaryFile", "mkstemp")
 
 
 def test_one_writer():
-    """No open() in a write mode (nor a Path.write_*) in the package but the
-    one in _write_text, and no temporary file but predict's spool, made in
-    _spool; both in dataset.py. A mode that is not a literal counts as a
-    write."""
-    writes, temporary, helpers = [], [], {}
+    """No open() in a write mode (nor a Path.write_*) in the package and no
+    temporary file but the one of each in dataset._spool. A mode that is not
+    a literal counts as a write."""
+    writes, temporary, spool = [], [], None
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and node.name in ("_write_text", "_spool"):
-                helpers[node.name] = (path.name, range(node.lineno, node.end_lineno + 1))
+            if isinstance(node, ast.FunctionDef) and node.name == "_spool":
+                spool = (path.name, range(node.lineno, node.end_lineno + 1))
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -194,7 +195,7 @@ def test_one_writer():
                 writes.append((path.name, node.lineno))
             elif name in TEMPORARY_FILES:
                 temporary.append((path.name, node.lineno))
-    for calls, helper in ((writes, "_write_text"), (temporary, "_spool")):
-        module, lines = helpers[helper]
-        assert module == "dataset.py"
-        assert len(calls) == 1 and calls[0][0] == module and calls[0][1] in lines, (helper, calls)
+    module, lines = spool
+    assert module == "dataset.py"
+    for calls in (writes, temporary):
+        assert len(calls) == 1 and calls[0][0] == module and calls[0][1] in lines, calls
