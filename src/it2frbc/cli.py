@@ -267,10 +267,9 @@ def cmd_predict(args) -> int:
     name_to_idx = {name: i for i, name in enumerate(rb.class_names)}
     confusion = np.zeros((M, M), dtype=np.int64)
     rows = 0
-    header = [f"f{i + 1}" for i in range(n)] + ["predicted"]
-    header += ["score_" + name for name in rb.class_names]
     with _spool(args.out) as write:
-        write(_csv_text([header]))
+        write(_csv_text([[*(f"f{i + 1}" for i in range(n)), "predicted",
+                          *("score_" + name for name in rb.class_names)]]))
         for X, labels, label_col, cells in blocks:
             predictions, scores = classify_batch(X, rb)
             predicted = map(names.__getitem__, predictions.tolist())
