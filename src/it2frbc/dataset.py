@@ -163,9 +163,15 @@ class SplitSpec:
     stratified: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
+        try:
+            inside = 0.0 < self.train_fraction < 1.0
+        except TypeError:  # not a number
+            inside = False
+        if not inside:
             raise ConfigError("train_fraction must lie in the open interval (0,1)")
         _check_seed(self.seed)
+        if not isinstance(self.stratified, (bool, np.bool_)):
+            raise ConfigError(f"stratified must be True or False, got {self.stratified!r}")
 
 
 def _check_seed(seed: int) -> int:

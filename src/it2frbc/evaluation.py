@@ -59,10 +59,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if self.missing_policy not in MISSING_POLICIES:
             raise ConfigError(f"unknown missing_policy {self.missing_policy!r}")
-        try:
-            operator.index(self.runs)
-        except TypeError:
-            raise ConfigError(f"runs must be an integer, got {self.runs!r}") from None
+        for name in ("label_column", "runs"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         SplitSpec(self.train_fraction, self.master_seed, self.stratified)

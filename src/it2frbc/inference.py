@@ -139,10 +139,11 @@ def _soundness_bounds(
     # as floats, the dtype of the product.
     smallest = upper.min(initial=np.inf)
     if smallest > 0.0:
-        count = consts.fired
+        count, least, divisor = consts.fired, consts.fired_small, consts.fired_floor
     else:
         count = np.einsum("ik,kj->ij", np.greater(upper, 0.0, out=np.empty_like(upper)),
                           consts.firing)
+        least, divisor = count * _SMALL, np.maximum(count, 1.0)
     if consts.weights is not None:
         B = np.concatenate((lower, upper))
         s = B.max(axis=1, initial=_TINY, keepdims=True)
@@ -153,7 +154,7 @@ def _soundness_bounds(
         # Each term of a scaled sum that underflows is off by less than
         # _TINY, so a sum of count terms above count * _SMALL is exact to
         # rounding.
-        fine = (S > count * _SMALL) & (st >= _TINY)
+        fine = (S > least) & (st >= _TINY)
         # Firing is decided on upper * R: when a positive product of
         # positive factors can round to 0, those rows need the exact test.
         # upper * rmin is monotone in upper, so the smallest firing bound
@@ -166,7 +167,7 @@ def _soundness_bounds(
             fine &= ~(upper * consts.rmin == 0.0).any(axis=1, where=fires)[:, None]
         # Cells that are not fine hold S / count * s * t, which is 0 where
         # no rule fires and is recomputed everywhere else.
-        out = S / np.maximum(count, 1.0)
+        out = S / divisor
         np.power(out, 1.0 / p, out=out, where=fine)
         out *= st
         redo = None if fine.all() else (count > 0.0) & ~fine
@@ -201,9 +202,11 @@ def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_width(rb: RuleBase) -> int:
-    """The width c * max(N, 2M) at which classify_batch cuts its rows: a row
-    adds c * N differences, or up to 2M gathered rows of c values at the
-    exact cells, to the block's largest array."""
+    """The width c * max(N, 2M) at which classify_batch cuts its rows. A row
+    adds up to 2M gathered rows of c values at the exact cells; the N term
+    keeps each (rows, c) array at 1/N of the budget, and a block at hundreds
+    of rows over which its per-block costs are spread. The distances build
+    a block's differences in smaller chunks."""
     return rb.num_rules * max(rb.num_features, 2 * rb.num_classes)
 
 
@@ -214,9 +217,10 @@ def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     interval midpoints and predictions their row argmax (ties -> lowest
     class index). The rows are cut here, once, in the row blocks of
     subclust._row_blocks at _block_width(rb). The kernel takes each block
-    whole and writes its midpoints into the (n, M) scores, so memory stays
-    bounded whatever n is. A row's scores do not depend on the block it
-    falls in.
+    whole (its distances build the block's differences in chunks of an
+    eighth of the budget) and writes its midpoints into the (n, M) scores,
+    so memory stays bounded whatever n is. A row's scores do not depend on
+    the block it falls in.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, M = X.shape[0], rb.num_classes

@@ -15,13 +15,15 @@ The distance matrix (n, c) of a row block is computed once, and both
 fuzzifiers are applied to it. Rows are cut once, by certainty_degrees and
 inference.classify_batch, in the row blocks of subclust._row_blocks, so
 neither memory grows with the number of patterns; the kernels below take
-their block whole. A block's (rows, c, N) differences come from
-subclust._differences, the one implementation, shared with the potential
-field: repeated rows minus the prototypes in one contiguous pass, for the
-one row of a classify() call too. Squared distances past the float range,
-overflowing to inf or rounding into subnormals, are recomputed in their
-block from those differences, scaled per row, so scaling every feature by
-one factor leaves the memberships as they are.
+their block whole. A block's squared distances come from
+subclust._squared_distances, the chunk loop shared with the potential
+field: it builds the block's (rows, c, N) differences (subclust._differences,
+repeated rows minus the prototypes in one contiguous pass) in row chunks of
+at most an eighth of the budget, and the one row of a classify() call in
+one piece. Squared distances past the float range, overflowing to inf or
+rounding into subnormals, are recomputed in their block from the flagged
+rows' differences, built again and scaled per row, so scaling every
+feature by one factor leaves the memberships as they are.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval midpoints, the means of the two partitions.
@@ -42,7 +44,13 @@ import numpy as np
 
 from .dataset import Dataset, NormalizationParams, _freeze, _write_text
 from .errors import ConfigError, DataError
-from .subclust import SubclustParams, _differences, _row_blocks, subtractive_cluster
+from .subclust import (
+    SubclustParams,
+    _differences,
+    _row_blocks,
+    _squared_distances,
+    subtractive_cluster,
+)
 
 FORMAT_VERSION = 1
 
@@ -61,6 +69,8 @@ class _SoundnessConstants(NamedTuple):
     p: float
     firing: np.ndarray  # float (R+ > 0) (c, M), F-ordered
     fired: np.ndarray  # column sums of firing (M,): the count when every upper bound is > 0
+    fired_small: np.ndarray  # fired * _SMALL (M,)
+    fired_floor: np.ndarray  # max(fired, 1) (M,)
     t: np.ndarray  # column maxima of R+ (M,), at least _TINY
     weights: np.ndarray | None  # (R+ / t)**p (c, M), a transposed view; None: exact path only
     rmin: float  # smallest positive entry of R+ (1 if none)
@@ -80,15 +90,21 @@ def _soundness_constants(certainty: np.ndarray, p: float) -> _SoundnessConstants
     product = p * 1e-12 >= RT.shape[1] * np.finfo(float).eps
     weights = ((RT / t[:, None]) ** p).T if product else None
     fired = firing.sum(axis=0)  # sums of 0s and 1s: exact
-    for a in (firing, fired, t, weights):
+    fired_small, fired_floor = fired * _SMALL, np.maximum(fired, 1.0)
+    for a in (firing, fired, fired_small, fired_floor, t, weights):
         if a is not None:
             a.flags.writeable = False
-    return _SoundnessConstants(certainty, p, firing, fired, t, weights, RT[pos].min(initial=1.0))
+    return _SoundnessConstants(certainty, p, firing, fired, fired_small, fired_floor, t, weights,
+                               RT[pos].min(initial=1.0))
 
 
 def _check_aggregation_p(p: float) -> None:
-    """The aggregation exponent's rule: finite and non-zero."""
-    if not np.isfinite(p):
+    """The aggregation exponent's rule: a finite, non-zero number."""
+    try:
+        finite = np.isfinite(p)
+    except TypeError:
+        raise ConfigError(f"aggregation_p must be a number, got {p!r}") from None
+    if not finite:
         raise ConfigError(f"aggregation_p must be finite, got {p!r}")
     if p == 0.0:
         raise ConfigError("aggregation exponent p=0 is not supported")
@@ -184,17 +200,18 @@ class RuleBase:
 def _distances(X, prototypes) -> np.ndarray:
     """Euclidean distances of each row of X to each prototype, (n, c).
 
-    Takes X whole: its caller hands it one row block of subclust._row_blocks,
-    whose (rows, c, N) differences are the block's largest array. A row past
-    the float range comes back divided by a per-row scale (below).
+    Takes X whole: its caller hands it one row block of subclust._row_blocks.
+    The block's (rows, c, N) differences are built in row chunks of at most
+    an eighth of the budget, so the (rows, c) distances are its largest
+    array. A row past the float range comes back divided by a per-row scale
+    (below); only such rows have their differences built again.
     """
     X, P = np.asarray(X, dtype=float), np.asarray(prototypes, dtype=float)
     if X.shape[1] != P.shape[1]:
         raise DataError(f"input has {X.shape[1]} features but prototypes have {P.shape[1]}")
     if P.shape[0] == 0:
         raise DataError("need at least one prototype")
-    diff = _differences(X, P)
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    sq = _squared_distances(X, P, 8)
     # A huge finite pattern overflows its squared distances to inf; tiny
     # differences underflow them, so a pattern near several prototypes
     # counts as sitting on them. Such rows are recomputed from differences
@@ -208,7 +225,7 @@ def _distances(X, prototypes) -> np.ndarray:
         top = sq.max(axis=1)  # inf where any entry is
         flagged = (top == np.inf) | (sq.min(axis=1) < _SMALL) & (top < _SMALL**0.5)
         if flagged.any():
-            diff = diff[flagged]
+            diff = _differences(X[flagged], P)
             scale = np.abs(diff).max(axis=(1, 2), initial=0.0)
             scale[scale == 0.0] = 1.0  # a row on every prototype keeps its zeros
             diff /= scale[:, None, None]
@@ -226,9 +243,10 @@ def _partitions(d: np.ndarray, m1: float, m2: float) -> tuple[np.ndarray, np.nda
     dmin = d.min(axis=1, keepdims=True)
     # Scale by the row minimum so powers stay <= 1 (no overflow for
     # sharp fuzzifiers / tiny distances). Rows on a prototype take their
-    # shares instead, so their ratio is only a placeholder 1.
-    on = (dmin == 0.0).nonzero()[0]
-    if len(on):
+    # shares instead, so their ratio is only a placeholder 1. A block
+    # without such rows (count_nonzero is the cheapest test) builds no index.
+    on = None if np.count_nonzero(dmin) == len(dmin) else (dmin == 0.0).nonzero()[0]
+    if on is not None:
         hits = d[on] == 0.0
         shares = hits / hits.sum(axis=1, keepdims=True)
         d[on] = dmin[on] = 1.0
@@ -238,7 +256,7 @@ def _partitions(d: np.ndarray, m1: float, m2: float) -> tuple[np.ndarray, np.nda
     d **= -(2.0 / (m2 - 1.0))
     for mu in (mu1, d):
         mu /= mu.sum(axis=1, keepdims=True)
-        if len(on):
+        if on is not None:
             mu[on] = shares
     return mu1, d
 
@@ -250,11 +268,12 @@ def membership_bounds(
     both applied to one distance matrix.
 
     Inference is its only caller and hands it one row block of
-    inference.classify_batch. It does not split n itself: its memory is one
-    (n, c, N) difference block while the distances are built, then at most
-    three (n, c) arrays (the distances, which _partitions turns into the
-    second partition and then the upper bound; the first partition; the
-    lower bound) and the shares of rows on a prototype.
+    inference.classify_batch. It does not split n itself: its memory is the
+    (n, c) distances and one chunk of their differences, at most an eighth
+    of the budget, while the distances are built, then at most three (n, c)
+    arrays (the distances, which _partitions turns into the second
+    partition and then the upper bound; the first partition; the lower
+    bound) and the shares of rows on a prototype.
     """
     mu1, mu2 = _partitions(_distances(X, prototypes), fz.m1, fz.m2)
     return np.minimum(mu1, mu2), np.maximum(mu1, mu2, out=mu2)
@@ -266,9 +285,12 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
 
     min(a, b) + max(a, b) is a + b bit for bit, so the interval's midpoints
     are the means (mu1 + mu2) / 2 of the two partitions, taken in the row
-    blocks of subclust._row_blocks at width c * N, the block's difference
-    array: whatever n is, one block's differences are alive, and after them
-    at most three (rows, c) arrays, its partitions and the buffer below.
+    blocks of subclust._row_blocks at width c * N. That width keeps each
+    (rows, c) array at 1/N of the budget and a block at hundreds of rows,
+    over which its per-block costs are spread; the distances build the
+    block's differences in smaller chunks. Whatever n is, the distances and
+    one chunk of differences are alive, and after them at most three
+    (rows, c) arrays, its partitions and the buffer below.
     The midpoints are written into it under a leading row holding the
     running sum. A class's sum reduces it along axis 0 where the running
     sum and the class's rows are, the totals all of it; numpy adds row by

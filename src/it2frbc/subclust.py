@@ -25,23 +25,31 @@ same exp, byte for byte. The rows and the columns are cut into tiles at the
 leaves of the pairwise tree by which numpy sums a row of n values
 (``_leaves``: runs of at most 128 values; a longer run splits at half its
 length rounded down to a multiple of 8). No two neighbouring leaves fit in
-128 values, so a tile is one leaf. For each tile pair (a, b >= a) the
-kernel fills the tile's squared distances in row chunks of ``_row_blocks``,
-so no difference block outgrows the budget at any number of features, and
-takes exp in place. The tile's row sums are leaf sums of the rows of a;
-when b > a, the row sums of its C-ordered transpose are leaf sums of the
-rows of b. ``_tree_sum`` adds the (leaves, n) leaf sums up numpy's tree.
+128 values, so a tile is one leaf. For each tile pair (a, b >= a)
+``_squared_distances`` fills the tile's squared distances from differences
+built in row chunks of up to the budget, so none outgrows it at any number
+of features, and the kernel takes exp in place. The tile's row sums are
+leaf sums of the rows of a; when b > a, the row sums of its C-ordered
+transpose are leaf sums of the rows of b. ``_tree_sum`` adds the
+(leaves, n) leaf sums up numpy's tree.
 So every potential keeps the bytes of one sum over its whole row, and with
 them every center, certainty degree and report. A set of at most 128
 points is one tile, whose rows are summed whole. One chunk's differences,
 one tile and the leaf sums are alive at a time.
 
-``_row_blocks`` is the one rule for row blocks, at one level: besides the
-tile chunks here, only certainty_degrees and classify_batch cut rows with
-it, and the kernels they call take each block whole. ``_differences`` is
-the one implementation of a block's pairwise differences, here and in the
-rule base's distances: the rows repeated, minus the other operand in one
-contiguous pass, C-ordered whatever the input's layout, one row included.
+``_row_blocks`` is the one rule for row blocks. certainty_degrees and
+classify_batch walk their rows with it, and the kernels they call take each
+block whole; inside them, only ``_squared_distances`` cuts rows again, into
+the chunks whose differences it builds. It is the one chunk loop, here and
+in the rule base's distances: a chunk of a (rows, m) block holds at most
+1/share of the budget in differences, share 1 for the potential field's
+tiles and 8 for the distances (256 KB, which a core's L2 cache holds).
+einsum sums each cell over its own N values, so the chunks give the bytes
+of one einsum over the block. A one-row block is one chunk at any width
+and takes no loop, as every classify() call does. ``_differences`` is the
+one implementation of a chunk's pairwise differences: the rows repeated,
+minus the other operand in one contiguous pass, C-ordered whatever the
+input's layout, one row included.
 
 Termination: every candidate, accepted or discarded, leaves the search at
 potential -inf. Once all n points have left, the maximum is -inf, which lies
@@ -56,15 +64,15 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# Target size, in float64 values, of a block's largest array (2 MB).
+# Target size, in float64 values, of a row block's arrays (2 MB).
 BLOCK_ELEMENTS = 1 << 18
 
 
 def _row_blocks(n: int, width: int):
     """Yield slices covering range(n) in order, each of
     max(1, BLOCK_ELEMENTS // width) rows (the last may be shorter), where
-    width is the number of values one row adds to the block's largest
-    array. The only reader of BLOCK_ELEMENTS."""
+    width is the number of values one row counts against the budget. The
+    only reader of BLOCK_ELEMENTS."""
     step = max(1, BLOCK_ELEMENTS // max(1, width))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
@@ -75,6 +83,22 @@ def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     diff = np.repeat(A, len(B), axis=0).reshape(len(A), len(B), A.shape[1])
     diff -= B
     return diff
+
+
+def _squared_distances(A: np.ndarray, B: np.ndarray, share: int) -> np.ndarray:
+    """The (len(A), len(B)) squared distances ||A[i] - B[j]||^2. Their
+    differences are built in the row chunks of _row_blocks at width
+    share * B.size, so one chunk's differences hold at most 1/share of the
+    budget (or one row); see the module docstring."""
+    if len(A) == 1:  # one chunk at any width: classify()'s row takes no loop
+        diff = _differences(A, B)
+        return np.einsum("ijk,ijk->ij", diff, diff)
+    sq = np.empty((len(A), len(B)))
+    for s in _row_blocks(len(A), share * B.size):
+        diff = _differences(A[s], B)
+        np.einsum("ijk,ijk->ij", diff, diff, out=sq[s])
+        del diff  # before the next chunk's differences are built
+    return sq
 
 
 @dataclass(frozen=True)
@@ -168,21 +192,18 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
         raise DataError("need at least one point")
     if not np.isfinite(X).all():
         raise DataError("points must be finite (no nan or inf)")
-    n, N = X.shape
+    n = len(X)
     leaves = _leaves(n)
     parts = np.empty((len(leaves), n))  # parts[k, i]: row i's sum over leaf k
     for a, rows in enumerate(leaves):
         for b, cols in enumerate(leaves[a:], a):
-            sq = np.empty((rows.stop - rows.start, cols.stop - cols.start))
-            for s in _row_blocks(len(sq), sq.shape[1] * N):
-                diff = _differences(X[rows][s], X[cols])
-                np.einsum("ijk,ijk->ij", diff, diff, out=sq[s])
-                del diff  # before the next chunk's differences are built
+            sq = _squared_distances(X[rows], X[cols], 1)
             sq *= -params.alpha
             np.exp(sq, out=sq)
             parts[b, rows] = sq.sum(axis=1)
             if b > a:
                 parts[a, cols] = np.ascontiguousarray(sq.T).sum(axis=1)
+            del sq  # before the next tile's differences are built
     return _tree_sum(parts, n)
 
 

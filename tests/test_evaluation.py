@@ -78,6 +78,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="runs must be an integer"):
             ExperimentConfig(generator="circular", runs=runs)
 
+    @pytest.mark.parametrize("column", [1.5, "1", None])
+    def test_label_column_must_be_an_integer(self, column):
+        # 1.5 used to pass, then raise TypeError when the CSV was read.
+        with pytest.raises(ConfigError, match="label_column must be an integer"):
+            ExperimentConfig(data_path="x.csv", label_column=column)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_stratified_must_be_true_or_false(self, value):
+        # "no" used to run stratified splits and report "stratified": "no".
+        with pytest.raises(ConfigError, match="stratified must be True or False"):
+            ExperimentConfig(generator="circular", runs=2, stratified=value)
+
+    def test_numpy_bool_stratified_passes(self):
+        cfg = ExperimentConfig(generator="circular", runs=2, stratified=np.True_)
+        want = ExperimentConfig(generator="circular", runs=2, stratified=True)
+        assert (emit_report(run_experiment(cfg), "json")
+                == emit_report(run_experiment(want), "json"))
+
+    @pytest.mark.parametrize("p", ["2", None])
+    def test_aggregation_p_must_be_a_number(self, p):
+        # "2" used to raise TypeError from np.isfinite.
+        with pytest.raises(ConfigError, match="aggregation_p must be a number"):
+            ExperimentConfig(generator="circular", aggregation_p=p)
+
     @pytest.mark.parametrize("source", [{"generator": "circular"}, {"data_path": "x.csv"}],
                              ids=["generator", "data_path"])
     def test_unknown_missing_policy(self, source):
@@ -114,7 +138,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             ExperimentConfig(data_path="x.csv", master_seed=-1)
 
-    @pytest.mark.parametrize("frac", [0.0, 1.0, float("nan")])
+    # "0.5" and None used to raise TypeError (exit 3 from the CLI's guard).
+    @pytest.mark.parametrize("frac", [0.0, 1.0, float("nan"), "0.5", None])
     def test_train_fraction_rule_is_the_split_rule(self, frac):
         with pytest.raises(ConfigError, match="train_fraction must lie in the open interval"):
             ExperimentConfig(generator="circular", train_fraction=frac)

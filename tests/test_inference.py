@@ -757,7 +757,8 @@ class TestRowBlocks:
     def test_peak_memory_is_bounded(self):
         # Unblocked, the (n, c) arrays of 10k rows x 128 rules peak at 43.7 MB.
         # Cut at width c and again at c * N inside, 8.5 MiB; cut once at
-        # c * max(N, 2M), 2.4 MiB (numpy 2.4.6).
+        # c * max(N, 2M), 2.4 MiB; with each block's differences built in
+        # chunks of an eighth of the budget, 1.1 MiB (numpy 2.4.6).
         rng = np.random.default_rng(22)
         rb = make_rulebase(rng.random((128, 9)), rng.random((128, 2)))
         X = rng.random((10_000, 9))
@@ -767,17 +768,19 @@ class TestRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * subclust.BLOCK_ELEMENTS * 8
+        assert peak < 1.25 * 2**20
 
-    # N = 30: a block's largest array is its (rows, c, N) differences.
+    # N = 30: a block's differences are built in chunks of at most an
+    # eighth of the budget, so its largest arrays are (rows, c).
     # M = 10, p < 0: it is the exact path's (2M rows, c) gathered values:
     # the gathered certainty and bounds, then the one array in which
-    # _power_mean_rows takes its terms. tracemalloc read 2.1 and 1.9 MiB
-    # (N = 30) and 5.6 and 5.4 MiB (M = 10) at 1x and 10x the rows; 14.7
-    # and 14.5 MiB when the exact path kept about seven (cells, c) arrays
-    # alive, and 17.5 and 23.4 MiB when the kernel also cut the rows again
-    # inside blocks of width c (numpy 2.4.6).
-    @pytest.mark.parametrize("N, M, p, n, budgets", [(30, 2, 2.0, 3000, 1.25),
+    # _power_mean_rows takes its terms. tracemalloc read 0.39 and 0.18 MiB
+    # (N = 30) and 5.6 and 5.4 MiB (M = 10) at 1x and 10x the rows; 2.1 and
+    # 1.9 MiB (N = 30) when each block's differences were built whole, 14.7
+    # and 14.5 MiB (M = 10) when the exact path kept about seven (cells, c)
+    # arrays alive, and 17.5 and 23.4 MiB when the kernel also cut the rows
+    # again inside blocks of width c (numpy 2.4.6).
+    @pytest.mark.parametrize("N, M, p, n, budgets", [(30, 2, 2.0, 3000, 0.25),
                                                      (3, 10, -1.5, 2000, 4)])
     def test_peak_is_one_block_at_any_width(self, N, M, p, n, budgets):
         rng = np.random.default_rng(24)

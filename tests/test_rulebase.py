@@ -299,7 +299,12 @@ class TestBlockedMemberships:
         # ratios and then a partition in place, and the shares cover those
         # two rows only. With a new array for each and full-size shares there
         # were five (rows, c) arrays; with the rows cut again inside blocks
-        # of width c, three of 1000 rows.
+        # of width c, three of 1000 rows. The distances are built in chunks
+        # of at most BLOCK_ELEMENTS bytes of differences (20 rows, 1.1
+        # arrays here), so the soundness kernel's bounds and their stacked
+        # copy, four arrays, now set the peak. tracemalloc read 0.96 MiB
+        # (4.3 arrays), and 2.23 MiB when each block's differences were
+        # built whole (numpy 2.4.6).
         rng = np.random.default_rng(35)
         c, N = 178, 9
         rows = block_rows(c, N)
@@ -309,7 +314,67 @@ class TestBlockedMemberships:
         rb = batch_model(protos, Fuzzifiers(1.5, 2.5))
         assert 1000 > 6 * rows
         peak = working_peak(lambda: classify_batch(X, rb))
-        assert peak <= 3.5 * rows * c * 8 + rows * c * N * 8
+        assert peak <= 5 * rows * c * 8
+
+
+def whole_block_distances(X, protos):
+    """rulebase._distances with the block's differences built whole: one
+    einsum over the (n, c, N) block, and the flagged rows rescaled from it."""
+    diff = subclust._differences(X, protos)
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    top = sq.max(axis=1)
+    flagged = (top == np.inf) | (sq.min(axis=1) < rulebase._SMALL) & (top < rulebase._SMALL**0.5)
+    diff = diff[flagged]
+    scale = np.abs(diff).max(axis=(1, 2), initial=0.0)
+    scale[scale == 0.0] = 1.0
+    diff /= scale[:, None, None]
+    sq[flagged] = np.einsum("ijk,ijk->ij", diff, diff)
+    return np.sqrt(sq), flagged
+
+
+class TestDistanceChunks:
+    """_distances builds a block's differences in row chunks of
+    _row_blocks at width 8 * c * N, an eighth of the budget, and gives the
+    bytes of the whole block's einsum, rescaled rows included."""
+
+    def chunked(self, monkeypatch, X, protos):
+        seen, run = [], subclust._differences
+
+        def recorded(A, B):
+            seen.append(len(A))
+            return run(A, B)
+        monkeypatch.setattr(subclust, "_differences", recorded)
+        return rulebase._distances(X, protos), seen
+
+    def test_several_chunks_equal_the_whole_block(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        X, protos = rng.uniform(size=(100, 9)), rng.uniform(size=(128, 9))
+        protos[7] = X[63]  # an exact zero in the third chunk
+        step = subclust.BLOCK_ELEMENTS // (8 * 128 * 9)
+        got, seen = self.chunked(monkeypatch, X, protos)
+        assert seen == [step, step, step, 100 - 3 * step]
+        want, flagged = whole_block_distances(X, protos)
+        assert not flagged.any()
+        assert got.tobytes() == want.tobytes()
+        assert got[63, 7] == 0.0
+
+    def test_flagged_rows_in_different_chunks_keep_their_bytes(self, monkeypatch):
+        # Prototypes near 0 at scale 1e-150: rows at that scale underflow
+        # every squared distance below _SMALL, rows of 1e200 overflow them
+        # to inf, and the ordinary rows in between take neither path.
+        rng = np.random.default_rng(37)
+        protos = rng.uniform(size=(128, 9)) * 1e-150
+        X = rng.uniform(size=(100, 9))
+        X[[5, 60]] = rng.uniform(size=(2, 9)) * 1e-150
+        X[[30, 99]] = 1e200
+        X[99, 4] = -1e200
+        got, seen = self.chunked(monkeypatch, X, protos)
+        step = seen[0]
+        assert len({i // step for i in (5, 30, 60, 99)}) == 4
+        want, flagged = whole_block_distances(X, protos)
+        assert np.flatnonzero(flagged).tolist() == [5, 30, 60, 99]
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[[5, 60]] > 0.0) and np.isfinite(got).all()
 
 
 class TestCertaintyDegrees:
@@ -487,10 +552,12 @@ class TestBlockedCertainty:
 
     def test_one_block_of_bounds_alive_at_a_time(self):
         # fit_large's certainty at r_a 0.4: 4000 rows x 178 rules x 9
-        # features, 163 rows a block, some rows on a prototype. A block's
-        # differences are alive while its distances are built; after them,
-        # the running-sum buffer and its two partitions make three
-        # (rows, c) arrays, the midpoints written into the buffer. Cut at
+        # features, 163 rows a block, some rows on a prototype. One chunk
+        # of a block's differences (at most BLOCK_ELEMENTS bytes) is alive
+        # while its distances are built; after them, the running-sum buffer
+        # and its two partitions make three (rows, c) arrays, the midpoints
+        # written into the buffer. tracemalloc read 0.76 MiB; 2.45 MiB when
+        # each block's differences were built whole (numpy 2.4.6). Cut at
         # width c, with the distances cut again inside, three arrays of
         # 1472 rows peaked at 6.4 MiB; with the interval's lower bound as a
         # fourth array at 8.4, and at about 12.9 before that.
@@ -506,7 +573,7 @@ class TestBlockedCertainty:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= rows * 178 * 9 * 8 + 3.5 * rows * 178 * 8
+        assert peak <= subclust.BLOCK_ELEMENTS + 3.5 * rows * 178 * 8
 
 
 class TestScaledMemberships:

@@ -186,6 +186,7 @@ class TestSharedDifferences:
         if case in ("huge", "tiny"):  # the rows take the rescale path
             sq = squared_norms(broadcast_differences(A, B))
             assert sq.max() == np.inf or sq.min() < rulebase._SMALL
+        monkeypatch.setattr(subclust, "_differences", broadcast_differences)
         monkeypatch.setattr(rulebase, "_differences", broadcast_differences)
         assert got.tobytes() == rulebase._distances(A, B).tobytes()
 
