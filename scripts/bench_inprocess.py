@@ -16,9 +16,14 @@ it measures:
   resampled from the held-out rows;
 - batch_n30_ms: the same over 10k random rows of a 178-rule, 30-feature
   model.
+On 10k x 9 uniform points (seed 0, r_a 0.4), a size no workload runs, it
+measures the potential field:
+- potentials_peak_bytes: the tracemalloc peak of one initial_potentials()
+  call;
+- potentials_ms: the best of three initial_potentials() calls.
 The record gains an "in_process" entry with every run's figures and, per
 figure, each side's median and quartiles and the pairs the change won
-(lower is better for all four).
+(lower is better for all six).
 """
 from __future__ import annotations
 
@@ -33,7 +38,8 @@ import tracemalloc
 
 from bench_pairs import quartiles
 
-FIGURES = ("classify_peak_bytes", "classify_us", "batch_n9_ms", "batch_n30_ms")
+FIGURES = ("classify_peak_bytes", "classify_us", "batch_n9_ms", "batch_n30_ms",
+           "potentials_peak_bytes", "potentials_ms")
 
 
 def measure() -> dict:
@@ -70,18 +76,28 @@ def measure() -> dict:
     wide = rulebase.RuleBase(rng.random((178, 30)), np.zeros(178, dtype=int), rng.random((178, 2)),
                              rulebase.Fuzzifiers(), identity, ("a", "b"))
 
-    def best_ms(X, model):
+    def best_ms(run, repeats):
         runs = []
-        for _ in range(5):
+        for _ in range(repeats):
             start = time.perf_counter()
-            inference.classify_batch(X, model)
+            run()
             runs.append(time.perf_counter() - start)
         return 1e3 * min(runs)
 
+    batch_n9 = held[rng.integers(0, len(held), 10_000)]
+    batch_n30 = rng.random((10_000, 30))
+    points = np.random.default_rng(0).uniform(size=(10_000, 9))
+    params = subclust.SubclustParams(0.4)
+    tracemalloc.start()
+    subclust.initial_potentials(points, params)
+    potentials_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {"rules": rb.num_rules, "held_out_rows": len(held), "classify_peak_bytes": peak,
             "classify_us": 1e6 * float(np.median(times)),
-            "batch_n9_ms": best_ms(held[rng.integers(0, len(held), 10_000)], rb),
-            "batch_n30_ms": best_ms(rng.random((10_000, 30)), wide)}
+            "batch_n9_ms": best_ms(lambda: inference.classify_batch(batch_n9, rb), 5),
+            "batch_n30_ms": best_ms(lambda: inference.classify_batch(batch_n30, wide), 5),
+            "potentials_peak_bytes": potentials_peak,
+            "potentials_ms": best_ms(lambda: subclust.initial_potentials(points, params), 3)}
 
 
 def run_child(checkout: pathlib.Path) -> dict:

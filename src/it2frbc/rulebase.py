@@ -22,8 +22,9 @@ repeated rows minus the prototypes in one contiguous pass) in row chunks of
 at most an eighth of the budget, and the one row of a classify() call in
 one piece. Squared distances past the float range, overflowing to inf or
 rounding into subnormals, are recomputed in their block from the flagged
-rows' differences, built again and scaled per row, so scaling every
-feature by one factor leaves the memberships as they are.
+rows' differences, built again in the same chunks and scaled per row, so
+scaling every feature by one factor leaves the memberships as they are,
+and a block of such rows takes no more memory than an ordinary one.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval midpoints, the means of the two partitions.
@@ -46,7 +47,6 @@ from .dataset import Dataset, NormalizationParams, _freeze, _write_text
 from .errors import ConfigError, DataError
 from .subclust import (
     SubclustParams,
-    _differences,
     _row_blocks,
     _squared_distances,
     subtractive_cluster,
@@ -204,7 +204,8 @@ def _distances(X, prototypes) -> np.ndarray:
     The block's (rows, c, N) differences are built in row chunks of at most
     an eighth of the budget, so the (rows, c) distances are its largest
     array. A row past the float range comes back divided by a per-row scale
-    (below); only such rows have their differences built again.
+    (below); only such rows have their differences built again, in chunks
+    of the same size.
     """
     X, P = np.asarray(X, dtype=float), np.asarray(prototypes, dtype=float)
     if X.shape[1] != P.shape[1]:
@@ -225,11 +226,7 @@ def _distances(X, prototypes) -> np.ndarray:
         top = sq.max(axis=1)  # inf where any entry is
         flagged = (top == np.inf) | (sq.min(axis=1) < _SMALL) & (top < _SMALL**0.5)
         if flagged.any():
-            diff = _differences(X[flagged], P)
-            scale = np.abs(diff).max(axis=(1, 2), initial=0.0)
-            scale[scale == 0.0] = 1.0  # a row on every prototype keeps its zeros
-            diff /= scale[:, None, None]
-            sq[flagged] = np.einsum("ijk,ijk->ij", diff, diff)
+            sq[flagged] = _squared_distances(X[flagged], P, 8, scaled=True)
     return np.sqrt(sq, out=sq)
 
 

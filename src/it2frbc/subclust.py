@@ -30,12 +30,19 @@ length rounded down to a multiple of 8). No two neighbouring leaves fit in
 built in row chunks of up to the budget, so none outgrows it at any number
 of features, and the kernel takes exp in place. The tile's row sums are
 leaf sums of the rows of a; when b > a, the row sums of its C-ordered
-transpose are leaf sums of the rows of b. ``_tree_sum`` adds the
-(leaves, n) leaf sums up numpy's tree.
-So every potential keeps the bytes of one sum over its whole row, and with
-them every center, certainty degree and report. A set of at most 128
-points is one tile, whose rows are summed whole. One chunk's differences,
-one tile and the leaf sums are alive at a time.
+transpose are leaf sums of the rows of b. ``_fold`` adds the leaf sums up
+numpy's tree as they complete: it pushes each leaf's sums in leaf order
+and adds, left + right, every node whose last leaf that is (``_merges``
+counts them), so only the partial sums of completed subtrees are kept, a
+stack no deeper than the tree. The rows of a hold the sums over leaves
+0..a-1 on a stack shared by all rows, filled from the transposes of
+earlier tiles; they go on through leaves a..L-1 in their own tiles, to the
+root. Leaf a's transposed sums then go onto the shared stack for the rows
+after a (the finished rows' entries are zeros). So every potential keeps
+the bytes of one sum over its whole row, and with them every center,
+certainty degree and report. A set of at most 128 points is one tile,
+whose rows are summed whole. One chunk's differences, one tile and the
+two stacks, the tree's depth times n values, are alive at a time.
 
 ``_row_blocks`` is the one rule for row blocks. certainty_degrees and
 classify_batch walk their rows with it, and the kernels they call take each
@@ -46,7 +53,9 @@ in the rule base's distances: a chunk of a (rows, m) block holds at most
 tiles and 8 for the distances (256 KB, which a core's L2 cache holds).
 einsum sums each cell over its own N values, so the chunks give the bytes
 of one einsum over the block. A one-row block is one chunk at any width
-and takes no loop, as every classify() call does. ``_differences`` is the
+and takes no loop, as every classify() call does. The distances' rows
+past the float range take the loop again, each chunk's differences scaled
+per row before its einsum. ``_differences`` is the
 one implementation of a chunk's pairwise differences: the rows repeated,
 minus the other operand in one contiguous pass, C-ordered whatever the
 input's layout, one row included.
@@ -85,17 +94,25 @@ def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return diff
 
 
-def _squared_distances(A: np.ndarray, B: np.ndarray, share: int) -> np.ndarray:
+def _squared_distances(A: np.ndarray, B: np.ndarray, share: int,
+                       scaled: bool = False) -> np.ndarray:
     """The (len(A), len(B)) squared distances ||A[i] - B[j]||^2. Their
     differences are built in the row chunks of _row_blocks at width
     share * B.size, so one chunk's differences hold at most 1/share of the
-    budget (or one row); see the module docstring."""
-    if len(A) == 1:  # one chunk at any width: classify()'s row takes no loop
+    budget (or one row); see the module docstring. If scaled, each row's
+    differences are first divided by the row's largest |difference| (1 for
+    a row of zeros): the rescale path of rulebase._distances."""
+    if len(A) == 1 and not scaled:  # one chunk at any width: classify()'s row takes no loop
         diff = _differences(A, B)
         return np.einsum("ijk,ijk->ij", diff, diff)
     sq = np.empty((len(A), len(B)))
     for s in _row_blocks(len(A), share * B.size):
         diff = _differences(A[s], B)
+        if scaled:  # max(max, -min) is max |difference| without an abs copy
+            scale = np.maximum(diff.max(axis=(1, 2), initial=0.0),
+                               -diff.min(axis=(1, 2), initial=0.0))
+            scale[scale == 0.0] = 1.0
+            diff /= scale[:, None, None]
         np.einsum("ijk,ijk->ij", diff, diff, out=sq[s])
         del diff  # before the next chunk's differences are built
     return sq
@@ -166,14 +183,26 @@ def _leaves(n: int, start: int = 0) -> list[slice]:
     return _leaves(half, start) + _leaves(n - half, start + half)
 
 
-def _tree_sum(parts: np.ndarray, n: int) -> np.ndarray:
-    """Add leaf sums up numpy's tree over n values: parts[k] holds each
-    row's sum over leaf k, and the result has the bytes of the rows' sums."""
+def _merges(n: int) -> list[int]:
+    """For each leaf of _leaves(n), how many nodes of numpy's tree over n
+    values have it as their last leaf."""
     if n <= _LEAF:
-        return parts[0]
+        return [0]
     half = n // 2 - n // 2 % 8
-    k = len(_leaves(half))
-    return _tree_sum(parts[:k], half) + _tree_sum(parts[k:], n - half)
+    right = _merges(n - half)
+    right[-1] += 1
+    return _merges(half) + right
+
+
+def _fold(stack: list, sums: np.ndarray, merges: int) -> None:
+    """Push one leaf's row sums onto stack, then add the top two entries,
+    left + right, merges times: the nodes of numpy's tree that end at that
+    leaf. Fed every leaf in order, the stack ends as the rows' sums, with
+    their bytes."""
+    stack.append(sums)
+    for _ in range(merges):
+        right = stack.pop()
+        stack.append(stack.pop() + right)
 
 
 def initial_potentials(points, params: SubclustParams) -> np.ndarray:
@@ -182,8 +211,10 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     Each pair of tiles is computed once and summed for both of its row
     sets; see the module docstring. Each chunk's (rows, cols, N)
     differences go through the single-shot form's einsum, and each row
-    sum follows numpy's tree, so the result has the single-shot bytes
-    whatever the chunk size, and coincident points give exact zeros.
+    sum is folded up numpy's tree leaf by leaf, so the result has the
+    single-shot bytes whatever the chunk size, and coincident points give
+    exact zeros. Past one tile and one chunk's differences, memory is the
+    tree's depth times n values, not the (leaves, n) leaf sums.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
@@ -193,18 +224,23 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     if not np.isfinite(X).all():
         raise DataError("points must be finite (no nan or inf)")
     n = len(X)
-    leaves = _leaves(n)
-    parts = np.empty((len(leaves), n))  # parts[k, i]: row i's sum over leaf k
+    leaves, merges = _leaves(n), _merges(n)
+    P = np.empty(n)
+    shared = []  # every row's sums over leaves 0..a-1, folded
     for a, rows in enumerate(leaves):
+        own = [part[rows] for part in shared]  # the rows of a go on from there
+        later = np.zeros(n)  # leaf a's sums for the rows of later leaves
         for b, cols in enumerate(leaves[a:], a):
             sq = _squared_distances(X[rows], X[cols], 1)
             sq *= -params.alpha
             np.exp(sq, out=sq)
-            parts[b, rows] = sq.sum(axis=1)
+            _fold(own, sq.sum(axis=1), merges[b])
             if b > a:
-                parts[a, cols] = np.ascontiguousarray(sq.T).sum(axis=1)
+                later[cols] = np.ascontiguousarray(sq.T).sum(axis=1)
             del sq  # before the next tile's differences are built
-    return _tree_sum(parts, n)
+        P[rows] = own[0]  # the root
+        _fold(shared, later, merges[a])
+    return P
 
 
 def _revised(P: np.ndarray, X: np.ndarray, k: int, beta: float) -> tuple[np.ndarray, np.ndarray]:

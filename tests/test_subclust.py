@@ -187,7 +187,6 @@ class TestSharedDifferences:
             sq = squared_norms(broadcast_differences(A, B))
             assert sq.max() == np.inf or sq.min() < rulebase._SMALL
         monkeypatch.setattr(subclust, "_differences", broadcast_differences)
-        monkeypatch.setattr(rulebase, "_differences", broadcast_differences)
         assert got.tobytes() == rulebase._distances(A, B).tobytes()
 
     @pytest.mark.parametrize("budget", [1, 7, 64])
@@ -199,7 +198,6 @@ class TestSharedDifferences:
         monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
         got = initial_potentials(X, params), rulebase._distances(X, protos)
         monkeypatch.setattr(subclust, "_differences", broadcast_differences)
-        monkeypatch.setattr(rulebase, "_differences", broadcast_differences)
         want = initial_potentials(X, params), rulebase._distances(X, protos)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -266,6 +264,9 @@ class TestBlockedPotentials:
 
     def test_peak_memory_is_bounded(self):
         # The (n, n, N) tensor alone would be 2000*2000*9*8 bytes = 288 MB.
+        # tracemalloc read 1.56 MiB with the (leaves, n) leaf sums and
+        # 1.41 MiB with their fold; the tile's 125 x 125 x 9 differences
+        # are most of it (numpy 2.4.6).
         X = np.random.default_rng(13).uniform(size=(2000, 9))
         tracemalloc.start()
         try:
@@ -273,11 +274,27 @@ class TestBlockedPotentials:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < subclust.BLOCK_ELEMENTS * 8
+
+    def test_field_memory_does_not_grow_with_the_square_of_n(self):
+        # The (leaves, n) leaf sums held about n**2 / 80 values, 3.70 MiB
+        # here in all; the fold keeps one stack of (n,) sums, no deeper
+        # than the tree, and read 1.14 MiB (numpy 2.4.6).
+        X = np.random.default_rng(23).uniform(size=(6000, 9))
+        tracemalloc.start()
+        try:
+            initial_potentials(X, SubclustParams(0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < subclust.BLOCK_ELEMENTS * 8
 
     def test_one_difference_block_alive_at_a_time(self):
-        # fit_large's larger class: 2552 x 9 points in 11-row blocks of 2 MB.
-        # A block kept until the next is built makes two.
+        # fit_large's larger class: 2552 x 9 points, against a row block of
+        # 11 rows x 2552 points (1.93 MiB of differences). Its tiles are
+        # leaves of about 80 points, so a tile's differences are a fifth
+        # of that; tracemalloc read 0.61 blocks with the (leaves, n) leaf
+        # sums and 0.36 with their fold (numpy 2.4.6).
         n, N = 2552, 9
         X = np.random.default_rng(14).uniform(size=(n, N))
         block = block_rows(n, N) * n * N * 8
@@ -287,7 +304,7 @@ class TestBlockedPotentials:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block
+        assert peak < 0.5 * block
 
     @pytest.mark.parametrize("n, N", [(127, 9), (128, 9), (129, 9), (256, 9), (257, 9), (341, 9),
                                       (1448, 2)])
@@ -322,11 +339,12 @@ class TestBlockedPotentials:
         # At N = 30 a tile's differences built whole would take up to
         # 128 x 128 x 30 values, 3.9 MB (2048 points make leaves of exactly
         # 128); the row chunks keep them within BLOCK_ELEMENTS (2 MiB).
-        # tracemalloc read 2.30 and 2.43 MiB here with the chunks, 2.60 and
-        # 4.19 MiB with each tile filled whole, and 1.85 and 2.02 MiB for the
-        # row-block kernel that summed every row whole (numpy 2.4.6). The
-        # bound is one budget-size block and a quarter, for the tile, its
-        # transpose and the (leaves, n) leaf sums.
+        # tracemalloc read 2.19 and 2.28 MiB here with the chunks and the
+        # fold of the leaf sums, 2.30 and 2.43 MiB with the (leaves, n) leaf
+        # sums, 2.60 and 4.19 MiB with each tile filled whole, and 1.85 and
+        # 2.02 MiB for the row-block kernel that summed every row whole
+        # (numpy 2.4.6). The bound is one budget-size chunk and a fifth, for
+        # the tile, its transpose and the fold's stacks.
         X = np.random.default_rng(20).uniform(size=(n, 30))
         tracemalloc.start()
         try:
@@ -334,13 +352,13 @@ class TestBlockedPotentials:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * subclust.BLOCK_ELEMENTS * 8
+        assert peak < 1.2 * subclust.BLOCK_ELEMENTS * 8
 
 
 class TestSummationTree:
-    """subclust._leaves and _tree_sum emulate the pairwise tree by which
-    numpy adds a row: leaf sums added up the tree give np.add.reduce's
-    bytes. No tolerance: should a numpy build sum another way, this fails,
+    """subclust._leaves, _merges and _fold emulate the pairwise tree by
+    which numpy adds a row: leaf sums folded up the tree in leaf order give
+    np.add.reduce's bytes. No tolerance: should a numpy build sum another way, this fails,
     and so does TestBlockedPotentials."""
 
     SIZES = [*range(1, 301), 1000, 1448, 2552, 4000]
@@ -357,10 +375,11 @@ class TestSummationTree:
         rng = np.random.default_rng(21)
         for n in self.SIZES:
             for layout, A in self.layouts(n, rng).items():
-                parts = np.stack([np.add.reduce(A[:, leaf], axis=1)
-                                  for leaf in subclust._leaves(n)])
-                got = subclust._tree_sum(parts, n)
-                assert got.tobytes() == np.add.reduce(A, axis=1).tobytes(), (n, layout)
+                stack = []
+                for leaf, merges in zip(subclust._leaves(n), subclust._merges(n)):
+                    subclust._fold(stack, np.add.reduce(A[:, leaf], axis=1), merges)
+                assert len(stack) == 1, (n, layout)
+                assert stack[0].tobytes() == np.add.reduce(A, axis=1).tobytes(), (n, layout)
 
     def test_leaves_cover_the_row_in_order(self):
         for n in self.SIZES:
