@@ -214,7 +214,7 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     sum is folded up numpy's tree leaf by leaf, so the result has the
     single-shot bytes whatever the chunk size, and coincident points give
     exact zeros. Past one tile and one chunk's differences, memory is the
-    tree's depth times n values, not the (leaves, n) leaf sums.
+    tree's depth times n values.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
