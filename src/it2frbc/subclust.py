@@ -196,13 +196,13 @@ def _merges(n: int) -> list[int]:
 
 def _fold(stack: list, sums: np.ndarray, merges: int) -> None:
     """Push one leaf's row sums onto stack, then add the top two entries,
-    left + right, merges times: the nodes of numpy's tree that end at that
+    left += right, merges times: the nodes of numpy's tree that end at that
     leaf. Fed every leaf in order, the stack ends as the rows' sums, with
-    their bytes."""
+    their bytes. The adds are in place, into the left entry."""
     stack.append(sums)
     for _ in range(merges):
         right = stack.pop()
-        stack.append(stack.pop() + right)
+        stack[-1] += right
 
 
 def initial_potentials(points, params: SubclustParams) -> np.ndarray:
@@ -228,7 +228,9 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     P = np.empty(n)
     shared = []  # every row's sums over leaves 0..a-1, folded
     for a, rows in enumerate(leaves):
-        own = [part[rows] for part in shared]  # the rows of a go on from there
+        # The rows of a go on from there. These are views: their in-place
+        # adds write the rows of a only, which shared no longer needs.
+        own = [part[rows] for part in shared]
         later = np.zeros(n)  # leaf a's sums for the rows of later leaves
         for b, cols in enumerate(leaves[a:], a):
             sq = _squared_distances(X[rows], X[cols], 1)
