@@ -37,12 +37,15 @@ counts them), so only the partial sums of completed subtrees are kept, a
 stack no deeper than the tree. The rows of a hold the sums over leaves
 0..a-1 on a stack shared by all rows, filled from the transposes of
 earlier tiles; they go on through leaves a..L-1 in their own tiles, to the
-root. Leaf a's transposed sums then go onto the shared stack for the rows
-after a (the finished rows' entries are zeros). So every potential keeps
-the bytes of one sum over its whole row, and with them every center,
-certainty degree and report. A set of at most 128 points is one tile,
-whose rows are summed whole. One chunk's differences, one tile and the
-two stacks, the tree's depth times n values, are alive at a time.
+root, adding in place into views of the shared entries. Leaf a's
+transposed sums then go onto the shared stack for the rows after a, in an
+entry of zeros: a finished row's entries hold zeros or its own partial
+sums, never uninitialized memory, which could add inf - inf and warn.
+So every potential keeps the bytes of one sum over its whole row, and
+with them every center, certainty degree and report. A set of at most
+128 points is one tile, whose rows are summed whole. One chunk's
+differences, one tile and the two stacks, the tree's depth times n
+values, are alive at a time.
 
 ``_row_blocks`` is the one rule for row blocks. certainty_degrees and
 classify_batch walk their rows with it, and the kernels they call take each
