@@ -15,15 +15,22 @@ it measures:
 - batch_n9_ms: the best of five classify_batch() calls over 10k rows
   resampled from the held-out rows;
 - batch_n30_ms: the same over 10k random rows of a 178-rule, 30-feature
-  model.
+  model;
+- batch_peak_bytes: the tracemalloc peak of one classify_batch() call over
+  the held-out rows, as the protocol's wbcd-0.4 runs classify them, above
+  the memory traced when it starts.
 On 10k x 9 uniform points (seed 0, r_a 0.4), a size no workload runs, it
 measures the potential field:
 - potentials_peak_bytes: the tracemalloc peak of one initial_potentials()
   call;
-- potentials_ms: the best of three initial_potentials() calls.
+- potentials_ms: the best of three initial_potentials() calls;
+and on 222 x 9 uniform points (seed 0), the size of wbcd's largest
+training class and so of the protocol's largest potential field:
+- field222_peak_bytes: the tracemalloc peak of one initial_potentials()
+  call.
 The record gains an "in_process" entry with every run's figures and, per
 figure, each side's median and quartiles and the pairs the change won
-(lower is better for all six).
+(lower is better for all eight).
 """
 from __future__ import annotations
 
@@ -39,7 +46,18 @@ import tracemalloc
 from bench_pairs import quartiles
 
 FIGURES = ("classify_peak_bytes", "classify_us", "batch_n9_ms", "batch_n30_ms",
-           "potentials_peak_bytes", "potentials_ms")
+           "batch_peak_bytes", "field222_peak_bytes", "potentials_peak_bytes", "potentials_ms")
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak of run() above the memory traced when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def measure() -> dict:
@@ -87,16 +105,17 @@ def measure() -> dict:
     batch_n9 = held[rng.integers(0, len(held), 10_000)]
     batch_n30 = rng.random((10_000, 30))
     points = np.random.default_rng(0).uniform(size=(10_000, 9))
+    field222 = np.random.default_rng(0).uniform(size=(222, 9))
     params = subclust.SubclustParams(0.4)
-    tracemalloc.start()
-    subclust.initial_potentials(points, params)
-    potentials_peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
     return {"rules": rb.num_rules, "held_out_rows": len(held), "classify_peak_bytes": peak,
             "classify_us": 1e6 * float(np.median(times)),
             "batch_n9_ms": best_ms(lambda: inference.classify_batch(batch_n9, rb), 5),
             "batch_n30_ms": best_ms(lambda: inference.classify_batch(batch_n30, wide), 5),
-            "potentials_peak_bytes": potentials_peak,
+            "batch_peak_bytes": traced_peak(lambda: inference.classify_batch(held, rb)),
+            "field222_peak_bytes": traced_peak(lambda: subclust.initial_potentials(field222,
+                                                                                   params)),
+            "potentials_peak_bytes": traced_peak(lambda: subclust.initial_potentials(points,
+                                                                                     params)),
             "potentials_ms": best_ms(lambda: subclust.initial_potentials(points, params), 3)}
 
 

@@ -8,12 +8,14 @@ over the rules whose upper association is positive (none leaves [0, 0]) ->
 decision = argmax of the interval midpoints (ties go to the lowest index).
 _soundness_bounds takes the soundness as one scaled product for p > 0 and
 recomputes the cells it cannot give exactly, and every cell for p < 0, with
-_power_mean_rows. Its operands that depend on the model alone are built
-once, with the model. Its sums are np.einsum, which makes no BLAS call, so
-a pattern scores the same bytes in any batch and in classify, which is row
-0 of the kernel. classify_batch cuts the batch into row blocks, the one
-cut: the kernel takes each block whole, so memory stays bounded whatever
-n is. NormalizationParams.apply refuses non-finite input with DataError.
+_power_mean_rows. The product scales and raises the stacked membership
+bounds in place, so a block holds no copy of them. Its operands that
+depend on the model alone are built once, with the model. Its sums are
+np.einsum, which makes no BLAS call, so a pattern scores the same bytes in
+any batch and in classify, which is row 0 of the kernel. classify_batch
+cuts the batch into row blocks, the one cut: the kernel takes each block
+whole, so memory stays bounded whatever n is. NormalizationParams.apply
+refuses non-finite input with DataError.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .rulebase import _SMALL, _TINY, RuleBase, _SoundnessConstants, membership_bounds
+from .rulebase import _SMALL, _TINY, RuleBase, membership_bounds
 from .subclust import _row_blocks
 
 
@@ -95,13 +97,14 @@ def _power_mean_rows(vals: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray
     return out
 
 
-def _soundness_bounds(
-    lower: np.ndarray, upper: np.ndarray, consts: _SoundnessConstants
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class soundness bound matrices (n, M) from membership bounds
-    0 <= lower <= upper <= 1 (n, c) and the model's constants (built by
-    rulebase._soundness_constants from certainty degrees R in [0, 1] (c, M)
-    and the exponent p).
+def _soundness_bounds(bounds: np.ndarray, X: np.ndarray, rb: RuleBase
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class soundness bound matrices (n, M) from the stacked membership
+    bounds 0 <= lower <= upper <= 1 (2, n, c) that membership_bounds gives
+    for the normalized patterns X (n, N) under the model rb, whose
+    soundness constants (rulebase._soundness_constants, from certainty
+    degrees R in [0, 1] (c, M) and the exponent p) it reads. The bounds
+    are overwritten.
 
     Rule k fires for class j when upper_k * R_kj > 0, and each bound's
     soundness is the power mean of bound_k * R_kj over the firing rules.
@@ -116,21 +119,27 @@ def _soundness_bounds(
     where s is the row max of B and t the column max of R, so every scaled
     term is at most 1 and the sum cannot overflow. Everything that depends
     on R and p alone (the float (R > 0) and its column sums, t, (R / t)**p
-    and the smallest positive R) comes from consts, built once per model.
-    The cells the product cannot give exactly are recomputed by
+    and the smallest positive R) comes from the constants, built once per
+    model. The cells the product cannot give exactly are recomputed by
     _power_mean_rows, each as a row of its own:
       - a scaled sum below count * _SMALL, where underflowed terms could
         matter (large p), or a scale s * t below the smallest normal float;
       - every cell of a row where some upper_k * R_kj of positive factors
         can round to 0, since firing is decided on that product.
-    The only (n, c) arrays are B, scaled and raised to p in place, and the
-    firing mask, built only when some upper bound is 0; the smallest firing
-    upper bound tells whether any firing product can round to 0. The exact
-    cells, up to 2M a row, are gathered as one (cells, c) array, which
-    classify_batch's block width counts. Without product weights every cell
-    with a firing rule takes the exact path.
+    B is the bounds themselves, scaled and raised to p in place; the
+    firing mask, built only when some upper bound is 0, and the smallest
+    firing upper bound, which tells whether any firing product can round
+    to 0, are taken before that. So the only (n, c) arrays are the bounds
+    and that mask. The product path's exact cells take their rows' bounds
+    again from membership_bounds on those rows of X (a row's bounds do not
+    depend on its batch, so they are the same bytes). The exact cells, up
+    to 2M a row, are gathered as one (cells, c) array, which
+    classify_batch's block width counts. Without product weights every
+    cell with a firing rule takes the exact path, on the bounds as given.
     """
-    n, M = lower.shape[0], consts.certainty.shape[1]
+    consts = rb._soundness
+    upper = bounds[1]
+    n, M = upper.shape[0], consts.certainty.shape[1]
     p = consts.p
     # Both products are np.einsum sums, which make no BLAS call, so a row's
     # bounds do not depend on the other rows. When every upper bound is
@@ -145,7 +154,17 @@ def _soundness_bounds(
                           consts.firing)
         least, divisor = count * _SMALL, np.maximum(count, 1.0)
     if consts.weights is not None:
-        B = np.concatenate((lower, upper))
+        # Firing is decided on upper * R: when a positive product of
+        # positive factors can round to 0, those rows need the exact test.
+        # upper * rmin is monotone in upper, so the smallest firing bound
+        # alone tells whether any such product rounds to 0. Bounds are
+        # >= 0, so it is the smallest bound unless that one is 0.
+        if smallest == 0.0:
+            smallest = np.min(upper, where=upper > 0.0, initial=np.inf)
+        rounding = None
+        if smallest * consts.rmin == 0.0:
+            rounding = (upper * consts.rmin == 0.0).any(axis=1, where=upper > 0.0)
+        B = bounds.reshape(2 * n, upper.shape[1])
         s = B.max(axis=1, initial=_TINY, keepdims=True)
         B /= s
         B **= p
@@ -155,16 +174,8 @@ def _soundness_bounds(
         # _TINY, so a sum of count terms above count * _SMALL is exact to
         # rounding.
         fine = (S > least) & (st >= _TINY)
-        # Firing is decided on upper * R: when a positive product of
-        # positive factors can round to 0, those rows need the exact test.
-        # upper * rmin is monotone in upper, so the smallest firing bound
-        # alone tells whether any such product rounds to 0. Bounds are
-        # >= 0, so it is the smallest bound unless that one is 0.
-        if smallest == 0.0:
-            smallest = np.min(upper, where=upper > 0.0, initial=np.inf)
-        if smallest * consts.rmin == 0.0:
-            fires = upper > 0.0
-            fine &= ~(upper * consts.rmin == 0.0).any(axis=1, where=fires)[:, None]
+        if rounding is not None:
+            fine &= ~rounding[:, None]
         # Cells that are not fine hold S / count * s * t, which is 0 where
         # no rule fires and is recomputed everywhere else.
         out = S / divisor
@@ -177,14 +188,18 @@ def _soundness_bounds(
     if redo is not None:
         h, i, j = np.nonzero(redo)
         if h.size:  # cells that are not fine may fire no rule
+            at = i  # the cells' rows in bounds
+            if consts.weights is not None:  # B overwrote them: take these rows again
+                rows, at = np.unique(i, return_inverse=True)
+                bounds = membership_bounds(X[rows], rb.prototypes, rb.fuzzifiers)
             # Firing is decided on upper * R; then the lower-bound cells,
             # which come first (h is sorted), take lower * R in their place.
             r = consts.certainty[:, j].T
-            vals = upper[i]
+            vals = bounds[1][at]
             vals *= r
             fires = vals > 0.0
             k = np.searchsorted(h, 1)
-            vals[:k] = lower[i[:k]]
+            vals[:k] = bounds[0][at[:k]]
             vals[:k] *= r[:k]
             del r  # before _power_mean_rows builds its array
             out[h, i, j] = _power_mean_rows(vals, fires, p)
@@ -197,8 +212,8 @@ def _soundness_bounds(
 
 def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
     """Soundness bound matrices (n, M) of raw-unit patterns X (n, N)."""
-    lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
-    return _soundness_bounds(lower, upper, rb._soundness)
+    X = rb.normalization.apply(X)
+    return _soundness_bounds(membership_bounds(X, rb.prototypes, rb.fuzzifiers), X, rb)
 
 
 def _block_width(rb: RuleBase) -> int:

@@ -212,7 +212,7 @@ def _distances(X, prototypes) -> np.ndarray:
         raise DataError(f"input has {X.shape[1]} features but prototypes have {P.shape[1]}")
     if P.shape[0] == 0:
         raise DataError("need at least one prototype")
-    sq = _squared_distances(X, P, 8)
+    sq = _squared_distances(X, P)
     # A huge finite pattern overflows its squared distances to inf; tiny
     # differences underflow them, so a pattern near several prototypes
     # counts as sitting on them. Such rows are recomputed from differences
@@ -226,16 +226,17 @@ def _distances(X, prototypes) -> np.ndarray:
         top = sq.max(axis=1)  # inf where any entry is
         flagged = (top == np.inf) | (sq.min(axis=1) < _SMALL) & (top < _SMALL**0.5)
         if flagged.any():
-            sq[flagged] = _squared_distances(X[flagged], P, 8, scaled=True)
+            sq[flagged] = _squared_distances(X[flagged], P, scaled=True)
     return np.sqrt(sq, out=sq)
 
 
-def _partitions(d: np.ndarray, m1: float, m2: float) -> tuple[np.ndarray, np.ndarray]:
+def _partitions(d: np.ndarray, m1: float, m2: float, out: np.ndarray) -> np.ndarray:
     """Fuzzy-partition memberships (n, c) from distances d, under m1 and m2.
 
     Rows sum to 1. A pattern coinciding with t prototypes gets 1/t on each
-    of those and 0 elsewhere. d is overwritten: it holds the ratios, and
-    then the memberships under m2.
+    of those and 0 elsewhere. The partition under m1 is written into out,
+    an (n, c) buffer of the caller's; d is overwritten: it holds the
+    ratios, and then the partition under m2, which is returned.
     """
     dmin = d.min(axis=1, keepdims=True)
     # Scale by the row minimum so powers stay <= 1 (no overflow for
@@ -249,31 +250,36 @@ def _partitions(d: np.ndarray, m1: float, m2: float) -> tuple[np.ndarray, np.nda
         d[on] = dmin[on] = 1.0
     d /= dmin
 
-    mu1 = d ** -(2.0 / (m1 - 1.0))
+    np.power(d, -(2.0 / (m1 - 1.0)), out=out)
     d **= -(2.0 / (m2 - 1.0))
-    for mu in (mu1, d):
+    for mu in (out, d):
         mu /= mu.sum(axis=1, keepdims=True)
         if on is not None:
             mu[on] = shares
-    return mu1, d
+    return d
 
 
-def membership_bounds(
-    X: np.ndarray, prototypes: np.ndarray, fz: Fuzzifiers
-) -> tuple[np.ndarray, np.ndarray]:
+def membership_bounds(X: np.ndarray, prototypes: np.ndarray, fz: Fuzzifiers) -> np.ndarray:
     """Lower/upper membership matrices (n, c) from the two fuzzifiers,
-    both applied to one distance matrix.
+    both applied to one distance matrix, stacked as one (2, n, c) array.
 
     Inference is its only caller and hands it one row block of
-    inference.classify_batch. It does not split n itself: its memory is the
-    (n, c) distances and one chunk of their differences, at most an eighth
-    of the budget, while the distances are built, then at most three (n, c)
+    inference.classify_batch, or the rows of one whose bounds its
+    soundness kernel needs again. It does not split n itself: its memory
+    is the (n, c) distances and one chunk of their differences, at most an
+    eighth of the budget, while the distances are built, then three (n, c)
     arrays (the distances, which _partitions turns into the second
-    partition and then the upper bound; the first partition; the lower
-    bound) and the shares of rows on a prototype.
+    partition; the stacked bounds, whose lower half takes the first
+    partition) and the shares of rows on a prototype. A row's bounds do not
+    depend on the other rows.
     """
-    mu1, mu2 = _partitions(_distances(X, prototypes), fz.m1, fz.m2)
-    return np.minimum(mu1, mu2), np.maximum(mu1, mu2, out=mu2)
+    d = _distances(X, prototypes)
+    bounds = np.empty((2, *d.shape))
+    lower, upper = bounds
+    mu2 = _partitions(d, fz.m1, fz.m2, lower)
+    np.maximum(lower, mu2, out=upper)
+    np.minimum(lower, mu2, out=lower)
+    return bounds
 
 
 def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
@@ -285,14 +291,17 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     blocks of subclust._row_blocks at width c * N. That width keeps each
     (rows, c) array at 1/N of the budget and a block at hundreds of rows,
     over which its per-block costs are spread; the distances build the
-    block's differences in smaller chunks. Whatever n is, the distances and
-    one chunk of differences are alive, and after them at most three
-    (rows, c) arrays, its partitions and the buffer below.
-    The midpoints are written into it under a leading row holding the
-    running sum. A class's sum reduces it along axis 0 where the running
-    sum and the class's rows are, the totals all of it; numpy adds row by
-    row in order (a masked reduction from 0), so the sums are the bytes of
-    one sum over the whole training set.
+    block's differences in smaller chunks. Whatever n is, at most two
+    (rows, c) arrays are alive: the buffer below (built after the first
+    block's distances) and the distances, with one chunk of their
+    differences while they are built. _partitions writes the first
+    partition into the buffer and turns the distances into the second,
+    which is added to it, so the midpoints are written into the buffer
+    under a leading row holding the running sum. A class's sum reduces it
+    along axis 0 where the running sum and the class's rows are, the
+    totals all of it; numpy adds row by row in order (a masked reduction
+    from 0), so the sums are the bytes of one sum over the whole training
+    set.
     """
     if len(train) == 0:
         raise DataError("certainty degrees need a non-empty training set")
@@ -302,14 +311,15 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     per_class = np.zeros((M, c))
     totals = np.zeros(c)
     for s in _row_blocks(len(train), P.size):
-        mu1, mu2 = _partitions(_distances(train.features[s], P), fz.m1, fz.m2)
-        k = len(mu1)
+        d = _distances(train.features[s], P)
+        k = len(d)
         if s.start == 0:  # the first block is the longest
             U = np.empty((k + 1, c))
             rows = np.ones((k + 1, 1), dtype=bool)  # row 0, the running sum, always on
-        np.add(mu1, mu2, out=U[1:k + 1])
-        del mu1, mu2  # before the next block's distances are built
-        U[1:k + 1] *= 0.5
+        mid = U[1:k + 1]  # the block's midpoints, under the running sum
+        mid += _partitions(d, fz.m1, fz.m2, mid)
+        del d  # before the next block's distances are built
+        mid *= 0.5
         for j in range(M):
             rows[1:k + 1, 0] = train.labels[s] == j
             U[0] = per_class[j]

@@ -15,7 +15,9 @@ with r_b = 1.25 * r_a by default, which suppresses candidates near an
 existing center. Candidates between the accept and reject thresholds are
 kept only if they are far enough from the accepted centers; the squared
 distances computed for the revision also give that distance, so the loop
-takes one distance pass per accepted center.
+takes one distance pass per accepted center. They come from
+``_squared_distances``, as the field's do, so they are the center's row of
+the field's distances, bit for bit.
 
 Points are expected in normalized feature space (r_a is relative to it).
 
@@ -27,10 +29,10 @@ leaves of the pairwise tree by which numpy sums a row of n values
 length rounded down to a multiple of 8). No two neighbouring leaves fit in
 128 values, so a tile is one leaf. For each tile pair (a, b >= a)
 ``_squared_distances`` fills the tile's squared distances from differences
-built in row chunks of up to the budget, so none outgrows it at any number
-of features, and the kernel takes exp in place. The tile's row sums are
-leaf sums of the rows of a; when b > a, the row sums of its C-ordered
-transpose are leaf sums of the rows of b. ``_fold`` adds the leaf sums up
+built in row chunks of at most an eighth of the budget, so none outgrows
+it at any number of features, and the kernel takes exp in place. The
+tile's row sums are leaf sums of the rows of a; when b > a, the row sums
+of its C-ordered transpose are leaf sums of the rows of b. ``_fold`` adds the leaf sums up
 numpy's tree as they complete: it pushes each leaf's sums in leaf order
 and adds, left + right, every node whose last leaf that is (``_merges``
 counts them), so only the partial sums of completed subtrees are kept, a
@@ -51,17 +53,22 @@ values, are alive at a time.
 classify_batch walk their rows with it, and the kernels they call take each
 block whole; inside them, only ``_squared_distances`` cuts rows again, into
 the chunks whose differences it builds. It is the one chunk loop, here and
-in the rule base's distances: a chunk of a (rows, m) block holds at most
-1/share of the budget in differences, share 1 for the potential field's
-tiles and 8 for the distances (256 KB, which a core's L2 cache holds).
-einsum sums each cell over its own N values, so the chunks give the bytes
-of one einsum over the block. A one-row block is one chunk at any width
-and takes no loop, as every classify() call does. The distances' rows
-past the float range take the loop again, each chunk's differences scaled
-per row before its einsum. ``_differences`` is the
-one implementation of a chunk's pairwise differences: the rows repeated,
-minus the other operand in one contiguous pass, C-ordered whatever the
-input's layout, one row included.
+in the rule base's distances, with one budget: a chunk of a (rows, m)
+block holds at most an eighth of the budget in differences (256 KB, which
+a core's L2 cache holds). einsum sums each cell over its own N values, so
+the chunks give the bytes of one einsum over the block. A one-row block is
+one chunk at any width and takes no loop, as every classify() call and
+every revision of the potentials does. The distances' rows past the float
+range take the loop again, each chunk's differences scaled per row before
+its einsum. ``_differences`` is the one implementation of a chunk's
+pairwise differences: the rows repeated, minus the other operand in one
+contiguous pass, C-ordered whatever the input's layout, one row included.
+
+Radii near the low end of the rule (about 1.5e-154) make alpha or beta so
+large that -alpha * ||x_i - x_j||^2 passes the float range. The product is
+then -inf and its exp 0, the exact limit, so the field's tile loop and the
+accept/reject loop each run under one np.errstate that lets the product
+overflow without a warning.
 
 Termination: every candidate, accepted or discarded, leaves the search at
 potential -inf. Once all n points have left, the maximum is -inf, which lies
@@ -97,11 +104,10 @@ def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return diff
 
 
-def _squared_distances(A: np.ndarray, B: np.ndarray, share: int,
-                       scaled: bool = False) -> np.ndarray:
+def _squared_distances(A: np.ndarray, B: np.ndarray, scaled: bool = False) -> np.ndarray:
     """The (len(A), len(B)) squared distances ||A[i] - B[j]||^2. Their
     differences are built in the row chunks of _row_blocks at width
-    share * B.size, so one chunk's differences hold at most 1/share of the
+    8 * B.size, so one chunk's differences hold at most an eighth of the
     budget (or one row); see the module docstring. If scaled, each row's
     differences are first divided by the row's largest |difference| (1 for
     a row of zeros): the rescale path of rulebase._distances."""
@@ -109,7 +115,7 @@ def _squared_distances(A: np.ndarray, B: np.ndarray, share: int,
         diff = _differences(A, B)
         return np.einsum("ijk,ijk->ij", diff, diff)
     sq = np.empty((len(A), len(B)))
-    for s in _row_blocks(len(A), share * B.size):
+    for s in _row_blocks(len(A), 8 * B.size):
         diff = _differences(A[s], B)
         if scaled:  # max(max, -min) is max |difference| without an abs copy
             scale = np.maximum(diff.max(axis=(1, 2), initial=0.0),
@@ -230,21 +236,24 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     leaves, merges = _leaves(n), _merges(n)
     P = np.empty(n)
     shared = []  # every row's sums over leaves 0..a-1, folded
-    for a, rows in enumerate(leaves):
-        # The rows of a go on from there. These are views: their in-place
-        # adds write the rows of a only, which shared no longer needs.
-        own = [part[rows] for part in shared]
-        later = np.zeros(n)  # leaf a's sums for the rows of later leaves
-        for b, cols in enumerate(leaves[a:], a):
-            sq = _squared_distances(X[rows], X[cols], 1)
-            sq *= -params.alpha
-            np.exp(sq, out=sq)
-            _fold(own, sq.sum(axis=1), merges[b])
-            if b > a:
-                later[cols] = np.ascontiguousarray(sq.T).sum(axis=1)
-            del sq  # before the next tile's differences are built
-        P[rows] = own[0]  # the root
-        _fold(shared, later, merges[a])
+    # Past the float range, alpha * ||x_i - x_j||^2 is -inf and its exp the
+    # exact limit 0 (radii near the rule's low end).
+    with np.errstate(over="ignore"):
+        for a, rows in enumerate(leaves):
+            # The rows of a go on from there. These are views: their in-place
+            # adds write the rows of a only, which shared no longer needs.
+            own = [part[rows] for part in shared]
+            later = np.zeros(n)  # leaf a's sums for the rows of later leaves
+            for b, cols in enumerate(leaves[a:], a):
+                sq = _squared_distances(X[rows], X[cols])
+                sq *= -params.alpha
+                np.exp(sq, out=sq)
+                _fold(own, sq.sum(axis=1), merges[b])
+                if b > a:
+                    later[cols] = np.ascontiguousarray(sq.T).sum(axis=1)
+                del sq  # before the next tile's differences are built
+            P[rows] = own[0]  # the root
+            _fold(shared, later, merges[a])
     return P
 
 
@@ -256,7 +265,7 @@ def _revised(P: np.ndarray, X: np.ndarray, k: int, beta: float) -> tuple[np.ndar
     Returns the revised potentials, in one new array (P is left as it is),
     and every point's squared distance to the center, (n,) each.
     """
-    d2 = ((X - X[k]) ** 2).sum(axis=1)
+    d2 = _squared_distances(X[k:k + 1], X)[0]
     e = np.exp(-beta * d2)
     e *= P[k]
     return np.subtract(P, e, out=e), d2
@@ -283,16 +292,19 @@ def subtractive_cluster(points, params: SubclustParams) -> np.ndarray:
     nearest = np.full(X.shape[0], np.inf)
     chosen = []
 
-    while True:
-        k = int(P.argmax())
-        peak = float(P[k])
-        if peak < params.reject_ratio * first_potential:
-            break
-        if (peak >= params.accept_ratio * first_potential
-                or np.sqrt(nearest[k]) / params.r_a + peak / first_potential >= 1.0):
-            chosen.append(k)
-            P, d2 = _revised(P, X, k, params.beta)
-            np.minimum(nearest, d2, out=nearest)
-        P[k] = -np.inf
+    # As in the field, -beta * ||x_i - x*||^2 may pass the float range; its
+    # exp is then the exact limit 0.
+    with np.errstate(over="ignore"):
+        while True:
+            k = int(P.argmax())
+            peak = float(P[k])
+            if peak < params.reject_ratio * first_potential:
+                break
+            if (peak >= params.accept_ratio * first_potential
+                    or np.sqrt(nearest[k]) / params.r_a + peak / first_potential >= 1.0):
+                chosen.append(k)
+                P, d2 = _revised(P, X, k, params.beta)
+                np.minimum(nearest, d2, out=nearest)
+            P[k] = -np.inf
 
     return X[chosen].copy()

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,10 +59,16 @@ PROBE = np.array([0.25, 0.0])
 
 
 def soundness(lower, upper, certainty, p):
-    """The soundness kernel on constants built by the model's own helper."""
-    return inference._soundness_bounds(
-        lower, upper, _soundness_constants(np.asarray(certainty, dtype=float), p)
-    )
+    """The soundness kernel on constants built by the model's own helper,
+    over a stacked copy of the given bounds. The kernel overwrites them and
+    takes the rows its exact cells need again from membership_bounds; here
+    the patterns are the row numbers, and those rows come from a second copy."""
+    bounds = np.stack((lower, upper)).astype(float)
+    kept = bounds.copy()
+    model = SimpleNamespace(_soundness=_soundness_constants(np.asarray(certainty, dtype=float), p),
+                            prototypes=kept, fuzzifiers=None)
+    with mock.patch.object(inference, "membership_bounds", lambda rows, kept, _: kept[:, rows]):
+        return inference._soundness_bounds(bounds, np.arange(bounds.shape[1]), model)
 
 
 def matching(x, rb):
@@ -710,8 +718,9 @@ class TestRowBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             preds, scores = classify_batch(X, rb)
-        lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
-        want = inference._soundness_bounds(lower, upper, rb._soundness)
+        X_n = rb.normalization.apply(X)
+        want = inference._soundness_bounds(membership_bounds(X_n, rb.prototypes, rb.fuzzifiers),
+                                           X_n, rb)
         assert np.array_equal(scores, 0.5 * (want[0] + want[1]))
         assert np.array_equal(preds, scores.argmax(axis=1))
 
@@ -769,6 +778,23 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 2**20
+
+    def test_wbcd_sized_batch_peaks_at_three_arrays_and_a_chunk(self):
+        # wbcd-0.4's held-out half: 341 rows x 119 rules x 9 features, in
+        # blocks of 244 rows. When the soundness kernel stacked the bounds
+        # into a new B, the bounds and B, four (rows, c) arrays, set the
+        # peak: tracemalloc read 0.95 MiB (4.29 arrays). With B the stacked
+        # bounds themselves, the distances and the two bounds set it while
+        # the first partition is written, 0.75 MiB (3.37 arrays; numpy
+        # 2.4.6). The bound is three arrays and one chunk of differences,
+        # an eighth of the budget.
+        rng = np.random.default_rng(26)
+        rb = make_rulebase(rng.random((119, 9)), rng.dirichlet(np.ones(2), size=119))
+        X = rng.random((341, 9))
+        rows = batch_rows(119, 9, 2)
+        assert rows == 244
+        peak = working_peak(lambda: classify_batch(X, rb))
+        assert peak < 3 * rows * 119 * 8 + subclust.BLOCK_ELEMENTS * 8 // 8
 
     def test_rescaled_rows_peak_within_the_ordinary_bound(self):
         # Every row overflows its squared distances, so every row of every
@@ -845,6 +871,53 @@ class TestFiringCount:
             assert res.scores == pytest.approx(want, abs=1e-12)
 
 
+class TestExactRowsAmongProductRows:
+    """The product path overwrites the bounds, so the cells it cannot give
+    exactly take their rows' bounds again from membership_bounds, on those
+    rows alone; a row's scores stay the bytes of classify() on that row."""
+
+    @pytest.mark.parametrize("p, m2", [(400.0, 2.5), (-400.0, 2.5), (2.0, 2.5),
+                                       (2.0, np.nextafter(1.5, 2.0))],
+                             ids=["p+400", "p-400", "subnormal-bounds-p2",
+                                  "near-equal-fuzzifiers-p2"])
+    def test_each_row_scores_as_classify(self, monkeypatch, p, m2):
+        rng = np.random.default_rng(40)
+        protos = rng.random((12, 3))
+        protos[[2, 4]] = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        cert = rng.dirichlet(np.ones(3), size=12)
+        cert[[2, 7], 1] = 0.0
+        cert[4, 0] = 0.0
+        rb = make_rulebase(protos, cert, m2=m2, p=p)
+        X = rng.random((40, 3))
+        # Rows 5 and 31 lie 1e-80 from prototype 2, so their lower bounds
+        # (and upper ones, at near-equal fuzzifiers) on every other rule are
+        # subnormal, and prototype 2 does not fire for class 1; row 23 is on
+        # prototype 9.
+        X[5], X[31], X[23] = [1e-80, 0.0, 0.0], [0.0, 2e-80, 0.0], protos[9]
+        lower = membership_bounds(X, protos, rb.fuzzifiers)[0]
+        assert (lower[[5, 31]] < np.finfo(float).tiny).sum() == 22
+        monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", 16 * 12 * 6)  # blocks of 16 rows
+        calls, run = [], inference.membership_bounds
+
+        def recorded(rows, *args):  # by caller: a block's, or the kernel's rows again
+            calls.append((sys._getframe(1).f_code.co_name, len(rows)))
+            return run(rows, *args)
+
+        monkeypatch.setattr(inference, "membership_bounds", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, scores = classify_batch(X, rb)
+        monkeypatch.undo()
+        again = [n for caller, n in calls if caller == "_soundness_bounds"]
+        assert [n for caller, n in calls if caller == "_soundness_of"] == [16, 16, 8]
+        if p > 0:  # the product path ran: some rows, not all, took the exact path
+            assert 0 < sum(again) < len(X)
+        else:  # every firing cell is exact, on the bounds as given
+            assert again == []
+        for x, row in zip(X, scores):
+            assert classify(x, rb).scores.tobytes() == row.tobytes()
+
+
 class TestBatchEqualsUnblockedKernel:
     def test_batch_equals_unblocked_kernel(self):
         # The batch path makes no BLAS call, so its scores are the unblocked
@@ -852,7 +925,8 @@ class TestBatchEqualsUnblockedKernel:
         rng = np.random.default_rng(3)
         rb = make_rulebase(rng.random((128, 9)), rng.random((128, 2)))
         X = rng.random((3000, 9))
-        lower, upper = membership_bounds(rb.normalization.apply(X), rb.prototypes, rb.fuzzifiers)
-        want = inference._soundness_bounds(lower, upper, rb._soundness)
+        X_n = rb.normalization.apply(X)
+        want = inference._soundness_bounds(membership_bounds(X_n, rb.prototypes, rb.fuzzifiers),
+                                           X_n, rb)
         _, scores = classify_batch(X, rb)
         assert np.array_equal(scores, 0.5 * (want[0] + want[1]))

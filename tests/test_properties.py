@@ -1,5 +1,6 @@
 """Property-based checks of the classifier invariants."""
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from it2frbc import (
+    ConfigError,
     Dataset,
     Fuzzifiers,
     NormalizationParams,
@@ -147,8 +149,35 @@ def points_with_duplicates(draw, max_points=12, max_dim=3):
     return np.array(order, dtype=float)
 
 
-# Every radius the parameter rule accepts, from 1e-150 to 1e150.
-any_radius = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
+def _accepted(r_a):
+    try:
+        SubclustParams(r_a)
+    except ConfigError:
+        return False
+    return True
+
+
+def _last_accepted(inside, outside):
+    """The accepted radius next to the rule's edge between an accepted and a
+    refused radius: positive floats are ordered as their bit patterns."""
+    a, b = (int(np.float64(v).view(np.int64)) for v in (inside, outside))
+    while abs(b - a) > 1:
+        mid = (a + b) // 2
+        if _accepted(float(np.int64(mid).view(np.float64))):
+            a = mid
+        else:
+            b = mid
+    return float(np.int64(a).view(np.float64))
+
+
+# Every radius the parameter rule accepts, about 1.5e-154 to 1.07e154 (alpha
+# and beta finite and positive), log-uniform; each end is drawn as it is.
+R_MIN, R_MAX = _last_accepted(1.0, 1e-160), _last_accepted(1.0, 1e160)
+any_radius = st.one_of(
+    st.sampled_from([R_MIN, R_MAX]),
+    st.floats(min_value=math.log10(R_MIN), max_value=math.log10(R_MAX)).map(
+        lambda e: min(max(10.0**e, R_MIN), R_MAX)),
+)
 
 
 @given(points_with_duplicates(), any_radius, st.floats(min_value=0.0, max_value=0.49))

@@ -306,6 +306,22 @@ class TestBlockedPotentials:
             tracemalloc.stop()
         assert peak < 0.5 * block
 
+    def test_tiles_are_built_in_chunks_of_an_eighth_of_the_budget(self):
+        # wbcd's largest training class: 222 x 9 points, leaves of 104 and
+        # 118 points. The 118 x 118 tile's differences, 0.96 MiB built
+        # whole, set the field's peak: tracemalloc read 1.13 MiB. In row
+        # chunks of at most an eighth of the budget (30 rows, 0.24 MiB), as
+        # the rule base's distances take, 0.41 MiB (numpy 2.4.6).
+        X = np.random.default_rng(25).uniform(size=(222, 9))
+        assert [s.stop - s.start for s in subclust._leaves(222)] == [104, 118]
+        tracemalloc.start()
+        try:
+            initial_potentials(X, SubclustParams(0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2**20
+
     @pytest.mark.parametrize("n, N", [(127, 9), (128, 9), (129, 9), (256, 9), (257, 9), (341, 9),
                                       (1448, 2)])
     def test_sizes_across_leaf_and_tile_boundaries(self, n, N):
@@ -427,6 +443,18 @@ class TestRevisePotentials:
         field = initial_potentials(pts, params)
         revised = revise(field, pts, int(field.argmax()), params)
         assert np.all(revised <= field)
+
+
+    @pytest.mark.parametrize("N", [2, 4, 9, 13, 30])
+    def test_distances_are_the_fields(self, N):
+        # One squared-distance formula: the revision's distances to the
+        # center are that row of the field's, bit for bit.
+        X = np.random.default_rng(N).uniform(size=(300, N))
+        P = initial_potentials(X, SubclustParams(0.4))
+        field = subclust._squared_distances(X, X)
+        for k in (0, 150, 299):
+            _, d2 = subclust._revised(P, X, k, 10.24)
+            assert d2.tobytes() == field[k].tobytes()
 
 
 class TestSubtractiveCluster:
