@@ -110,7 +110,8 @@ def _soundness_bounds(bounds: np.ndarray, X: np.ndarray, rb: RuleBase
     soundness is the power mean of bound_k * R_kj over the firing rules.
     Where the model has product weights (p > 0 and not too small, see
     rulebase._soundness_constants) both bounds come from one product over
-    the stacked rows B = [lower; upper] (2n, c), with no loop over classes:
+    the rows of the stacked bounds B = [lower; upper] (2, n, c), with no
+    loop over classes:
 
         S_ij = sum_k (B_ik / s_i)**p (R_kj / t_j)**p,
         count_ij = sum_k (upper_ik > 0) (R_kj > 0),
@@ -126,10 +127,11 @@ def _soundness_bounds(bounds: np.ndarray, X: np.ndarray, rb: RuleBase
         matter (large p), or a scale s * t below the smallest normal float;
       - every cell of a row where some upper_k * R_kj of positive factors
         can round to 0, since firing is decided on that product.
-    B is the bounds themselves, scaled and raised to p in place; the
-    firing mask, built only when some upper bound is 0, and the smallest
-    firing upper bound, which tells whether any firing product can round
-    to 0, are taken before that. So the only (n, c) arrays are the bounds
+    B is scaled and raised to p in place (einsum sums each cell of the
+    (2, n, c) operand as it would over its (2n, c) rows); the firing mask,
+    built only when some upper bound is 0, and the smallest firing upper
+    bound, which tells whether any firing product can round to 0, are
+    taken before that. So the only (n, c) arrays are the bounds
     and that mask. The product path's exact cells take their rows' bounds
     again from membership_bounds on those rows of X (a row's bounds do not
     depend on its batch, so they are the same bytes). The exact cells, up
@@ -164,12 +166,11 @@ def _soundness_bounds(bounds: np.ndarray, X: np.ndarray, rb: RuleBase
         rounding = None
         if smallest * consts.rmin == 0.0:
             rounding = (upper * consts.rmin == 0.0).any(axis=1, where=upper > 0.0)
-        B = bounds.reshape(2 * n, upper.shape[1])
-        s = B.max(axis=1, initial=_TINY, keepdims=True)
-        B /= s
-        B **= p
-        S = np.einsum("ik,kj->ij", B, consts.weights).reshape(2, n, M)
-        st = s.reshape(2, n, 1) * consts.t
+        s = bounds.max(axis=2, initial=_TINY, keepdims=True)
+        bounds /= s
+        bounds **= p
+        S = np.einsum("hik,kj->hij", bounds, consts.weights)
+        st = s * consts.t
         # Each term of a scaled sum that underflows is off by less than
         # _TINY, so a sum of count terms above count * _SMALL is exact to
         # rounding.
@@ -189,7 +190,7 @@ def _soundness_bounds(bounds: np.ndarray, X: np.ndarray, rb: RuleBase
         h, i, j = np.nonzero(redo)
         if h.size:  # cells that are not fine may fire no rule
             at = i  # the cells' rows in bounds
-            if consts.weights is not None:  # B overwrote them: take these rows again
+            if consts.weights is not None:  # the product overwrote them: take these rows again
                 rows, at = np.unique(i, return_inverse=True)
                 bounds = membership_bounds(X[rows], rb.prototypes, rb.fuzzifiers)
             # Firing is decided on upper * R; then the lower-bound cells,

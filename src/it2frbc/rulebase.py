@@ -275,7 +275,7 @@ def membership_bounds(X: np.ndarray, prototypes: np.ndarray, fz: Fuzzifiers) -> 
     """
     d = _distances(X, prototypes)
     bounds = np.empty((2, *d.shape))
-    lower, upper = bounds
+    lower, upper = bounds[0], bounds[1]  # indexing is cheaper than unpacking at n = 1
     mu2 = _partitions(d, fz.m1, fz.m2, lower)
     np.maximum(lower, mu2, out=upper)
     np.minimum(lower, mu2, out=lower)

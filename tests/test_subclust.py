@@ -444,7 +444,6 @@ class TestRevisePotentials:
         revised = revise(field, pts, int(field.argmax()), params)
         assert np.all(revised <= field)
 
-
     @pytest.mark.parametrize("N", [2, 4, 9, 13, 30])
     def test_distances_are_the_fields(self, N):
         # One squared-distance formula: the revision's distances to the
