@@ -32,11 +32,11 @@ length rounded down to a multiple of 8). No two neighbouring leaves fit in
 built in row chunks of at most an eighth of the budget, so none outgrows
 it at any number of features, and the kernel takes exp in place. The
 tile's row sums are leaf sums of the rows of a; when b > a, the row sums
-of its C-ordered transpose are leaf sums of the rows of b. ``_fold`` adds the leaf sums up
-numpy's tree as they complete: it pushes each leaf's sums in leaf order
-and adds, left + right, every node whose last leaf that is (``_merges``
-counts them), so only the partial sums of completed subtrees are kept, a
-stack no deeper than the tree. The rows of a hold the sums over leaves
+of its C-ordered transpose are leaf sums of the rows of b. ``_fold`` adds
+the leaf sums up numpy's tree as they complete: it pushes each leaf's sums
+in leaf order and adds, left + right, every node whose last leaf that is
+(``_merges`` counts them), so only the partial sums of completed subtrees
+are kept, a stack no deeper than the tree. The rows of a hold the sums over leaves
 0..a-1 on a stack shared by all rows, filled from the transposes of
 earlier tiles; they go on through leaves a..L-1 in their own tiles, to the
 root, adding in place into views of the shared entries. Leaf a's
