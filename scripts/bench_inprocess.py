@@ -28,9 +28,15 @@ and on 222 x 9 uniform points (seed 0), the size of wbcd's largest
 training class and so of the protocol's largest potential field:
 - field222_peak_bytes: the tracemalloc peak of one initial_potentials()
   call.
+On fit_large's inputs at seed 0 (4000 jittered WBCD rows, drawn after
+bulk_predict's 10k) and the 178 prototypes their r_a 0.4 fit finds, it
+measures the training stage after the field:
+- certainty_peak_bytes: the tracemalloc peak of one certainty_degrees()
+  call;
+- certainty_ms: the best of five certainty_degrees() calls.
 The record gains an "in_process" entry with every run's figures and, per
 figure, each side's median and quartiles and the pairs the change won
-(lower is better for all eight).
+(lower is better for all ten).
 """
 from __future__ import annotations
 
@@ -46,7 +52,8 @@ import tracemalloc
 from bench_pairs import quartiles
 
 FIGURES = ("classify_peak_bytes", "classify_us", "batch_n9_ms", "batch_n30_ms",
-           "batch_peak_bytes", "field222_peak_bytes", "potentials_peak_bytes", "potentials_ms")
+           "batch_peak_bytes", "field222_peak_bytes", "potentials_peak_bytes", "potentials_ms",
+           "certainty_peak_bytes", "certainty_ms")
 
 
 def traced_peak(run) -> int:
@@ -107,6 +114,20 @@ def measure() -> dict:
     points = np.random.default_rng(0).uniform(size=(10_000, 9))
     field222 = np.random.default_rng(0).uniform(size=(222, 9))
     params = subclust.SubclustParams(0.4)
+
+    jitter = np.random.default_rng(0)  # as perfbench/workloads.py draws them
+
+    def jittered(count):
+        idx = jitter.integers(0, len(wbcd), size=count)
+        return (wbcd.features[idx] + jitter.normal(0.0, 0.3, size=(count, wbcd.num_features)),
+                wbcd.labels[idx])
+
+    jittered(10_000)
+    fit_raw = dataset.Dataset(*jittered(4000), wbcd.class_names)
+    fit_norm = dataset.fit_normalizer(fit_raw)
+    fit = dataset.normalize_dataset(fit_norm, fit_raw)
+    fz = rulebase.Fuzzifiers()
+    protos = rulebase.build_rulebase(fit, params, fz, 2.0, fit_norm).prototypes
     return {"rules": rb.num_rules, "held_out_rows": len(held), "classify_peak_bytes": peak,
             "classify_us": 1e6 * float(np.median(times)),
             "batch_n9_ms": best_ms(lambda: inference.classify_batch(batch_n9, rb), 5),
@@ -116,7 +137,10 @@ def measure() -> dict:
                                                                                    params)),
             "potentials_peak_bytes": traced_peak(lambda: subclust.initial_potentials(points,
                                                                                      params)),
-            "potentials_ms": best_ms(lambda: subclust.initial_potentials(points, params), 3)}
+            "potentials_ms": best_ms(lambda: subclust.initial_potentials(points, params), 3),
+            "certainty_rules": len(protos),
+            "certainty_peak_bytes": traced_peak(lambda: rulebase.certainty_degrees(fit, protos, fz)),
+            "certainty_ms": best_ms(lambda: rulebase.certainty_degrees(fit, protos, fz), 5)}
 
 
 def run_child(checkout: pathlib.Path) -> dict:

@@ -214,19 +214,7 @@ def cmd_train(args) -> int:
     train_acc = accuracy(confusion_matrix(train.labels, train_pred, ds.num_classes))
     save_rulebase(rb, args.model)
 
-    print(_config_block({
-        "in": cfg.data_path,
-        "label_col": str(cfg.label_column),
-        "missing_policy": cfg.missing_policy,
-        **describe_params(cfg.subclust),
-        "m1": repr(cfg.fuzzifiers.m1),
-        "m2": repr(cfg.fuzzifiers.m2),
-        "aggregation_p": repr(cfg.aggregation_p),
-        "seed": str(cfg.master_seed),
-        "train_fraction": repr(cfg.train_fraction),
-        "stratified": str(cfg.stratified).lower(),
-        "model": args.model,
-    }), end="")
+    print(_config_block({**cfg.describe(), "model": args.model}), end="")
     print(f"rules: {rb.num_rules}")
     print(f"train accuracy: {train_acc:.2f}")
     print(f"held-out accuracy: {accuracy(held_out):.2f}")

@@ -176,9 +176,9 @@ class SplitSpec:
 
 def _check_seed(seed: int) -> int:
     """The seed rule, for splits and generators alike: an integer (numpy's
-    too, through operator.index) of at least 0; returns ``seed``."""
+    too, through operator.index), not a bool, of at least 0; returns ``seed``."""
     try:
-        if operator.index(seed) >= 0:
+        if not isinstance(seed, (bool, np.bool_)) and operator.index(seed) >= 0:
             return seed
     except TypeError:
         pass

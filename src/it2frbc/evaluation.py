@@ -62,6 +62,8 @@ class ExperimentConfig:
         for name in ("label_column", "runs"):
             value = getattr(self, name)
             try:
+                if isinstance(value, (bool, np.bool_)):  # True would pass as 1
+                    raise TypeError
                 operator.index(value)
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None

@@ -13,9 +13,9 @@ bounds in place, so a block holds no copy of them. Its operands that
 depend on the model alone are built once, with the model. Its sums are
 np.einsum, which makes no BLAS call, so a pattern scores the same bytes in
 any batch and in classify, which is row 0 of the kernel. classify_batch
-cuts the batch into row blocks, the one cut: the kernel takes each block
-whole, so memory stays bounded whatever n is. NormalizationParams.apply
-refuses non-finite input with DataError.
+cuts the batch into row blocks, which the kernel takes whole (subclust's
+module docstring states the policy). NormalizationParams.apply refuses
+non-finite input with DataError.
 """
 from __future__ import annotations
 
@@ -101,10 +101,9 @@ def _soundness_bounds(bounds: np.ndarray, X: np.ndarray, rb: RuleBase
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class soundness bound matrices (n, M) from the stacked membership
     bounds 0 <= lower <= upper <= 1 (2, n, c) that membership_bounds gives
-    for the normalized patterns X (n, N) under the model rb, whose
-    soundness constants (rulebase._soundness_constants, from certainty
-    degrees R in [0, 1] (c, M) and the exponent p) it reads. The bounds
-    are overwritten.
+    for the normalized patterns X (n, N) under the model rb: its certainty
+    degrees R in [0, 1] (c, M), its exponent p and the constants built
+    from them (rulebase._soundness_constants). The bounds are overwritten.
 
     Rule k fires for class j when upper_k * R_kj > 0, and each bound's
     soundness is the power mean of bound_k * R_kj over the firing rules.
@@ -141,8 +140,7 @@ def _soundness_bounds(bounds: np.ndarray, X: np.ndarray, rb: RuleBase
     """
     consts = rb._soundness
     upper = bounds[1]
-    n, M = upper.shape[0], consts.certainty.shape[1]
-    p = consts.p
+    n, M, p = upper.shape[0], rb.certainty.shape[1], rb.aggregation_p
     # Both products are np.einsum sums, which make no BLAS call, so a row's
     # bounds do not depend on the other rows. When every upper bound is
     # positive, each rule fires wherever its certainty does: the count is
@@ -195,7 +193,7 @@ def _soundness_bounds(bounds: np.ndarray, X: np.ndarray, rb: RuleBase
                 bounds = membership_bounds(X[rows], rb.prototypes, rb.fuzzifiers)
             # Firing is decided on upper * R; then the lower-bound cells,
             # which come first (h is sorted), take lower * R in their place.
-            r = consts.certainty[:, j].T
+            r = rb.certainty[:, j].T
             vals = bounds[1][at]
             vals *= r
             fires = vals > 0.0
@@ -218,11 +216,8 @@ def _soundness_of(X: np.ndarray, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_width(rb: RuleBase) -> int:
-    """The width c * max(N, 2M) at which classify_batch cuts its rows. A row
-    adds up to 2M gathered rows of c values at the exact cells; the N term
-    keeps each (rows, c) array at 1/N of the budget, and a block at hundreds
-    of rows over which its per-block costs are spread. The distances build
-    a block's differences in smaller chunks."""
+    """The width c * max(N, 2M) at which classify_batch cuts its rows: a
+    row adds up to 2M gathered rows of c values at the exact cells."""
     return rb.num_rules * max(rb.num_features, 2 * rb.num_classes)
 
 
@@ -231,12 +226,10 @@ def classify_batch(X, rb: RuleBase) -> tuple[np.ndarray, np.ndarray]:
 
     Normalization is applied internally; scores are the per-class soundness
     interval midpoints and predictions their row argmax (ties -> lowest
-    class index). The rows are cut here, once, in the row blocks of
-    subclust._row_blocks at _block_width(rb). The kernel takes each block
-    whole (its distances build the block's differences in chunks of an
-    eighth of the budget) and writes its midpoints into the (n, M) scores,
-    so memory stays bounded whatever n is. A row's scores do not depend on
-    the block it falls in.
+    class index). The rows are cut here, once, in row blocks at
+    _block_width(rb). The kernel takes each block whole and writes its
+    midpoints into the (n, M) scores, so memory stays bounded whatever n
+    is. A row's scores do not depend on the block it falls in.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, M = X.shape[0], rb.num_classes

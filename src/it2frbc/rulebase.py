@@ -12,19 +12,14 @@ taking the pointwise min/max yields the interval [lower_k, upper_k] —
 the footprint of uncertainty of the rule's antecedent.
 
 The distance matrix (n, c) of a row block is computed once, and both
-fuzzifiers are applied to it. Rows are cut once, by certainty_degrees and
-inference.classify_batch, in the row blocks of subclust._row_blocks, so
-neither memory grows with the number of patterns; the kernels below take
-their block whole. A block's squared distances come from
-subclust._squared_distances, the chunk loop shared with the potential
-field: it builds the block's (rows, c, N) differences (subclust._differences,
-repeated rows minus the prototypes in one contiguous pass) in row chunks of
-at most an eighth of the budget, and the one row of a classify() call in
-one piece. Squared distances past the float range, overflowing to inf or
-rounding into subnormals, are recomputed in their block from the flagged
-rows' differences, built again in the same chunks and scaled per row, so
-scaling every feature by one factor leaves the memberships as they are,
-and a block of such rows takes no more memory than an ordinary one.
+fuzzifiers are applied to it. The kernels below take their row block
+whole; the row blocks, and the chunks in which subclust._squared_distances
+builds a block's differences, follow the one policy stated in subclust's
+module docstring. Squared distances past the float range, overflowing to
+inf or rounding into subnormals, are recomputed in their block from the
+flagged rows' differences, scaled per row, so scaling every feature by one
+factor leaves the memberships as they are, and a block of such rows takes
+no more memory than an ordinary one.
 
 The rule consequent is a certainty vector over classes, estimated from the
 training patterns' interval midpoints, the means of the two partitions.
@@ -61,12 +56,10 @@ _SMALL = float(_TINY / np.finfo(float).eps)
 
 
 class _SoundnessConstants(NamedTuple):
-    """The operands of inference._soundness_bounds that depend only on the
-    model, read-only. R is the certainty (c, M), R+ its negatives clipped to
-    0 (negatives never fire)."""
+    """The operands of inference._soundness_bounds derived from the model's
+    certainty R (c, M) and exponent p, read-only. R+ is R with its negatives
+    clipped to 0 (negatives never fire)."""
 
-    certainty: np.ndarray  # R (c, M), for the exact path
-    p: float
     firing: np.ndarray  # float (R+ > 0) (c, M), F-ordered
     fired: np.ndarray  # column sums of firing (M,): the count when every upper bound is > 0
     fired_small: np.ndarray  # fired * _SMALL (M,)
@@ -94,12 +87,14 @@ def _soundness_constants(certainty: np.ndarray, p: float) -> _SoundnessConstants
     for a in (firing, fired, fired_small, fired_floor, t, weights):
         if a is not None:
             a.flags.writeable = False
-    return _SoundnessConstants(certainty, p, firing, fired, fired_small, fired_floor, t, weights,
+    return _SoundnessConstants(firing, fired, fired_small, fired_floor, t, weights,
                                RT[pos].min(initial=1.0))
 
 
 def _check_aggregation_p(p: float) -> None:
-    """The aggregation exponent's rule: a finite, non-zero number."""
+    """The aggregation exponent's rule: a finite, non-zero number, not a bool."""
+    if isinstance(p, (bool, np.bool_)):  # True would pass as 1
+        raise ConfigError(f"aggregation_p must be a number, got {p!r}")
     try:
         finite = np.isfinite(p)
     except TypeError:
@@ -200,12 +195,10 @@ class RuleBase:
 def _distances(X, prototypes) -> np.ndarray:
     """Euclidean distances of each row of X to each prototype, (n, c).
 
-    Takes X whole: its caller hands it one row block of subclust._row_blocks.
-    The block's (rows, c, N) differences are built in row chunks of at most
-    an eighth of the budget, so the (rows, c) distances are its largest
-    array. A row past the float range comes back divided by a per-row scale
-    (below); only such rows have their differences built again, in chunks
-    of the same size.
+    Takes X whole, one row block. Its differences are built in chunks, so
+    the (rows, c) distances are its largest array. A row past the float
+    range comes back divided by a per-row scale (below); only such rows
+    have their differences built again.
     """
     X, P = np.asarray(X, dtype=float), np.asarray(prototypes, dtype=float)
     if X.shape[1] != P.shape[1]:
@@ -265,13 +258,12 @@ def membership_bounds(X: np.ndarray, prototypes: np.ndarray, fz: Fuzzifiers) -> 
 
     Inference is its only caller and hands it one row block of
     inference.classify_batch, or the rows of one whose bounds its
-    soundness kernel needs again. It does not split n itself: its memory
-    is the (n, c) distances and one chunk of their differences, at most an
-    eighth of the budget, while the distances are built, then three (n, c)
-    arrays (the distances, which _partitions turns into the second
-    partition; the stacked bounds, whose lower half takes the first
-    partition) and the shares of rows on a prototype. A row's bounds do not
-    depend on the other rows.
+    soundness kernel needs again. It takes its n rows whole: past the
+    distances while they are built, its memory is three (n, c) arrays (the
+    distances, which _partitions turns into the second partition; the
+    stacked bounds, whose lower half takes the first partition) and the
+    shares of rows on a prototype. A row's bounds do not depend on the
+    other rows.
     """
     d = _distances(X, prototypes)
     bounds = np.empty((2, *d.shape))
@@ -287,17 +279,14 @@ def certainty_degrees(train: Dataset, prototypes, fz: Fuzzifiers) -> np.ndarray:
     interval-midpoint memberships over all training patterns.
 
     min(a, b) + max(a, b) is a + b bit for bit, so the interval's midpoints
-    are the means (mu1 + mu2) / 2 of the two partitions, taken in the row
-    blocks of subclust._row_blocks at width c * N. That width keeps each
-    (rows, c) array at 1/N of the budget and a block at hundreds of rows,
-    over which its per-block costs are spread; the distances build the
-    block's differences in smaller chunks. Whatever n is, at most two
-    (rows, c) arrays are alive: the buffer below (built after the first
-    block's distances) and the distances, with one chunk of their
-    differences while they are built. _partitions writes the first
-    partition into the buffer and turns the distances into the second,
-    which is added to it, so the midpoints are written into the buffer
-    under a leading row holding the running sum. A class's sum reduces it
+    are the means (mu1 + mu2) / 2 of the two partitions, taken in row
+    blocks at width c * N. Whatever n is, at most two (rows, c) arrays are
+    alive: the buffer below (built after the first block's distances) and
+    the distances, with one chunk of their differences while they are
+    built. _partitions writes the first partition into the buffer and
+    turns the distances into the second, which is added to it, so the
+    midpoints are written into the buffer under a leading row holding the
+    running sum. A class's sum reduces it
     along axis 0 where the running sum and the class's rows are, the
     totals all of it; numpy adds row by row in order (a masked reduction
     from 0), so the sums are the bytes of one sum over the whole training

@@ -25,7 +25,7 @@ The potential field computes each pair of points once. x_j - x_i is the
 exact negation of x_i - x_j, so both give the same squared distance and the
 same exp, byte for byte. The rows and the columns are cut into tiles at the
 leaves of the pairwise tree by which numpy sums a row of n values
-(``_leaves``: runs of at most 128 values; a longer run splits at half its
+(``_tree``: runs of at most 128 values; a longer run splits at half its
 length rounded down to a multiple of 8). No two neighbouring leaves fit in
 128 values, so a tile is one leaf. For each tile pair (a, b >= a)
 ``_squared_distances`` fills the tile's squared distances from differences
@@ -35,11 +35,12 @@ tile's row sums are leaf sums of the rows of a; when b > a, the row sums
 of its C-ordered transpose are leaf sums of the rows of b. ``_fold`` adds
 the leaf sums up numpy's tree as they complete: it pushes each leaf's sums
 in leaf order and adds, left + right, every node whose last leaf that is
-(``_merges`` counts them), so only the partial sums of completed subtrees
-are kept, a stack no deeper than the tree. The rows of a hold the sums over leaves
-0..a-1 on a stack shared by all rows, filled from the transposes of
-earlier tiles; they go on through leaves a..L-1 in their own tiles, to the
-root, adding in place into views of the shared entries. Leaf a's
+(``_tree`` gives their count with the leaf), so only the partial sums of
+completed subtrees are kept, a stack no deeper than the tree. The rows of a
+hold the sums over leaves 0..a-1 on a stack shared by all rows, filled
+from the transposes of earlier tiles; they go on through leaves a..L-1 in
+their own tiles, to the root, adding in place into views of the shared
+entries. Leaf a's
 transposed sums then go onto the shared stack for the rows after a, in an
 entry of zeros: a finished row's entries hold zeros or its own partial
 sums, never uninitialized memory, which could add inf - inf and warn.
@@ -49,20 +50,28 @@ with them every center, certainty degree and report. A set of at most
 differences, one tile and the two stacks, the tree's depth times n
 values, are alive at a time.
 
-``_row_blocks`` is the one rule for row blocks. certainty_degrees and
-classify_batch walk their rows with it, and the kernels they call take each
-block whole; inside them, only ``_squared_distances`` cuts rows again, into
-the chunks whose differences it builds. It is the one chunk loop, here and
-in the rule base's distances, with one budget: a chunk of a (rows, m)
-block holds at most an eighth of the budget in differences (256 KB, which
-a core's L2 cache holds). einsum sums each cell over its own N values, so
-the chunks give the bytes of one einsum over the block. A one-row block is
-one chunk at any width and takes no loop, as every classify() call and
-every revision of the potentials does. The distances' rows past the float
-range take the loop again, each chunk's differences scaled per row before
-its einsum. ``_differences`` is the one implementation of a chunk's
-pairwise differences: the rows repeated, minus the other operand in one
-contiguous pass, C-ordered whatever the input's layout, one row included.
+Row blocks and chunks, the one policy of the package. ``_row_blocks`` is
+the one rule for row blocks: BLOCK_ELEMENTS // width rows (2 MB of
+float64), where width is what one row counts against that budget.
+certainty_degrees walks the training set at width c * N (c prototypes, N
+features), and classify_batch its batch at c * max(N, 2M) (M classes; a
+row gathers up to 2M rows of c values at the soundness kernel's exact
+cells). So each (rows, c) array of a block holds at most 1/N of the
+budget, and a block spans hundreds of rows, over which its per-block
+costs are spread. The kernels they call take each block whole; only
+``_squared_distances`` cuts rows again, into the chunks whose differences
+it builds, at width 8 * c * N: a chunk's (rows, c, N) differences hold at
+most an eighth of the budget (256 KB, which a core's L2 cache holds), or
+one row. It is the one chunk loop, here for the field's tiles and in the
+rule base's distances. einsum sums each cell over its own N values, so the
+chunks give the bytes of one einsum over the block, and a row's results
+never depend on the block or the chunk it falls in. A one-row block is one
+chunk at any width and takes no loop, as every classify() call and every
+revision of the potentials does. The distances' rows past the float range
+take the loop again, each chunk's differences scaled per row before its
+einsum. ``_differences`` is the one implementation of a chunk's pairwise
+differences: the rows repeated, minus the other operand in one contiguous
+pass, C-ordered whatever the input's layout, one row included.
 
 Radii near the low end of the rule (about 1.5e-154) make alpha or beta so
 large that -alpha * ||x_i - x_j||^2 passes the float range. The product is
@@ -105,12 +114,10 @@ def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(A: np.ndarray, B: np.ndarray, scaled: bool = False) -> np.ndarray:
-    """The (len(A), len(B)) squared distances ||A[i] - B[j]||^2. Their
-    differences are built in the row chunks of _row_blocks at width
-    8 * B.size, so one chunk's differences hold at most an eighth of the
-    budget (or one row); see the module docstring. If scaled, each row's
-    differences are first divided by the row's largest |difference| (1 for
-    a row of zeros): the rescale path of rulebase._distances."""
+    """The (len(A), len(B)) squared distances ||A[i] - B[j]||^2, their
+    differences built in the module docstring's chunks. If scaled, each
+    row's differences are first divided by the row's largest |difference|
+    (1 for a row of zeros): the rescale path of rulebase._distances."""
     if len(A) == 1 and not scaled:  # one chunk at any width: classify()'s row takes no loop
         diff = _differences(A, B)
         return np.einsum("ijk,ijk->ij", diff, diff)
@@ -142,6 +149,9 @@ class SubclustParams:
     reject_ratio: float = 0.15
 
     def __post_init__(self):
+        for name in ("r_a", "rb_ratio", "accept_ratio", "reject_ratio"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):  # True would pass as 1
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         # The radius rule. A radius whose square underflows, overflows or is
         # infinite makes alpha or beta 0 or inf (or raises), which gives nan
         # potentials or no clusters.
@@ -184,23 +194,15 @@ def describe_params(params: SubclustParams | None) -> dict[str, str]:
 _LEAF = 128
 
 
-def _leaves(n: int, start: int = 0) -> list[slice]:
-    """The leaves of numpy's summation tree over n values, in order."""
+def _tree(n: int, start: int = 0) -> list[tuple[slice, int]]:
+    """The leaves of numpy's summation tree over n values, in order, each
+    with the number of the tree's nodes that have it as their last leaf."""
     if n <= _LEAF:
-        return [slice(start, start + n)]
+        return [(slice(start, start + n), 0)]
     half = n // 2 - n // 2 % 8
-    return _leaves(half, start) + _leaves(n - half, start + half)
-
-
-def _merges(n: int) -> list[int]:
-    """For each leaf of _leaves(n), how many nodes of numpy's tree over n
-    values have it as their last leaf."""
-    if n <= _LEAF:
-        return [0]
-    half = n // 2 - n // 2 % 8
-    right = _merges(n - half)
-    right[-1] += 1
-    return _merges(half) + right
+    left, right = _tree(half, start), _tree(n - half, start + half)
+    right[-1] = (right[-1][0], right[-1][1] + 1)
+    return left + right
 
 
 def _fold(stack: list, sums: np.ndarray, merges: int) -> None:
@@ -233,27 +235,27 @@ def initial_potentials(points, params: SubclustParams) -> np.ndarray:
     if not np.isfinite(X).all():
         raise DataError("points must be finite (no nan or inf)")
     n = len(X)
-    leaves, merges = _leaves(n), _merges(n)
+    tree = _tree(n)
     P = np.empty(n)
     shared = []  # every row's sums over leaves 0..a-1, folded
     # Past the float range, alpha * ||x_i - x_j||^2 is -inf and its exp the
     # exact limit 0 (radii near the rule's low end).
     with np.errstate(over="ignore"):
-        for a, rows in enumerate(leaves):
+        for a, (rows, ends) in enumerate(tree):
             # The rows of a go on from there. These are views: their in-place
             # adds write the rows of a only, which shared no longer needs.
             own = [part[rows] for part in shared]
             later = np.zeros(n)  # leaf a's sums for the rows of later leaves
-            for b, cols in enumerate(leaves[a:], a):
+            for b, (cols, merges) in enumerate(tree[a:], a):
                 sq = _squared_distances(X[rows], X[cols])
                 sq *= -params.alpha
                 np.exp(sq, out=sq)
-                _fold(own, sq.sum(axis=1), merges[b])
+                _fold(own, sq.sum(axis=1), merges)
                 if b > a:
                     later[cols] = np.ascontiguousarray(sq.T).sum(axis=1)
                 del sq  # before the next tile's differences are built
             P[rows] = own[0]  # the root
-            _fold(shared, later, merges[a])
+            _fold(shared, later, ends)
     return P
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import it2frbc
 from it2frbc import Dataset, classify_batch, cli, load_csv, load_rulebase, save_csv, subclust
 from it2frbc.cli import main
-from it2frbc.evaluation import accuracy, confusion_matrix
+from it2frbc.evaluation import ExperimentConfig, accuracy, confusion_matrix
 from it2frbc.inference import _block_width
 
 
@@ -164,6 +164,21 @@ class TestTrainPredict:
         keys = [line.split(":")[0].strip() for line in out.splitlines()]
         assert "  r_a: none" in out.splitlines()
         assert not {"rb_ratio", "accept_ratio", "reject_ratio"} & set(keys)
+
+    def test_train_prints_the_configuration_reports_record(self, tmp_path, capsys, circ_file):
+        # train used to print its own list under other names (in, label_col,
+        # seed) and no runs.
+        model = str(tmp_path / "model.json")
+        code, out, _ = run(capsys, "train", "--in", str(circ_file), "--ra", "0.3", "--seed", "3",
+                           "--stratified", "--p", "1.5", "--model", model)
+        assert code == 0
+        cfg = ExperimentConfig(data_path=str(circ_file), runs=1, stratified=True, master_seed=3,
+                               subclust=subclust.SubclustParams(0.3), aggregation_p=1.5)
+        lines = out.splitlines()
+        assert lines[:lines.index(f"  model: {model}") + 1] == [
+            "configuration:", *(f"  {key}: {val}" for key, val in cfg.describe().items()),
+            f"  model: {model}"]
+        assert lines[len(cfg.describe()) + 2].startswith("rules: ")
 
     def test_predict_dimension_mismatch(self, tmp_path, capsys, circ_file):
         model = tmp_path / "model.json"

@@ -316,8 +316,9 @@ class TestSeedRule:
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             make(-1)
 
-    # A split seed of 1.5 used to pass, then raise numpy's TypeError in split.
-    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    # A split seed of 1.5 used to pass, then raise numpy's TypeError in split;
+    # True passed as seed 1, and a report printed "master_seed": "True".
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True])
     @pytest.mark.parametrize("make", [
         gen_circular,
         gen_irregular,

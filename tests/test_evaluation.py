@@ -72,13 +72,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="runs must be at least 1"):
             ExperimentConfig(generator="circular", runs=0)
 
-    @pytest.mark.parametrize("runs", [2.5, "2", None])
+    @pytest.mark.parametrize("runs", [2.5, "2", None, True])
     def test_runs_must_be_an_integer(self, runs):
-        # 2.5 used to pass, then raise TypeError in run_experiment.
+        # 2.5 used to pass, then raise TypeError in run_experiment; True ran
+        # one run, and its report printed "runs": "True".
         with pytest.raises(ConfigError, match="runs must be an integer"):
             ExperimentConfig(generator="circular", runs=runs)
 
-    @pytest.mark.parametrize("column", [1.5, "1", None])
+    @pytest.mark.parametrize("column", [1.5, "1", None, True])
     def test_label_column_must_be_an_integer(self, column):
         # 1.5 used to pass, then raise TypeError when the CSV was read.
         with pytest.raises(ConfigError, match="label_column must be an integer"):
@@ -96,9 +97,9 @@ class TestConfig:
         assert (emit_report(run_experiment(cfg), "json")
                 == emit_report(run_experiment(want), "json"))
 
-    @pytest.mark.parametrize("p", ["2", None])
+    @pytest.mark.parametrize("p", ["2", None, True, np.True_])
     def test_aggregation_p_must_be_a_number(self, p):
-        # "2" used to raise TypeError from np.isfinite.
+        # "2" used to raise TypeError from np.isfinite; True passed as p = 1.
         with pytest.raises(ConfigError, match="aggregation_p must be a number"):
             ExperimentConfig(generator="circular", aggregation_p=p)
 

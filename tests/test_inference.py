@@ -65,8 +65,9 @@ def soundness(lower, upper, certainty, p):
     the patterns are the row numbers, and those rows come from a second copy."""
     bounds = np.stack((lower, upper)).astype(float)
     kept = bounds.copy()
-    model = SimpleNamespace(_soundness=_soundness_constants(np.asarray(certainty, dtype=float), p),
-                            prototypes=kept, fuzzifiers=None)
+    certainty = np.asarray(certainty, dtype=float)
+    model = SimpleNamespace(_soundness=_soundness_constants(certainty, p), certainty=certainty,
+                            aggregation_p=p, prototypes=kept, fuzzifiers=None)
     with mock.patch.object(inference, "membership_bounds", lambda rows, kept, _: kept[:, rows]):
         return inference._soundness_bounds(bounds, np.arange(bounds.shape[1]), model)
 

@@ -62,6 +62,12 @@ class TestParams:
             dict(r_a=0.5, rb_ratio=1e-200),
             dict(r_a=0.5, rb_ratio=1e200),
             dict(r_a=0.5, rb_ratio=float("inf")),
+            # A bool used to pass as 1 or 0, and reports printed "True" or "False".
+            dict(r_a=True),
+            dict(r_a=np.True_),
+            dict(r_a=0.5, rb_ratio=True),
+            dict(r_a=0.5, accept_ratio=True),
+            dict(r_a=0.5, reject_ratio=False),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -313,7 +319,7 @@ class TestBlockedPotentials:
         # chunks of at most an eighth of the budget (30 rows, 0.24 MiB), as
         # the rule base's distances take, 0.41 MiB (numpy 2.4.6).
         X = np.random.default_rng(25).uniform(size=(222, 9))
-        assert [s.stop - s.start for s in subclust._leaves(222)] == [104, 118]
+        assert [s.stop - s.start for s, _ in subclust._tree(222)] == [104, 118]
         tracemalloc.start()
         try:
             initial_potentials(X, SubclustParams(0.4))
@@ -339,7 +345,7 @@ class TestBlockedPotentials:
         params = SubclustParams(0.3)
         expected = single_shot_potentials(X, params.alpha)
         monkeypatch.setattr(subclust, "BLOCK_ELEMENTS", budget)
-        assert len(subclust._leaves(600)) == 8  # 36 tile pairs
+        assert len(subclust._tree(600)) == 8  # 36 tile pairs
         got = initial_potentials(X, params)
         assert np.array_equal(got, expected)
         assert got[590] == got[2]
@@ -372,10 +378,10 @@ class TestBlockedPotentials:
 
 
 class TestSummationTree:
-    """subclust._leaves, _merges and _fold emulate the pairwise tree by
-    which numpy adds a row: leaf sums folded up the tree in leaf order give
-    np.add.reduce's bytes. No tolerance: should a numpy build sum another way, this fails,
-    and so does TestBlockedPotentials."""
+    """subclust._tree and _fold emulate the pairwise tree by which numpy
+    adds a row: leaf sums folded up the tree in leaf order give
+    np.add.reduce's bytes. No tolerance: should a numpy build sum another
+    way, this fails, and so does TestBlockedPotentials."""
 
     SIZES = [*range(1, 301), 1000, 1448, 2552, 4000]
 
@@ -392,19 +398,22 @@ class TestSummationTree:
         for n in self.SIZES:
             for layout, A in self.layouts(n, rng).items():
                 stack = []
-                for leaf, merges in zip(subclust._leaves(n), subclust._merges(n)):
+                for leaf, merges in subclust._tree(n):
                     subclust._fold(stack, np.add.reduce(A[:, leaf], axis=1), merges)
                 assert len(stack) == 1, (n, layout)
                 assert stack[0].tobytes() == np.add.reduce(A, axis=1).tobytes(), (n, layout)
 
     def test_leaves_cover_the_row_in_order(self):
         for n in self.SIZES:
-            leaves = subclust._leaves(n)
+            tree = subclust._tree(n)
+            leaves = [leaf for leaf, _ in tree]
             assert [i for leaf in leaves for i in range(n)[leaf]] == list(range(n))
             assert all(0 < leaf.stop - leaf.start <= subclust._LEAF for leaf in leaves)
             # No two neighbouring leaves fit in one: a tile is one leaf.
             widths = [leaf.stop - leaf.start for leaf in leaves]
             assert all(a + b > subclust._LEAF for a, b in zip(widths, widths[1:]))
+            # A binary tree over L leaves has L - 1 nodes, each ending at one leaf.
+            assert sum(merges for _, merges in tree) == len(tree) - 1
 
 
 def revise(field, pts, k, params):
