@@ -139,7 +139,8 @@ def measure() -> dict:
                                                                                      params)),
             "potentials_ms": best_ms(lambda: subclust.initial_potentials(points, params), 3),
             "certainty_rules": len(protos),
-            "certainty_peak_bytes": traced_peak(lambda: rulebase.certainty_degrees(fit, protos, fz)),
+            "certainty_peak_bytes": traced_peak(lambda: rulebase.certainty_degrees(fit, protos,
+                                                                                   fz)),
             "certainty_ms": best_ms(lambda: rulebase.certainty_degrees(fit, protos, fz), 5)}
 
 
