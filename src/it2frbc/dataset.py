@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _number
 from .subclust import _row_blocks
 
 MISSING_MARKS = ("", "?")
@@ -38,8 +38,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class Dataset:
     """A labeled point set: features ``(n, num_features)``, labels ``(n,)``.
 
-    ``labels`` holds class indices below ``num_classes``; ``class_names``
-    gives the display string per index.
+    ``labels`` holds one class index per pattern, stored as int64;
+    ``class_names`` gives the display string per index. What a class index
+    is (an integer, or a whole float, in 0..num_classes-1; never a bool or
+    nan) is written once, in _class_indices, which RuleBase's source
+    classes go through too; the shapes are this type's own rules.
     """
 
     features: np.ndarray
@@ -48,17 +51,15 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.labels, dtype=np.int64)
         if X.ndim != 2:
             raise DataError("features must be a 2-D array")
-        if y.shape != (X.shape[0],):
+        if np.shape(self.labels) != (X.shape[0],):
             raise DataError("labels must be one per pattern")
         if not np.all(np.isfinite(X)):
             raise DataError("features must be finite")
         if len(self.class_names) < 1:
             raise DataError("at least one class name required")
-        if y.size and (y.min() < 0 or y.max() >= len(self.class_names)):
-            raise DataError("label outside 0..num_classes-1")
+        y = _class_indices("labels", self.labels, len(self.class_names))
         object.__setattr__(self, "features", _freeze(X))
         object.__setattr__(self, "labels", _freeze(y))
         object.__setattr__(self, "class_names", tuple(str(c) for c in self.class_names))
@@ -76,6 +77,20 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
+
+
+def _class_indices(name: str, values, count: int) -> np.ndarray:
+    """The one rule of a class index, for labels and source classes alike:
+    ``values`` as int64 if each is an integer, or a float with a whole
+    value, in 0..count-1; a bool or nan is refused. A DataError names
+    ``name`` otherwise."""
+    a = np.asarray(values)
+    whole = a.dtype.kind in "iu" or a.dtype.kind == "f" and (a == np.trunc(a)).all()
+    if not isinstance(values, np.ndarray):  # np.asarray makes [True, 0] an int array
+        whole = whole and not any(isinstance(v, (bool, np.bool_)) for v in values)
+    if not (whole and 0 <= a.min(initial=0) and a.max(initial=0) < count):
+        raise DataError(f"{name} must be integers in 0..{count - 1}")
+    return a.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -164,8 +179,8 @@ class SplitSpec:
 
     def __post_init__(self):
         try:
-            inside = 0.0 < self.train_fraction < 1.0
-        except TypeError:  # not a number
+            inside = 0.0 < _number("train_fraction", self.train_fraction) < 1.0
+        except ConfigError:  # not a number
             inside = False
         if not inside:
             raise ConfigError("train_fraction must lie in the open interval (0,1)")
@@ -175,13 +190,11 @@ class SplitSpec:
 
 
 def _check_seed(seed: int) -> int:
-    """The seed rule, for splits and generators alike: an integer (numpy's
-    too, through operator.index), not a bool, of at least 0; returns ``seed``."""
-    try:
-        if not isinstance(seed, (bool, np.bool_)) and operator.index(seed) >= 0:
+    """The seed rule, for splits and generators alike: an integer (_number)
+    of at least 0; returns ``seed``."""
+    with contextlib.suppress(ConfigError):
+        if _number("seed", seed, integer=True) >= 0:
             return seed
-    except TypeError:
-        pass
     raise ConfigError("seed must be a non-negative integer")
 
 
@@ -228,8 +241,9 @@ def _read_csv(path, label_column=None, keep=None, block_width=None):
     So a file with several defects is refused at its first block that has
     one, and within that block a width comes before a missing value and
     both before a cell. Every refusal is a DataError (a
-    ConfigError for a label column out of range) raised by the block that
-    reaches it; "empty dataset" when no row is kept.
+    ConfigError for a label column that is not an integer or is out of
+    range) raised by the block that reaches it; "empty dataset" when no
+    row is kept.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -246,6 +260,7 @@ def _read_csv(path, label_column=None, keep=None, block_width=None):
                 label_column = label_column(width)
             label_idx = label_column
             if label_column is not None:
+                _number("label column", label_column, integer=True)
                 label_idx = label_column if label_column >= 0 else width + label_column
                 if not 0 <= label_idx < width:
                     raise ConfigError(

@@ -15,7 +15,6 @@ report render it.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,7 +29,7 @@ from .dataset import (
     normalize_dataset,
     split,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _number
 from .inference import classify_batch
 from .rulebase import Fuzzifiers, RuleBase, _check_aggregation_p, build_rulebase
 from .subclust import SubclustParams, describe_params
@@ -59,15 +58,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if self.missing_policy not in MISSING_POLICIES:
             raise ConfigError(f"unknown missing_policy {self.missing_policy!r}")
-        for name in ("label_column", "runs"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, np.bool_)):  # True would pass as 1
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-        if self.runs < 1:
+        _number("label_column", self.label_column, integer=True)
+        if _number("runs", self.runs, integer=True) < 1:
             raise ConfigError("runs must be at least 1")
         SplitSpec(self.train_fraction, self.master_seed, self.stratified)
         _check_aggregation_p(self.aggregation_p)

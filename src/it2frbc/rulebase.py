@@ -33,13 +33,14 @@ and builds the inference constants that depend on the model alone
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, NormalizationParams, _freeze, _write_text
-from .errors import ConfigError, DataError
+from .dataset import Dataset, NormalizationParams, _class_indices, _freeze, _write_text
+from .errors import ConfigError, DataError, _number
 from .subclust import (
     SubclustParams,
     _row_blocks,
@@ -92,14 +93,8 @@ def _soundness_constants(certainty: np.ndarray, p: float) -> _SoundnessConstants
 
 
 def _check_aggregation_p(p: float) -> None:
-    """The aggregation exponent's rule: a finite, non-zero number, not a bool."""
-    if isinstance(p, (bool, np.bool_)):  # True would pass as 1
-        raise ConfigError(f"aggregation_p must be a number, got {p!r}")
-    try:
-        finite = np.isfinite(p)
-    except TypeError:
-        raise ConfigError(f"aggregation_p must be a number, got {p!r}") from None
-    if not finite:
+    """The aggregation exponent's rule: a finite (_number), non-zero number."""
+    if not math.isfinite(_number("aggregation_p", p)):
         raise ConfigError(f"aggregation_p must be finite, got {p!r}")
     if p == 0.0:
         raise ConfigError("aggregation exponent p=0 is not supported")
@@ -118,7 +113,7 @@ class Fuzzifiers:
 
     def __post_init__(self):
         for name, m in (("m1", self.m1), ("m2", self.m2)):
-            if not np.isfinite(m):
+            if not math.isfinite(_number(f"fuzzifier {name}", m)):
                 raise ConfigError(f"fuzzifier {name} must be finite, got {m!r}")
         if not (self.m1 > 1.0 and self.m2 > 1.0):
             raise ConfigError("fuzzifiers must be greater than 1")
@@ -133,7 +128,7 @@ class RuleBase:
     aggregation exponent).
 
     Every field must be finite, the class names distinct, and each source
-    class an integer in 0..num_classes-1. The soundness kernel's
+    class a class index (dataset._class_indices). The soundness kernel's
     model-only operands (_soundness_constants) are built once here and kept
     read-only in ``_soundness``; the fields are frozen, so they cannot go
     stale, and dataclasses.replace rebuilds them.
@@ -149,7 +144,6 @@ class RuleBase:
 
     def __post_init__(self):
         P = np.asarray(self.prototypes, dtype=float)
-        src = np.asarray(self.source_classes)
         R = np.asarray(self.certainty, dtype=float)
         names = tuple(str(c) for c in self.class_names)
         if len(set(names)) != len(names):
@@ -158,11 +152,9 @@ class RuleBase:
             raise DataError(f"class names must be UTF-8 text, got {list(names)}")
         if P.ndim != 2 or P.shape[0] < 1:
             raise DataError("prototypes must be a non-empty (c, N) array")
-        if src.shape != (P.shape[0],):
+        if np.shape(self.source_classes) != (P.shape[0],):
             raise DataError("one source class per prototype required")
-        whole = src.dtype.kind in "iu" or src.dtype.kind == "f" and (src == np.trunc(src)).all()
-        if not (whole and 0 <= src.min() <= src.max() < len(self.class_names)):
-            raise DataError(f"source classes must be integers in 0..{len(self.class_names) - 1}")
+        src = _class_indices("source classes", self.source_classes, len(names))
         if R.shape != (P.shape[0], len(self.class_names)):
             raise DataError("certainty must be a (c, num_classes) matrix")
         if P.shape[1] != self.normalization.num_features:
@@ -173,7 +165,7 @@ class RuleBase:
                 raise DataError(f"{name} must be finite (rule {int(np.argmin(finite)) + 1})")
         _check_aggregation_p(self.aggregation_p)
         object.__setattr__(self, "prototypes", _freeze(P))
-        object.__setattr__(self, "source_classes", _freeze(src.astype(np.int64)))
+        object.__setattr__(self, "source_classes", _freeze(src))
         object.__setattr__(self, "certainty", _freeze(R))
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "_soundness",

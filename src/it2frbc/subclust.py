@@ -90,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _number
 
 # Target size, in float64 values, of a row block's arrays (2 MB).
 BLOCK_ELEMENTS = 1 << 18
@@ -150,8 +150,7 @@ class SubclustParams:
 
     def __post_init__(self):
         for name in ("r_a", "rb_ratio", "accept_ratio", "reject_ratio"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):  # True would pass as 1
-                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+            _number(name, getattr(self, name))
         # The radius rule. A radius whose square underflows, overflows or is
         # infinite makes alpha or beta 0 or inf (or raises), which gives nan
         # potentials or no clusters.

@@ -76,8 +76,10 @@ class TestLoadCsv:
             load_csv(path, -1)
 
     def test_label_column_out_of_range(self, tmp_path):
-        with pytest.raises(ConfigError, match="label column"):
-            load_csv(write(tmp_path, "1,2,a\n"), 5)
+        # True used to read column 1 as the label; 1.0 and "4" raised TypeError.
+        for column in (5, True, 1.0, "4"):
+            with pytest.raises(ConfigError, match="label column"):
+                load_csv(write(tmp_path, "1,2,a\n"), column)
 
     def test_missing_marks(self, tmp_path):
         ds = load_csv(write(tmp_path, "1,2,a\n?,4,b\n5,,a\n7,8,b\n"), -1)
@@ -359,10 +361,23 @@ class TestInvariantsOfTypes:
         (np.zeros(3), np.zeros(3), ("a",), "features must be a 2-D array"),
         (np.zeros((3, 1)), np.zeros(2), ("a",), "labels must be one per pattern"),
         (np.zeros((1, 1)), np.zeros(1), (), "at least one class name required"),
-    ], ids=["1-D features", "labels mismatch", "no class names"])
+        # Used to be stored as [0, 1, 1]; nan raised numpy's ValueError.
+        (np.zeros((3, 1)), [0.5, 1.7, 1.0], ("a", "b"), r"labels must be integers in 0\.\.1"),
+        (np.zeros((2, 1)), [np.nan, 1], ("a", "b"), r"labels must be integers in 0\.\.1"),
+        (np.zeros((2, 1)), [True, False], ("a", "b"), r"labels must be integers in 0\.\.1"),
+        # np.asarray promotes a bool among numbers: [True, 0] became int [1, 0].
+        (np.zeros((2, 1)), [True, 0], ("a", "b"), r"labels must be integers in 0\.\.1"),
+        (np.zeros((2, 1)), (1.0, np.True_), ("a", "b"), r"labels must be integers in 0\.\.1"),
+    ], ids=["1-D features", "labels mismatch", "no class names", "fractional labels",
+            "nan label", "bool labels", "bool among ints", "numpy bool among floats"])
     def test_dataset_refusals(self, X, y, names, message):
         with pytest.raises(DataError, match=message):
             Dataset(X, y, names)
+
+    def test_whole_float_labels_accepted(self):
+        ds = Dataset(np.zeros((3, 1)), np.array([0.0, 1.0, 1.0]), ("a", "b"))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
+        assert Dataset(np.zeros((3, 1)), np.zeros(3), ("a",)).labels.tolist() == [0, 0, 0]
 
     def test_normalization_rejects_unequal_shapes(self):
         with pytest.raises(DataError, match="min/max must be 1-D vectors of equal length"):

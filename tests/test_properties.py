@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from it2frbc import (
     ConfigError,
     Dataset,
+    ExperimentConfig,
     Fuzzifiers,
     NormalizationParams,
     RuleBase,
@@ -347,3 +348,27 @@ def test_degenerate_fuzzifiers_and_extreme_exponents(rb, fz, p, rows):
     assert np.all((0.0 <= scores) & (scores <= 1.0))
     for single, row in zip(singles, scores):
         assert np.array_equal(single, row)
+
+
+# Each numeric setting, as (type, the other arguments it needs, field).
+NUMERIC_FIELDS = [
+    *((SubclustParams, {"r_a": 0.5}, f) for f in ("r_a", "rb_ratio", "accept_ratio",
+                                                  "reject_ratio")),
+    *((Fuzzifiers, {}, f) for f in ("m1", "m2")),
+    *((SplitSpec, {}, f) for f in ("train_fraction", "seed")),
+    *((ExperimentConfig, {"generator": "circular"}, f) for f in (
+        "label_column", "runs", "train_fraction", "master_seed", "aggregation_p")),
+]
+# Values no numeric setting takes: every one of them must be finite.
+not_a_number = st.one_of(
+    st.booleans(), st.booleans().map(np.bool_), st.text(max_size=4),
+    st.sampled_from(["0.5", "2"]), st.none(), st.lists(st.floats(0.1, 0.9), max_size=2),
+    st.sampled_from([10**400, -10**400, math.nan, math.inf, -math.inf]))
+
+
+@given(st.sampled_from(NUMERIC_FIELDS), not_a_number)
+@settings(max_examples=300, deadline=None)
+def test_settings_refuse_what_is_not_a_number(setting, value):
+    make, others, name = setting
+    with pytest.raises(ConfigError):
+        make(**{**others, name: value})

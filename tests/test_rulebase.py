@@ -61,7 +61,9 @@ class TestFuzzifiers:
     def test_equal_fuzzifiers_allowed(self):
         Fuzzifiers(2.0, 2.0)
 
-    @pytest.mark.parametrize("m1,m2", [(1.0, 2.0), (0.5, 2.0), (2.0, 1.0), (2.5, 1.5)])
+    # "2" and None used to raise TypeError from np.isfinite.
+    @pytest.mark.parametrize("m1,m2", [(1.0, 2.0), (0.5, 2.0), (2.0, 1.0), (2.5, 1.5),
+                                       ("2", 3.0), (None, 2.0)])
     def test_rejects_invalid(self, m1, m2):
         with pytest.raises(ConfigError):
             Fuzzifiers(m1, m2)
@@ -422,7 +424,7 @@ class TestCertaintyDegrees:
     def test_requires_labels(self):
         # certainty_degrees takes a Dataset, and Dataset is the one place that
         # refuses a pattern without a class (a label below 0).
-        with pytest.raises(DataError, match="label outside"):
+        with pytest.raises(DataError, match=r"labels must be integers in 0\.\.0"):
             Dataset(np.array([[0.1]]), np.array([-1]), ("a",))
 
     def test_single_cluster_gives_class_frequencies(self):

@@ -68,6 +68,9 @@ class TestParams:
             dict(r_a=0.5, rb_ratio=True),
             dict(r_a=0.5, accept_ratio=True),
             dict(r_a=0.5, reject_ratio=False),
+            # Not a number: used to raise TypeError from the radius rule.
+            dict(r_a="0.4"),
+            dict(r_a=0.5, rb_ratio=None),
         ],
     )
     def test_rejects_invalid(self, kwargs):
